@@ -1,13 +1,12 @@
 /**
  * @file
  * Throughput of the neighbor-list build pipeline (DESIGN.md §14):
- * sweeps packing layout (csr | cluster) × SIMD filter width (0 =
- * scalar oracle walk, -1 = native width) × thread count × system size
- * on the LJ melt and reports best-of-N build time, ns/atom, and the
- * bytes/atom of the packing the pair kernels traverse. The
- * `vs_scalar_serial` column is the speedup against the scalar
- * single-thread build of the same system — the number the vectorized +
- * threaded build is accountable to.
+ * sweeps SIMD filter width (0 = scalar oracle walk, -1 = native width)
+ * × thread count × system size on the LJ melt and reports best-of-N
+ * build time, ns/atom, and the bytes/atom of the packing the pair
+ * kernels traverse. The `vs_scalar_serial` column is the speedup
+ * against the scalar single-thread build of the same system — the
+ * number the vectorized + threaded build is accountable to.
  *
  * Usage: bench_native_neigh_build [--quick] [shared flags]
  * `--quick` shrinks systems and the repeat count to smoke-test size.
@@ -26,7 +25,6 @@
 #include "md/neighbor.h"
 #include "md/simulation.h"
 #include "obs/bench_options.h"
-#include "util/neigh_layout.h"
 #include "util/simd.h"
 #include "util/table.h"
 #include "util/thread_pool.h"
@@ -49,11 +47,6 @@ formatDouble(double value, int precision)
 std::size_t
 packedListBytes(const NeighborList &list)
 {
-    if (list.clusterN >= 2) {
-        return sizeof(std::uint32_t) *
-               (list.clusterJAtoms.size() + list.clusterIAtoms.size() +
-                list.clusterOffsets.size() + list.clusterPairs.size());
-    }
     if (list.padWidth >= 1) {
         return sizeof(std::uint32_t) *
                (list.packedOffsets.size() + list.packedNeighbors.size());
@@ -76,10 +69,9 @@ struct Cell
  * identical work and the minimum is the clean measurement).
  */
 Cell
-runCell(int cells, int width, int layout, int threads, int reps)
+runCell(int cells, int width, int threads, int reps)
 {
     setSimdWidth(width);
-    setNeighLayout(layout);
     ThreadPool::setThreads(threads);
     auto sim = buildLJ(cells);
     sim->thermoEvery = 0;
@@ -101,7 +93,6 @@ runCell(int cells, int width, int layout, int threads, int reps)
         static_cast<double>(packedListBytes(sim->neighbor.list())) /
         static_cast<double>(cell.natoms);
     setSimdWidth(-1);
-    setNeighLayout(-1);
     return cell;
 }
 
@@ -129,40 +120,33 @@ main(int argc, char **argv)
         threadCounts.push_back(hwThreads);
 
     const int previousThreads = ThreadPool::threads();
-    Table table({"layout", "width", "backend", "threads", "atoms",
+    Table table({"width", "backend", "threads", "atoms",
                  "pairs", "build_ms", "ns_per_atom",
                  "list_bytes_per_atom", "vs_scalar_serial"});
     for (const int cells : sizes) {
         double scalarSerialMs = 0.0;
-        for (const int layout : {0, 1}) {
-            for (const int width : {0, -1}) {
-                for (const int threads : threadCounts) {
-                    const Cell cell =
-                        runCell(cells, width, layout, threads, reps);
-                    if (layout == 0 && width == 0 && threads == 1)
-                        scalarSerialMs = cell.buildMs;
-                    const int resolvedWidth =
-                        width == 0 ? 0 : simdWidthFor(false);
-                    table.addRow(
-                        {neighLayoutName(layout == 1
-                                             ? NeighLayout::Cluster
-                                             : NeighLayout::Csr),
-                         std::to_string(resolvedWidth),
-                         simdBackendName(resolvedWidth),
-                         std::to_string(threads),
-                         std::to_string(cell.natoms),
-                         std::to_string(cell.pairs),
-                         formatDouble(cell.buildMs, 3),
-                         formatDouble(cell.buildMs * 1e6 /
-                                          static_cast<double>(
-                                              cell.natoms),
-                                      2),
-                         formatDouble(cell.bytesPerAtom, 1),
-                         formatDouble(cell.buildMs > 0.0
-                                          ? scalarSerialMs / cell.buildMs
-                                          : 0.0,
-                                      3)});
-                }
+        for (const int width : {0, -1}) {
+            for (const int threads : threadCounts) {
+                const Cell cell = runCell(cells, width, threads, reps);
+                if (width == 0 && threads == 1)
+                    scalarSerialMs = cell.buildMs;
+                const int resolvedWidth =
+                    width == 0 ? 0 : simdWidthFor(false);
+                table.addRow(
+                    {std::to_string(resolvedWidth),
+                     simdBackendName(resolvedWidth),
+                     std::to_string(threads),
+                     std::to_string(cell.natoms),
+                     std::to_string(cell.pairs),
+                     formatDouble(cell.buildMs, 3),
+                     formatDouble(cell.buildMs * 1e6 /
+                                      static_cast<double>(cell.natoms),
+                                  2),
+                     formatDouble(cell.bytesPerAtom, 1),
+                     formatDouble(cell.buildMs > 0.0
+                                      ? scalarSerialMs / cell.buildMs
+                                      : 0.0,
+                                  3)});
             }
         }
     }

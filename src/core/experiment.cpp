@@ -67,8 +67,6 @@ runNativeSerial(const ExperimentSpec &spec)
         ThreadPool::setThreads(spec.threads);
     if (spec.simdWidth >= 0)
         setSimdWidth(spec.simdWidth);
-    if (spec.neighLayout >= 0)
-        setNeighLayout(spec.neighLayout);
     if (spec.precision != Precision::EngineDefault)
         setPrecisionTier(spec.precision);
     sim->setup();
@@ -80,8 +78,6 @@ runNativeSerial(const ExperimentSpec &spec)
         setPrecisionTier(Precision::EngineDefault);
     if (spec.simdWidth >= 0)
         setSimdWidth(-1);
-    if (spec.neighLayout >= 0)
-        setNeighLayout(-1);
     if (spec.threads > 0)
         ThreadPool::setThreads(previousThreads);
 
@@ -124,8 +120,6 @@ runNativeRanked(const ExperimentSpec &spec)
         ThreadPool::setThreads(spec.threads);
     if (spec.simdWidth >= 0)
         setSimdWidth(spec.simdWidth);
-    if (spec.neighLayout >= 0)
-        setNeighLayout(spec.neighLayout);
     if (spec.precision != Precision::EngineDefault)
         setPrecisionTier(spec.precision);
     ranked.setup();
@@ -136,8 +130,6 @@ runNativeRanked(const ExperimentSpec &spec)
         setPrecisionTier(Precision::EngineDefault);
     if (spec.simdWidth >= 0)
         setSimdWidth(-1);
-    if (spec.neighLayout >= 0)
-        setNeighLayout(-1);
     if (spec.threads > 0)
         ThreadPool::setThreads(previousThreads);
 

@@ -96,20 +96,6 @@ class PairLJCut : public PairStyle
     template <typename P, int W, bool kSingleType, bool kHalf>
     void computeSimdImpl(Simulation &sim, const NeighborList &list);
 
-    /**
-     * SIMD kernel over the cluster-pair layout (DESIGN.md §14): one
-     * stored M×N cluster pair serves M·N lane-pairs, traversed
-     * full-style (both cluster sides visit an owned-owned pair, the
-     * 1/2 double-count factor restores the totals) so forces land only
-     * in the i rows — no Newton scatter, no reduction scratch, and
-     * bitwise thread-determinism for free. j positions are staged in
-     * the build's bin order, so every j-cluster load is a contiguous
-     * record transpose; the self lane and sentinel padding are masked
-     * exactly like the padded packing's sentinels.
-     */
-    template <typename P, int W, bool kSingleType>
-    void computeClusterImpl(Simulation &sim, const NeighborList &list);
-
     /** Tier dispatch: the list's recorded packTier picks the policy. */
     template <bool kSingleType>
     void dispatch(Simulation &sim, const NeighborList &list);

@@ -23,12 +23,6 @@ namespace {
 /** Grain for the per-atom neighbor loops (no reduction scratch). */
 constexpr std::size_t kNeighborGrain = 128;
 
-/** Grain for the per-i-cluster pair-list loops (M atoms per row). */
-constexpr std::size_t kClusterGrain = 32;
-
-/** i-cluster height of the cluster-pair layout (DESIGN.md §14). */
-constexpr int kClusterM = 4;
-
 /**
  * Trailing slots kept readable past the logical end of the bin-ordered
  * arrays so the W-wide filter can always load a whole chunk; the lanes
@@ -638,19 +632,6 @@ buildRowsScalar(Simulation &sim, NeighborList &list, const BinGrid &grid,
     }
 }
 
-/** Squared distance between two axis-aligned boxes (0 if overlapping). */
-inline double
-bboxDistSq(const double *a, const double *b)
-{
-    double total = 0.0;
-    for (int axis = 0; axis < 3; ++axis) {
-        const double d = std::max(
-            {0.0, a[axis] - b[3 + axis], b[axis] - a[3 + axis]});
-        total += d * d;
-    }
-    return total;
-}
-
 } // namespace
 
 void
@@ -659,21 +640,6 @@ countSimdLaneUse(const NeighborList &list, int traversals)
     const std::size_t t = static_cast<std::size_t>(traversals);
     counterAdd(Counter::PairSimdLanesActive, t * list.pairCount());
     counterAdd(Counter::PairSimdPaddingWaste, t * list.paddedSlots);
-}
-
-void
-countClusterLaneUse(const NeighborList &list, int traversals)
-{
-    const std::size_t t = static_cast<std::size_t>(traversals);
-    const std::size_t lanePairs =
-        list.clusterPairCount() *
-        static_cast<std::size_t>(list.clusterM) *
-        static_cast<std::size_t>(list.clusterN);
-    const std::size_t active =
-        (list.full ? 1 : 2) * list.pairCount();
-    counterAdd(Counter::PairSimdLanesActive, t * active);
-    counterAdd(Counter::PairSimdPaddingWaste,
-               t * (lanePairs > active ? lanePairs - active : 0));
 }
 
 double
@@ -764,7 +730,6 @@ Neighbor::buildImpl(Simulation &sim)
 
     const bool checkExclusions = !sim.topology.bonds.empty() ||
                                  !sim.topology.angles.empty();
-    hasExclusions_ = checkExclusions;
 
     list_.full = full;
     list_.buildCutoff = cut;
@@ -831,7 +796,7 @@ Neighbor::buildImpl(Simulation &sim)
     counterAdd(Counter::NeighBuildCandidates, candidates);
     counterAdd(Counter::NeighBuildAccepted, list_.neighbors.size());
 
-    packLists(sim, /*refresh=*/false);
+    packLists(sim);
 
     lastBuildPos_.assign(atoms.x.begin(), atoms.x.begin() + nlocal);
     ++buildCount_;
@@ -842,53 +807,27 @@ Neighbor::buildImpl(Simulation &sim)
 }
 
 void
-Neighbor::packLists(Simulation &sim, bool refresh)
+Neighbor::packLists(Simulation &sim)
 {
     if (splitGhostPairs) {
         // Ranks that split interior/boundary work pack each sublist
-        // separately (the cluster layout cannot split its rows, so
-        // split ranks always use padded CSR). The main list keeps no
-        // packing — the force drivers only ever traverse the sublists.
+        // separately. The main list keeps no packing — the force
+        // drivers only ever traverse the sublists.
         list_.packedOffsets.clear();
         list_.packedNeighbors.clear();
         list_.padWidth = 0;
         list_.paddedSlots = 0;
-        list_.clusterJAtoms.clear();
-        list_.clusterIAtoms.clear();
-        list_.clusterOffsets.clear();
-        list_.clusterPairs.clear();
-        list_.clusterN = 0;
-        list_.clusterM = 0;
         buildSplitLists(sim);
         packPadded(sim, interiorList_);
         packPadded(sim, boundaryList_);
-        packedWidth_ = simdWidthFor(precisionTier() != Precision::Double);
-        packedTier_ = precisionTier();
-        packedLayout_ = NeighLayout::Csr;
-        (void)refresh;
-        return;
-    }
-    splitBuilt_ = false;
-    const Precision tier = precisionTier();
-    const NeighLayout layout = neighLayout();
-    const int width = simdWidthFor(tier != Precision::Double);
-    if (layout == NeighLayout::Cluster && width >= 2 && !hasExclusions_ &&
-        sim.atoms.nlocal() > 0) {
-        packClusters(sim, refresh);
     } else {
-        list_.clusterJAtoms.clear();
-        list_.clusterIAtoms.clear();
-        list_.clusterOffsets.clear();
-        list_.clusterPairs.clear();
-        list_.clusterN = 0;
-        list_.clusterM = 0;
+        splitBuilt_ = false;
         packPadded(sim, list_);
     }
     // Record the knob values the packing was built with so
     // ensureFreshPacking can detect a stale packing without rebuilding.
-    packedWidth_ = width;
-    packedTier_ = tier;
-    packedLayout_ = layout;
+    packedTier_ = precisionTier();
+    packedWidth_ = simdWidthFor(packedTier_ != Precision::Double);
 }
 
 void
@@ -925,13 +864,11 @@ Neighbor::ensureFreshPacking(Simulation &sim)
         return;
     const Precision tier = precisionTier();
     const int width = simdWidthFor(tier != Precision::Double);
-    if (width == packedWidth_ && tier == packedTier_ &&
-        neighLayout() == packedLayout_)
+    if (width == packedWidth_ && tier == packedTier_)
         return;
     // A knob changed between builds: re-derive the packing from the
-    // plain list. Mid-skin-cycle positions have drifted, so the
-    // cluster pruning widens its margins (refresh=true).
-    packLists(sim, /*refresh=*/true);
+    // plain list.
+    packLists(sim);
 }
 
 void
@@ -994,206 +931,6 @@ Neighbor::packPadded(Simulation &sim, NeighborList &list)
         });
     list.paddedSlots = list.packedNeighbors.size() - list.neighbors.size();
     counterAdd(Counter::NeighPaddedSlots, list.paddedSlots);
-}
-
-void
-Neighbor::packClusters(Simulation &sim, bool refresh)
-{
-    TraceScope trace("neigh", "pack_clusters");
-    const std::size_t nlocal = sim.atoms.nlocal();
-    const std::size_t nall = sim.atoms.nall();
-    const Precision tier = precisionTier();
-    const int width = simdWidthFor(tier != Precision::Double);
-
-    // The cluster layout replaces the padded packing: padWidth 0 sends
-    // styles without a cluster kernel to their scalar loops; the tier
-    // stays recorded for the cluster kernel's precision dispatch.
-    list_.packTier = tier;
-    list_.padWidth = 0;
-    list_.packedOffsets.clear();
-    list_.packedNeighbors.clear();
-    list_.paddedSlots = 0;
-
-    const Vec3 span = sim.box.lengths();
-    const Vec3 padPos = sim.box.hi() + span + Vec3{1.0e6, 1.0e6, 1.0e6};
-    list_.sentinel =
-        static_cast<std::uint32_t>(sim.atoms.ensurePadAtom(padPos));
-    const std::uint32_t sentinel = list_.sentinel;
-
-    // j-clusters: runs of `width` consecutive bin-order slots over all
-    // atoms (owned + ghost), the last one padded with the sentinel.
-    // The slot order IS the build's counting-sort order, so cluster
-    // kernels that stage positions in this order load j coordinates
-    // contiguously.
-    const std::size_t w = static_cast<std::size_t>(width);
-    const std::size_t njc = (nall + w - 1) / w;
-    list_.clusterN = width;
-    list_.clusterM = kClusterM;
-    list_.clusterJAtoms.assign(njc * w, sentinel);
-    std::copy(binAtoms_.begin(),
-              binAtoms_.begin() + static_cast<std::ptrdiff_t>(nall),
-              list_.clusterJAtoms.begin());
-
-    // i-clusters: runs of kClusterM owned atoms in the same bin order.
-    ownedOrder_.clear();
-    ownedOrder_.reserve(nlocal);
-    for (std::size_t k = 0; k < nall; ++k) {
-        if (binAtoms_[k] < nlocal)
-            ownedOrder_.push_back(binAtoms_[k]);
-    }
-    const std::size_t m = static_cast<std::size_t>(kClusterM);
-    const std::size_t nic = (nlocal + m - 1) / m;
-    list_.clusterIAtoms.assign(nic * m, sentinel);
-    std::copy(ownedOrder_.begin(), ownedOrder_.end(),
-              list_.clusterIAtoms.begin());
-
-    ThreadPool &pool = ThreadPool::global();
-    const Vec3 *x = sim.atoms.x.data();
-
-    // Per-j-cluster bounding boxes from the current positions (min xyz,
-    // max xyz). min/max folds are order-independent, so the boxes are
-    // deterministic under any slicing.
-    clusterBounds_.resize(6 * njc);
-    double *bounds = clusterBounds_.data();
-    pool.parallelFor(
-        0, njc, kClusterGrain * 4,
-        [&](std::size_t begin, std::size_t end, int) {
-            for (std::size_t jc = begin; jc < end; ++jc) {
-                double lo[3] = {1e300, 1e300, 1e300};
-                double hi[3] = {-1e300, -1e300, -1e300};
-                for (std::size_t l = 0; l < w; ++l) {
-                    const std::uint32_t a =
-                        list_.clusterJAtoms[jc * w + l];
-                    if (a == sentinel)
-                        break; // sentinel pads only trail the last jc
-                    const Vec3 &p = x[a];
-                    lo[0] = std::min(lo[0], p.x);
-                    lo[1] = std::min(lo[1], p.y);
-                    lo[2] = std::min(lo[2], p.z);
-                    hi[0] = std::max(hi[0], p.x);
-                    hi[1] = std::max(hi[1], p.y);
-                    hi[2] = std::max(hi[2], p.z);
-                }
-                for (int axis = 0; axis < 3; ++axis) {
-                    bounds[6 * jc + axis] = lo[axis];
-                    bounds[6 * jc + 3 + axis] = hi[axis];
-                }
-            }
-        });
-
-    // Candidate j-clusters per i-cluster: every jc overlapping the ±1
-    // bin stencil of any member's *build* bin (binOf_ — the bin-order
-    // slots are indexed by the build binning, so the stencil covers
-    // every plain-list pair even after positions drift), bbox-pruned
-    // at the build cutoff. A mid-cycle refresh widens the prune margin
-    // by one skin: each atom has moved at most skin/2 since the build,
-    // so any listed pair's bbox distance grew by at most skin.
-    const double cutBuild = list_.buildCutoff;
-    const double margin = refresh ? cutBuild + skin : cutBuild;
-    const double marginSq = margin * margin;
-    const BinGrid grid = makeBinGrid(sim.box, cutBuild);
-    const std::uint32_t *binStart = binStart_.data();
-    const std::uint32_t *binOf = binOf_.data();
-
-    const SliceRange slices(0, nic, kClusterGrain);
-    const std::size_t nslices = static_cast<std::size_t>(slices.count());
-    std::vector<std::vector<std::uint32_t>> slicePairs(nslices);
-    list_.clusterOffsets.assign(nic + 1, 0);
-    std::uint32_t *icCounts = list_.clusterOffsets.data() + 1;
-    pool.run(slices, [&](std::size_t begin, std::size_t end, int s) {
-        std::vector<std::uint32_t> &out =
-            slicePairs[static_cast<std::size_t>(s)];
-        std::vector<std::uint32_t> cands;
-        for (std::size_t ic = begin; ic < end; ++ic) {
-            // Distinct member bins (members are bin-order neighbors,
-            // so usually a single bin).
-            std::uint32_t memberBins[kClusterM];
-            int nbins = 0;
-            double lo[3] = {1e300, 1e300, 1e300};
-            double hi[3] = {-1e300, -1e300, -1e300};
-            for (std::size_t l = 0; l < m; ++l) {
-                const std::uint32_t a = list_.clusterIAtoms[ic * m + l];
-                if (a == sentinel)
-                    break;
-                const Vec3 &p = x[a];
-                lo[0] = std::min(lo[0], p.x);
-                lo[1] = std::min(lo[1], p.y);
-                lo[2] = std::min(lo[2], p.z);
-                hi[0] = std::max(hi[0], p.x);
-                hi[1] = std::max(hi[1], p.y);
-                hi[2] = std::max(hi[2], p.z);
-                const std::uint32_t bin = binOf[a];
-                bool seen = false;
-                for (int q = 0; q < nbins; ++q)
-                    seen = seen || memberBins[q] == bin;
-                if (!seen)
-                    memberBins[nbins++] = bin;
-            }
-            const double icBox[6] = {lo[0], lo[1], lo[2],
-                                     hi[0], hi[1], hi[2]};
-            cands.clear();
-            for (int q = 0; q < nbins; ++q) {
-                const std::uint32_t flat = memberBins[q];
-                const int bx0 = static_cast<int>(flat % grid.nb[0]);
-                const int by0 = static_cast<int>(
-                    (flat / grid.nb[0]) % grid.nb[1]);
-                const int bz0 = static_cast<int>(
-                    flat / (static_cast<std::size_t>(grid.nb[0]) *
-                            grid.nb[1]));
-                for (int dz = -1; dz <= 1; ++dz) {
-                    const int bz = bz0 + dz;
-                    if (bz < 0 || bz >= grid.nb[2])
-                        continue;
-                    for (int dy = -1; dy <= 1; ++dy) {
-                        const int by = by0 + dy;
-                        if (by < 0 || by >= grid.nb[1])
-                            continue;
-                        for (int dx = -1; dx <= 1; ++dx) {
-                            const int bx = bx0 + dx;
-                            if (bx < 0 || bx >= grid.nb[0])
-                                continue;
-                            const std::size_t bin =
-                                grid.flatten(bx, by, bz);
-                            const std::uint32_t first = binStart[bin];
-                            const std::uint32_t last =
-                                binStart[bin + 1];
-                            if (first == last)
-                                continue;
-                            const std::uint32_t jcFirst =
-                                first / static_cast<std::uint32_t>(w);
-                            const std::uint32_t jcLast =
-                                (last - 1) /
-                                static_cast<std::uint32_t>(w);
-                            for (std::uint32_t jc = jcFirst;
-                                 jc <= jcLast; ++jc)
-                                cands.push_back(jc);
-                        }
-                    }
-                }
-            }
-            std::sort(cands.begin(), cands.end());
-            cands.erase(std::unique(cands.begin(), cands.end()),
-                        cands.end());
-            std::uint32_t kept = 0;
-            for (const std::uint32_t jc : cands) {
-                if (bboxDistSq(icBox, bounds + 6 * jc) < marginSq) {
-                    out.push_back(jc);
-                    ++kept;
-                }
-            }
-            icCounts[ic] = kept;
-        }
-    });
-    for (std::size_t ic = 0; ic < nic; ++ic)
-        list_.clusterOffsets[ic + 1] += list_.clusterOffsets[ic];
-    list_.clusterPairs.resize(list_.clusterOffsets[nic]);
-    pool.run(slices, [&](std::size_t begin, std::size_t, int s) {
-        const std::vector<std::uint32_t> &src =
-            slicePairs[static_cast<std::size_t>(s)];
-        std::copy(src.begin(), src.end(),
-                  list_.clusterPairs.begin() +
-                      list_.clusterOffsets[begin]);
-    });
 }
 
 int

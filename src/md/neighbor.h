@@ -15,7 +15,6 @@
 
 #include "md/vec3.h"
 #include "md/xpack.h"
-#include "util/neigh_layout.h"
 #include "util/precision.h"
 
 namespace mdbench {
@@ -59,26 +58,6 @@ struct NeighborList
      */
     Precision packTier = Precision::Double;
 
-    // Cluster-pair layout (DESIGN.md §14), built instead of the padded
-    // packing when MDBENCH_NEIGH_LAYOUT=cluster. j-clusters are runs of
-    // clusterN consecutive bin-ordered atom slots (the build's counting
-    // sort order, padded with `sentinel`); i-clusters are runs of
-    // clusterM owned atoms in the same order. One stored (i-cluster,
-    // j-cluster) pair serves clusterM × clusterN lane pairs; traversal
-    // is full-style (forces land on the i side only, energies ×1/2).
-    std::vector<std::uint32_t> clusterJAtoms;  ///< njc × clusterN slots
-    std::vector<std::uint32_t> clusterIAtoms;  ///< nic × clusterM slots
-    std::vector<std::uint32_t> clusterOffsets; ///< size nic + 1
-    std::vector<std::uint32_t> clusterPairs;   ///< j-cluster ids (CSR)
-    int clusterN = 0; ///< j-cluster width (0 = cluster layout off)
-    int clusterM = 0; ///< i-cluster height
-
-    /** True when the cluster layout was built at j width @p w. */
-    bool clusterFor(int w) const { return clusterN == w && clusterN >= 2; }
-
-    /** Stored cluster pairs. */
-    std::size_t clusterPairCount() const { return clusterPairs.size(); }
-
     /** Neighbors of atom @p i as a begin/end index pair. */
     std::pair<std::uint32_t, std::uint32_t>
     range(std::size_t i) const
@@ -116,15 +95,6 @@ struct NeighborList
 void countSimdLaneUse(const NeighborList &list, int traversals = 1);
 
 /**
- * Cluster-layout analogue of countSimdLaneUse: active lanes are the
- * stored pairs as the full-style traversal visits them (twice for half
- * lists, once per side for full lists); waste is every other lane pair
- * of the stored cluster pairs (cutoff-rejected, self, and sentinel
- * slots).
- */
-void countClusterLaneUse(const NeighborList &list, int traversals = 1);
-
-/**
  * Neighbor-list manager: binning, rebuild policy, and build statistics.
  */
 class Neighbor
@@ -145,8 +115,7 @@ class Neighbor
      * halo data — and *interior* otherwise. Decomposed ranks set this
      * so the force drivers can compute interior pairs while the halo
      * exchange is in flight and finish the boundary pairs after it
-     * lands. Each sublist gets its own padded SIMD packing (the cluster
-     * layout, which cannot split rows, falls back to padded CSR); the
+     * lands. Each sublist gets its own padded SIMD packing; the
      * two-pass arithmetic stays a fixed regrouping of the one-pass
      * per-row sums at any schedule because the sublists preserve the
      * build's per-row neighbor order.
@@ -229,11 +198,11 @@ class Neighbor
     double averageRebuildInterval() const;
 
     /**
-     * Re-derive the packing (padded CSR or cluster pairs) from the
-     * existing plain list when the SIMD width, precision tier, or
-     * layout knob changed since the last build — called by the force
-     * loop before every pair compute, so a knob change between builds
-     * can never leave a kernel traversing stale-width geometry.
+     * Re-derive the padded packing from the existing plain list when
+     * the SIMD width or precision tier changed since the last build —
+     * called by the force loop before every pair compute, so a knob
+     * change between builds can never leave a kernel traversing
+     * stale-width geometry.
      */
     void ensureFreshPacking(Simulation &sim);
 
@@ -253,17 +222,8 @@ class Neighbor
      */
     void packPadded(Simulation &sim, NeighborList &list);
 
-    /**
-     * Build the cluster-pair layout from the build's binning (or, with
-     * @p refresh, mid-skin-cycle from drifted positions — the bbox
-     * prune and candidate stencil then widen by one skin / one bin so
-     * every plain-list pair stays covered). Falls back to packPadded
-     * when the SIMD layer is off or the system has exclusions.
-     */
-    void packClusters(Simulation &sim, bool refresh);
-
-    /** Layout dispatch for packPadded/packClusters + bookkeeping. */
-    void packLists(Simulation &sim, bool refresh);
+    /** Pack list_ (or the split sublists) + knob bookkeeping. */
+    void packLists(Simulation &sim);
 
     /** Partition list_ into interiorList_/boundaryList_ by j side. */
     void buildSplitLists(const Simulation &sim);
@@ -287,19 +247,9 @@ class Neighbor
     /** Bin-ordered [x, y, z, 0] records staged for the SIMD filter. */
     XPack<double> buildStage_;
 
-    /** Owned atoms in bin order (cluster i-side grouping). */
-    std::vector<std::uint32_t> ownedOrder_;
-
-    /** Per-j-cluster bounding boxes (xyz min, xyz max — scratch). */
-    std::vector<double> clusterBounds_;
-
     /** Knob values the current packing was built with. */
     int packedWidth_ = 0;
     Precision packedTier_ = Precision::Double;
-    NeighLayout packedLayout_ = NeighLayout::Csr;
-
-    /** True when the last build had bond/angle exclusions to honor. */
-    bool hasExclusions_ = false;
 
     /** Payload size of the previous build (sizes the serial reserve). */
     std::size_t prevNeighborCount_ = 0;

@@ -1,5 +1,6 @@
 #include "md/simulation.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "obs/counters.h"
@@ -170,6 +171,7 @@ Simulation::setup()
         pair->setup(*this);
     }
     require(neighbor.cutoff > 0.0, "neighbor cutoff must be positive");
+    require(neighbor.every >= 0, "neighbor rebuild interval must be >= 0");
 
     if (kspace)
         kspace->setup(*this);
@@ -218,12 +220,12 @@ bool
 Simulation::needsReneighbor()
 {
     // Distance check runs at most every `neighbor.every` steps,
-    // mirroring LAMMPS's neigh_modify every/check semantics.
+    // mirroring LAMMPS's neigh_modify every/check semantics; 0 is
+    // purely distance based and checks on every step.
     TaskScope scope(timer, Task::Other);
-    if (neighbor.every > 0 &&
-        (step - neighbor.lastBuildStep_) >= neighbor.every) {
+    const long interval = std::max(neighbor.every, 1);
+    if (step - neighbor.lastBuildStep_ >= interval)
         return neighbor.checkTrigger(*this);
-    }
     return false;
 }
 

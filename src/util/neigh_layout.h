@@ -1,24 +1,7 @@
 /**
  * @file
- * Neighbor-list packing layout knob (DESIGN.md §14).
- *
- * Two SIMD-consumable packings of the plain CSR neighbor list:
- *
- *  - csr:     padded CSR rows (DESIGN.md §12) — each row rounded up to
- *             the lane width with sentinel slots. The default; every
- *             SIMD pair kernel consumes it.
- *  - cluster: MD-Bench/GROMACS-style M×N cluster pairs — atoms grouped
- *             into clusters of M (i side) and N = lane width (j side)
- *             in spatial-bin order, one stored pair per cluster pair.
- *             List memory shrinks ~N× and j loads become contiguous;
- *             kernels without a cluster traversal fall back to their
- *             scalar path.
- *
- * Process-wide knob mirroring the SIMD width (util/simd.h) and
- * precision (util/precision.h) knobs: `MDBENCH_NEIGH_LAYOUT` sets the
- * default, `setNeighLayout()` overrides it at runtime. It lives in
- * util so the observability layer can stamp the active layout into
- * manifests without depending on the md layer.
+ * Neighbor-list packing layout. Padded CSR (DESIGN.md §12) is the only
+ * packing; DESIGN.md §14 records why there is no cluster-pair layout.
  */
 
 #ifndef MDBENCH_UTIL_NEIGH_LAYOUT_H
@@ -26,31 +9,14 @@
 
 namespace mdbench {
 
-/** Neighbor-list packing layouts. */
-enum class NeighLayout { Csr = 0, Cluster };
+// Kept only so benchmark stamps can still name the layout ("csr").
+enum class NeighLayout { Csr };
 
-/** Lowercase layout name ("csr", "cluster"). */
-const char *neighLayoutName(NeighLayout layout);
+/** The active layout: always padded CSR. */
+constexpr NeighLayout neighLayout() { return NeighLayout::Csr; }
 
-/** Parse a layout name ("csr" | "cluster"). False on unknown text. */
-bool parseNeighLayout(const char *text, NeighLayout &out);
-
-/**
- * Default layout from `MDBENCH_NEIGH_LAYOUT` (csr | cluster). Unset or
- * unparseable means NeighLayout::Csr.
- */
-NeighLayout defaultNeighLayout();
-
-/** The active layout: the override if set, else the default. */
-NeighLayout neighLayout();
-
-/**
- * Override the active layout for subsequent neighbor packings
- * (0 = csr, 1 = cluster, -1 = clear the override and fall back to the
- * environment default). Takes effect at the next neighbor build or
- * packing refresh.
- */
-void setNeighLayout(int layout);
+/** Lowercase layout name. */
+constexpr const char *neighLayoutName(NeighLayout) { return "csr"; }
 
 } // namespace mdbench
 

@@ -676,25 +676,6 @@ loadXyz(const T *pack, const std::uint32_t *idx, Simd<T, W> &x,
 }
 
 /**
- * Contiguous-record variant of loadXyz: lanes come from the W
- * consecutive 4-element records starting at record index @p first.
- * The neighbor build stages candidates in bin order, so its filter
- * reads runs of records instead of gathering by neighbor id.
- */
-template <typename T, int W>
-inline void
-loadXyzRun(const T *pack, std::size_t first, Simd<T, W> &x, Simd<T, W> &y,
-           Simd<T, W> &z)
-{
-    for (int l = 0; l < W; ++l) {
-        const T *rec = pack + 4u * (first + l);
-        x.v[l] = rec[0];
-        y.v[l] = rec[1];
-        z.v[l] = rec[2];
-    }
-}
-
-/**
  * Compress-store: write the lanes of @p ids whose bit is set in
  * @p maskBits to @p dst in ascending lane order — the vector analogue
  * of the scalar "if (keep) out[n++] = id" append, which is how the
@@ -1195,25 +1176,6 @@ sumXyz(const Simd<double, 4> &x, const Simd<double, 4> &y,
     sz = _mm_cvtsd_f64(_mm_add_sd(sz2, _mm_unpackhi_pd(sz2, sz2)));
 }
 
-/** AVX2 loadXyzRun: the record transpose on 4 consecutive records. */
-inline void
-loadXyzRun(const double *pack, std::size_t first, Simd<double, 4> &x,
-           Simd<double, 4> &y, Simd<double, 4> &z)
-{
-    const double *rec = pack + 4u * first;
-    const __m256d r0 = _mm256_loadu_pd(rec + 0);
-    const __m256d r1 = _mm256_loadu_pd(rec + 4);
-    const __m256d r2 = _mm256_loadu_pd(rec + 8);
-    const __m256d r3 = _mm256_loadu_pd(rec + 12);
-    const __m256d t0 = _mm256_unpacklo_pd(r0, r1); // x0 x1 z0 z1
-    const __m256d t1 = _mm256_unpackhi_pd(r0, r1); // y0 y1 w0 w1
-    const __m256d t2 = _mm256_unpacklo_pd(r2, r3); // x2 x3 z2 z3
-    const __m256d t3 = _mm256_unpackhi_pd(r2, r3); // y2 y3 w2 w3
-    x.v = _mm256_permute2f128_pd(t0, t2, 0x20);
-    y.v = _mm256_permute2f128_pd(t1, t3, 0x20);
-    z.v = _mm256_permute2f128_pd(t0, t2, 0x31);
-}
-
 namespace detail {
 
 /**
@@ -1664,33 +1626,6 @@ loadXyz(const float *pack, const std::uint32_t *idx, Simd<float, 8> &x,
     z.v = _mm256_shuffle_ps(t1, t3, _MM_SHUFFLE(1, 0, 1, 0));
 }
 
-/** AVX2 float loadXyzRun: the 8x4 transpose on consecutive records. */
-inline void
-loadXyzRun(const float *pack, std::size_t first, Simd<float, 8> &x,
-           Simd<float, 8> &y, Simd<float, 8> &z)
-{
-    const float *base = pack + 4u * first;
-    const __m128 a0 = _mm_loadu_ps(base + 0);
-    const __m128 a1 = _mm_loadu_ps(base + 4);
-    const __m128 a2 = _mm_loadu_ps(base + 8);
-    const __m128 a3 = _mm_loadu_ps(base + 12);
-    const __m128 a4 = _mm_loadu_ps(base + 16);
-    const __m128 a5 = _mm_loadu_ps(base + 20);
-    const __m128 a6 = _mm_loadu_ps(base + 24);
-    const __m128 a7 = _mm_loadu_ps(base + 28);
-    const __m256 r04 = _mm256_set_m128(a4, a0);
-    const __m256 r15 = _mm256_set_m128(a5, a1);
-    const __m256 r26 = _mm256_set_m128(a6, a2);
-    const __m256 r37 = _mm256_set_m128(a7, a3);
-    const __m256 t0 = _mm256_unpacklo_ps(r04, r15); // x0 x1 y0 y1 | ...
-    const __m256 t1 = _mm256_unpackhi_ps(r04, r15); // z0 z1 w0 w1 | ...
-    const __m256 t2 = _mm256_unpacklo_ps(r26, r37); // x2 x3 y2 y3 | ...
-    const __m256 t3 = _mm256_unpackhi_ps(r26, r37); // z2 z3 w2 w3 | ...
-    x.v = _mm256_shuffle_ps(t0, t2, _MM_SHUFFLE(1, 0, 1, 0));
-    y.v = _mm256_shuffle_ps(t0, t2, _MM_SHUFFLE(3, 2, 3, 2));
-    z.v = _mm256_shuffle_ps(t1, t3, _MM_SHUFFLE(1, 0, 1, 0));
-}
-
 /** Pairwise three-stripe horizontal sum (see the generic template). */
 inline void
 sumXyz(const Simd<float, 8> &x, const Simd<float, 8> &y,
@@ -2015,19 +1950,6 @@ loadXyz(const double *pack, const std::uint32_t *idx, Simd<double, 8> &x,
 {
     const __m256i rec = _mm256_slli_epi32(
         _mm256_loadu_si256(reinterpret_cast<const __m256i *>(idx)), 2);
-    x.v = _mm512_i32gather_pd(rec, pack + 0, 8);
-    y.v = _mm512_i32gather_pd(rec, pack + 1, 8);
-    z.v = _mm512_i32gather_pd(rec, pack + 2, 8);
-}
-
-/** AVX-512 loadXyzRun: gather 8 consecutive records. */
-inline void
-loadXyzRun(const double *pack, std::size_t first, Simd<double, 8> &x,
-           Simd<double, 8> &y, Simd<double, 8> &z)
-{
-    const __m256i rec = _mm256_add_epi32(
-        _mm256_setr_epi32(0, 4, 8, 12, 16, 20, 24, 28),
-        _mm256_set1_epi32(static_cast<int>(4u * first)));
     x.v = _mm512_i32gather_pd(rec, pack + 0, 8);
     y.v = _mm512_i32gather_pd(rec, pack + 1, 8);
     z.v = _mm512_i32gather_pd(rec, pack + 2, 8);
@@ -2387,20 +2309,6 @@ loadXyz(const float *pack, const std::uint32_t *idx, Simd<float, 16> &x,
 {
     const __m512i rec =
         _mm512_slli_epi32(_mm512_loadu_si512(idx), 2);
-    x.v = _mm512_i32gather_ps(rec, pack + 0, 4);
-    y.v = _mm512_i32gather_ps(rec, pack + 1, 4);
-    z.v = _mm512_i32gather_ps(rec, pack + 2, 4);
-}
-
-/** AVX-512 float loadXyzRun: gather 16 consecutive records. */
-inline void
-loadXyzRun(const float *pack, std::size_t first, Simd<float, 16> &x,
-           Simd<float, 16> &y, Simd<float, 16> &z)
-{
-    const __m512i rec = _mm512_add_epi32(
-        _mm512_setr_epi32(0, 4, 8, 12, 16, 20, 24, 28, 32, 36, 40, 44,
-                          48, 52, 56, 60),
-        _mm512_set1_epi32(static_cast<int>(4u * first)));
     x.v = _mm512_i32gather_ps(rec, pack + 0, 4);
     y.v = _mm512_i32gather_ps(rec, pack + 1, 4);
     z.v = _mm512_i32gather_ps(rec, pack + 2, 4);

@@ -8,7 +8,7 @@
 
 #include <cmath>
 #include <cstdint>
-#include <map>
+#include <memory>
 #include <set>
 #include <utility>
 #include <vector>
@@ -20,7 +20,8 @@
 #include "md/velocity.h"
 #include "forcefield/pair_lj_cut.h"
 #include "md/fix_nve.h"
-#include "util/neigh_layout.h"
+#include "util/error.h"
+#include "util/precision.h"
 #include "util/rng.h"
 #include "util/simd.h"
 
@@ -280,127 +281,41 @@ TEST(Neighbor, PackingRefreshesOnWidthChange)
     setSimdWidth(-1);
 }
 
-TEST(Neighbor, PackingRefreshesOnLayoutChange)
+TEST(Neighbor, PackingRefreshesOnPrecisionChange)
 {
+    // Changing the precision tier between builds must re-derive the
+    // packing for the new tier: kernels dispatch on the list's recorded
+    // packTier, so a stale packing would keep computing at double.
     setSimdWidth(4);
+    setPrecisionTier(Precision::Double);
     auto sim = buildLJ(4);
     sim->thermoEvery = 0;
     sim->setup();
-    ASSERT_TRUE(sim->neighbor.list().packedFor(4));
-    ASSERT_EQ(sim->neighbor.list().clusterN, 0);
+    ASSERT_EQ(sim->neighbor.list().packTier, Precision::Double);
 
-    setNeighLayout(1);
+    setPrecisionTier(Precision::Mixed);
     sim->computeForces();
-    EXPECT_TRUE(sim->neighbor.list().clusterFor(4));
-    EXPECT_EQ(sim->neighbor.list().padWidth, 0);
+    EXPECT_EQ(sim->neighbor.list().packTier, Precision::Mixed);
 
-    setNeighLayout(0);
-    sim->computeForces();
-    EXPECT_TRUE(sim->neighbor.list().packedFor(4));
-    EXPECT_EQ(sim->neighbor.list().clusterN, 0);
-    setNeighLayout(-1);
-    setSimdWidth(-1);
-}
-
-TEST(Neighbor, ClusterLayoutCoversEveryStoredPair)
-{
-    // Every pair of the plain CSR list must appear among the cluster
-    // pairs' lane pairs: for each stored (i, j) there must be a
-    // cluster pair linking i's i-cluster to j's j-cluster (and, for
-    // owned j, the mirror).
-    setSimdWidth(4);
-    setNeighLayout(1);
-    auto sim = buildLJ(4);
-    sim->thermoEvery = 0;
-    sim->setup();
-    const NeighborList &list = sim->neighbor.list();
-    ASSERT_TRUE(list.clusterFor(4));
-    const std::size_t m = static_cast<std::size_t>(list.clusterM);
-    const std::size_t w = static_cast<std::size_t>(list.clusterN);
-
-    // Invert the cluster memberships.
-    std::map<std::uint32_t, std::uint32_t> icOf, jcOf;
-    for (std::size_t k = 0; k < list.clusterIAtoms.size(); ++k) {
-        if (list.clusterIAtoms[k] != list.sentinel)
-            icOf[list.clusterIAtoms[k]] =
-                static_cast<std::uint32_t>(k / m);
-    }
-    for (std::size_t k = 0; k < list.clusterJAtoms.size(); ++k) {
-        if (list.clusterJAtoms[k] != list.sentinel)
-            jcOf[list.clusterJAtoms[k]] =
-                static_cast<std::uint32_t>(k / w);
-    }
-    std::set<std::pair<std::uint32_t, std::uint32_t>> stored;
-    const std::size_t nic = list.clusterOffsets.size() - 1;
-    for (std::size_t ic = 0; ic < nic; ++ic) {
-        for (std::uint32_t p = list.clusterOffsets[ic];
-             p < list.clusterOffsets[ic + 1]; ++p) {
-            stored.insert({static_cast<std::uint32_t>(ic),
-                           list.clusterPairs[p]});
-        }
-    }
+    // The refreshed packing and the forces computed through it must
+    // match a run that was mixed from the start.
+    auto reference = buildLJ(4);
+    reference->thermoEvery = 0;
+    reference->setup();
+    ASSERT_EQ(reference->neighbor.list().packTier, Precision::Mixed);
+    EXPECT_EQ(sim->neighbor.list().padWidth,
+              reference->neighbor.list().padWidth);
+    EXPECT_EQ(sim->neighbor.list().packedOffsets,
+              reference->neighbor.list().packedOffsets);
+    EXPECT_EQ(sim->neighbor.list().packedNeighbors,
+              reference->neighbor.list().packedNeighbors);
     for (std::size_t i = 0; i < sim->atoms.nlocal(); ++i) {
-        const auto [begin, end] = list.range(i);
-        for (std::uint32_t k = begin; k < end; ++k) {
-            const std::uint32_t j = list.neighbors[k];
-            ASSERT_TRUE(stored.count(
-                {icOf.at(static_cast<std::uint32_t>(i)), jcOf.at(j)}))
-                << i << " -> " << j;
-            if (j < sim->atoms.nlocal()) {
-                ASSERT_TRUE(stored.count(
-                    {icOf.at(j), jcOf.at(static_cast<std::uint32_t>(i))}))
-                    << j << " -> " << i;
-            }
-        }
+        EXPECT_EQ(sim->atoms.f[i].x, reference->atoms.f[i].x) << i;
+        EXPECT_EQ(sim->atoms.f[i].y, reference->atoms.f[i].y) << i;
+        EXPECT_EQ(sim->atoms.f[i].z, reference->atoms.f[i].z) << i;
     }
-    setNeighLayout(-1);
+    setPrecisionTier(Precision::EngineDefault);
     setSimdWidth(-1);
-}
-
-TEST(Neighbor, ClusterLayoutMatchesCsrPhysicsOverManySteps)
-{
-    // Same LJ melt through both packings: identical initial
-    // thermodynamics (up to summation order), and both trajectories
-    // conserve energy over 1k steps — a stale or under-covered cluster
-    // packing would show up as a conservation break at a rebuild.
-    struct RunOut
-    {
-        std::vector<Vec3> f0;
-        double e0 = 0.0, total0 = 0.0, totalEnd = 0.0;
-    };
-    auto runAt = [](int layout) {
-        setNeighLayout(layout);
-        auto sim = buildLJ(4);
-        sim->thermoEvery = 0;
-        sim->setup();
-        RunOut out;
-        out.f0.assign(sim->atoms.f.begin(),
-                      sim->atoms.f.begin() + sim->atoms.nlocal());
-        out.e0 = sim->pair->energy();
-        out.total0 = sim->potentialEnergy() + sim->kineticEnergy();
-        sim->run(1000);
-        out.totalEnd = sim->potentialEnergy() + sim->kineticEnergy();
-        setNeighLayout(-1);
-        return out;
-    };
-    const RunOut csr = runAt(0);
-    const RunOut cluster = runAt(1);
-
-    const double eScale = std::abs(csr.e0);
-    EXPECT_NEAR(cluster.e0, csr.e0, 1e-10 * eScale);
-    ASSERT_EQ(cluster.f0.size(), csr.f0.size());
-    for (std::size_t i = 0; i < csr.f0.size(); ++i) {
-        const Vec3 d = cluster.f0[i] - csr.f0[i];
-        EXPECT_LT(std::sqrt(d.normSq()),
-                  1e-9 * (1.0 + std::sqrt(csr.f0[i].normSq())))
-            << i;
-    }
-    // The melt drifts a little over 1k steps (finite dt + skin
-    // rebuilds); what matters is that the cluster run drifts like the
-    // CSR run, not worse.
-    const double scale = std::abs(csr.total0);
-    EXPECT_LT(std::abs(csr.totalEnd - csr.total0), 5e-3 * scale);
-    EXPECT_LT(std::abs(cluster.totalEnd - cluster.total0), 5e-3 * scale);
 }
 
 TEST(Neighbor, RebuildKeepsPhysicsConsistent)
@@ -420,6 +335,44 @@ TEST(Neighbor, RebuildKeepsPhysicsConsistent)
     sim.setup();
     sim.run(150);
     EXPECT_GT(sim.reneighborCount(), 2);
+}
+
+TEST(Neighbor, EveryZeroRebuildsOnDistanceAlone)
+{
+    // every = 0 is purely distance based: the trigger is checked on
+    // every step, exactly as at every = 1, so a hot melt rebuilds many
+    // times and follows the every = 1 trajectory bitwise. Negative
+    // intervals are rejected at setup.
+    auto runAt = [](int every) {
+        auto sim = std::make_unique<Simulation>();
+        buildFcc(*sim, 5, 5, 5, fccLatticeConstant(0.8442));
+        sim->pair = std::make_unique<PairLJCut>(1, 2.5);
+        static_cast<PairLJCut &>(*sim->pair).setCoeff(1, 1, 1.0, 1.0);
+        sim->neighbor.skin = 0.3;
+        sim->neighbor.every = every;
+        sim->dt = 0.005;
+        Rng rng(7);
+        createVelocities(*sim, 3.0, rng);
+        sim->addFix<FixNVE>();
+        sim->thermoEvery = 0;
+        sim->setup();
+        sim->run(100);
+        return sim;
+    };
+    const auto distanceOnly = runAt(0);
+    const auto everyStep = runAt(1);
+    EXPECT_GT(distanceOnly->reneighborCount(), 1);
+    EXPECT_EQ(distanceOnly->reneighborCount(), everyStep->reneighborCount());
+    ASSERT_EQ(distanceOnly->atoms.nlocal(), everyStep->atoms.nlocal());
+    for (std::size_t i = 0; i < distanceOnly->atoms.nlocal(); ++i) {
+        EXPECT_EQ(distanceOnly->atoms.x[i].x, everyStep->atoms.x[i].x) << i;
+        EXPECT_EQ(distanceOnly->atoms.x[i].y, everyStep->atoms.x[i].y) << i;
+        EXPECT_EQ(distanceOnly->atoms.x[i].z, everyStep->atoms.x[i].z) << i;
+        EXPECT_EQ(distanceOnly->atoms.v[i].x, everyStep->atoms.v[i].x) << i;
+        EXPECT_EQ(distanceOnly->atoms.v[i].y, everyStep->atoms.v[i].y) << i;
+        EXPECT_EQ(distanceOnly->atoms.v[i].z, everyStep->atoms.v[i].z) << i;
+    }
+    EXPECT_THROW(runAt(-1), FatalError);
 }
 
 } // namespace

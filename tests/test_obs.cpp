@@ -25,7 +25,6 @@
 #include "obs/manifest.h"
 #include "obs/task_scope.h"
 #include "obs/trace.h"
-#include "util/neigh_layout.h"
 #include "util/simd.h"
 #include "util/logging.h"
 #include "util/thread_pool.h"
@@ -310,31 +309,6 @@ TEST(Counters, NeighborBuildFilterAccounting)
     EXPECT_EQ(counterValue(Counter::NeighBuildCandidates), candidates);
     EXPECT_EQ(counterValue(Counter::NeighBuildAccepted), accepted);
     resetCounters();
-    setSimdWidth(-1);
-}
-
-TEST(Counters, ClusterLaneAccounting)
-{
-    // One build + one force compute through the cluster kernel: active
-    // lanes are the half list's pairs visited from both sides, and
-    // active + waste tiles the stored cluster pairs exactly.
-    setSimdWidth(4);
-    setNeighLayout(1);
-    resetCounters();
-    auto sim = buildLJ(4);
-    sim->thermoEvery = 0;
-    sim->setup();
-    const NeighborList &list = sim->neighbor.list();
-    ASSERT_TRUE(list.clusterFor(4));
-    const auto lanes = counterValue(Counter::PairSimdLanesActive);
-    const auto waste = counterValue(Counter::PairSimdPaddingWaste);
-    EXPECT_EQ(lanes, 2 * list.pairCount());
-    EXPECT_EQ(lanes + waste,
-              list.clusterPairCount() *
-                  static_cast<std::size_t>(list.clusterM) *
-                  static_cast<std::size_t>(list.clusterN));
-    resetCounters();
-    setNeighLayout(-1);
     setSimdWidth(-1);
 }
 

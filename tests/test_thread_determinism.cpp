@@ -18,7 +18,6 @@
 #include "core/suite.h"
 #include "md/neighbor.h"
 #include "md/simulation.h"
-#include "util/neigh_layout.h"
 #include "util/thread_pool.h"
 
 namespace mdbench {
@@ -208,15 +207,6 @@ TEST(ThreadDeterminism, VectorizedNeighborBuildListsAreThreadInvariant)
         EXPECT_EQ(listsAt(nthreads), reference);
     }
     ThreadPool::setThreads(before);
-}
-
-TEST(ThreadDeterminism, LJMeltClusterLayoutIsBitwiseReproducible)
-{
-    // The cluster-pair kernel writes forces to the i side only, so its
-    // determinism rests purely on the slice partition of i-clusters.
-    setNeighLayout(1);
-    expectBitwiseReproducible([] { return buildLJ(5); }, 25);
-    setNeighLayout(-1);
 }
 
 } // namespace
