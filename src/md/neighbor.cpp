@@ -8,6 +8,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <type_traits>
+#include <utility>
 
 #include "md/simulation.h"
 #include "obs/counters.h"
@@ -30,7 +31,27 @@ constexpr std::size_t kNeighborGrain = 128;
  */
 constexpr std::size_t kSimdPad = 16;
 
-/** Uniform bin grid over the box plus a ghost shell of one cutoff. */
+/**
+ * Bins are half the build cutoff wide, so every pair within the cutoff
+ * lies at most two bins apart on each axis: the stencil is the 5×5×5
+ * block of bins around the atom's own.
+ */
+constexpr int kStencilReach = 2;
+
+/** Stencil (dy, dz) rows, each one contiguous x-run of bins. */
+constexpr int kStencilRows = (2 * kStencilReach + 1) * (2 * kStencilReach + 1);
+
+/**
+ * Slices of the parallel counting sort. Fixed, not the pool's slice
+ * count, so the per-(slice, bin) histogram stays 8 × nbins at any
+ * thread count.
+ */
+constexpr std::size_t kSortSlices = 8;
+
+/**
+ * Uniform grid of bins at least half the build cutoff wide, over the
+ * extent of the atoms it bins (see makeBinGrid).
+ */
 struct BinGrid
 {
     mdbench::Vec3 lo;
@@ -57,17 +78,45 @@ struct BinGrid
     }
 };
 
+/**
+ * The grid rule shared by the list build and the spatial sort: span
+ * the bounding box of x[0, n), clamped to the box plus a ghost shell of
+ * one cutoff, with bins at least cut / 2 wide. A rank of a decomposed
+ * run therefore bins only its own region and halo, not the global box.
+ * Atoms outside the grid clamp into its edge bins; clamping is
+ * monotone, so atoms within the cutoff still land at most two bins
+ * apart.
+ */
 BinGrid
-makeBinGrid(const mdbench::Box &box, double cut)
+makeBinGrid(const mdbench::Box &box, double cut, const mdbench::Vec3 *x,
+            std::size_t n)
 {
+    const mdbench::Vec3 shellLo = box.lo() - mdbench::Vec3{cut, cut, cut};
+    const mdbench::Vec3 shellHi = box.hi() + mdbench::Vec3{cut, cut, cut};
+    double lo[3] = {shellLo.x, shellLo.y, shellLo.z};
+    double hi[3] = {shellHi.x, shellHi.y, shellHi.z};
+    if (n > 0) {
+        double minX[3] = {x[0].x, x[0].y, x[0].z};
+        double maxX[3] = {x[0].x, x[0].y, x[0].z};
+        for (std::size_t i = 1; i < n; ++i) {
+            const double p[3] = {x[i].x, x[i].y, x[i].z};
+            for (int axis = 0; axis < 3; ++axis) {
+                minX[axis] = std::min(minX[axis], p[axis]);
+                maxX[axis] = std::max(maxX[axis], p[axis]);
+            }
+        }
+        for (int axis = 0; axis < 3; ++axis) {
+            lo[axis] = std::max(lo[axis], minX[axis]);
+            hi[axis] = std::min(hi[axis], maxX[axis]);
+        }
+    }
     BinGrid grid;
-    grid.lo = box.lo() - mdbench::Vec3{cut, cut, cut};
-    const mdbench::Vec3 hi = box.hi() + mdbench::Vec3{cut, cut, cut};
-    const mdbench::Vec3 len = hi - grid.lo;
-    const double lens[3] = {len.x, len.y, len.z};
+    grid.lo = {lo[0], lo[1], lo[2]};
+    const double edge = 0.5 * cut;
     for (int axis = 0; axis < 3; ++axis) {
-        grid.nb[axis] = std::max(1, static_cast<int>(lens[axis] / cut));
-        grid.inv[axis] = grid.nb[axis] / lens[axis];
+        const double len = std::max(hi[axis] - lo[axis], 0.0);
+        grid.nb[axis] = std::max(1, static_cast<int>(len / edge));
+        grid.inv[axis] = len > 0.0 ? grid.nb[axis] / len : 0.0;
     }
     grid.nbins =
         static_cast<std::size_t>(grid.nb[0]) * grid.nb[1] * grid.nb[2];
@@ -80,7 +129,7 @@ makeBinGrid(const mdbench::Box &box, double cut)
  * index order (the scatter walks atoms in order), and the contiguous
  * layout streams better than chasing head/next chains. Shared by the
  * list build (over owned + ghost atoms) and the spatial sort (over
- * owned atoms only), so both traverse identical bin geometry.
+ * owned atoms only), so both bin by the same grid rule.
  */
 void
 countingSortBins(const BinGrid &grid, const mdbench::Vec3 *x, std::size_t n,
@@ -110,9 +159,10 @@ countingSortBins(const BinGrid &grid, const mdbench::Vec3 *x, std::size_t n,
  * Threaded counting sort over the shared pool, bitwise identical to
  * the serial version: per-slice histograms, a serial (bin, slice)
  * prefix that assigns each slice a scatter cursor per bin, then a
- * parallel scatter. Slices are a fixed partition of the atom range and
- * walk atoms ascending, so within a bin the final order is ascending
- * atom index exactly as the serial scatter produces.
+ * parallel scatter. Slices are a fixed partition of the atom range
+ * (at most kSortSlices) and walk atoms ascending, so within a bin the
+ * final order is ascending atom index exactly as the serial scatter
+ * produces.
  */
 void
 countingSortBinsParallel(const BinGrid &grid, const mdbench::Vec3 *x,
@@ -122,7 +172,8 @@ countingSortBinsParallel(const BinGrid &grid, const mdbench::Vec3 *x,
                          std::vector<std::uint32_t> &binSliceCount,
                          std::vector<std::uint32_t> &binAtoms)
 {
-    const SliceRange slices(0, n, kNeighborGrain);
+    const SliceRange slices(
+        0, n, std::max(kNeighborGrain, (n + kSortSlices - 1) / kSortSlices));
     const std::size_t nslices = static_cast<std::size_t>(slices.count());
     const std::size_t nbins = grid.nbins;
     binOf.resize(n);
@@ -159,58 +210,66 @@ countingSortBinsParallel(const BinGrid &grid, const mdbench::Vec3 *x,
     });
 }
 
-/**
- * W-wide distance test of one bin chunk: bit l of the result is set
- * when candidate cand[l] lies within cutSq of xi. The r² expression
- * matches the pair kernels' fma association, which on the generic
- * backend is bitwise `Vec3::normSq` (addition is commutative); ISA
- * backends fuse, which can flip inclusion only for pairs within one
- * ulp of the *build* cutoff (cutoff + skin) — physics is unaffected
- * because every kernel re-masks at the true cutoff.
- */
-template <int W>
-inline int
-candidateDistanceMask(const double *xd, const std::uint32_t *cand,
-                      const mdbench::Vec3 &xi, double cutSq)
-{
-    using D = mdbench::Simd<double, W>;
-    const mdbench::SimdIndex<W> j = mdbench::SimdIndex<W>::load(cand);
-    const mdbench::SimdIndex<W> base = j * 3u;
-    const D xj = D::gather(xd, base);
-    const D yj = D::gather(xd, base + 1u);
-    const D zj = D::gather(xd, base + 2u);
-    const D dx = xj - D(xi.x);
-    const D dy = yj - D(xi.y);
-    const D dz = zj - D(xi.z);
-    const D rsq = D::fma(dz, dz, D::fma(dy, dy, dx * dx));
-    return (rsq < D(cutSq)).bits();
-}
-
-/** Everything the vectorized row fill reads, hoisted once per build. */
+/** Everything the row fills read, hoisted once per build. */
 struct BuildCtx
 {
     const BinGrid &grid;
     const std::uint32_t *binStart; ///< CSR bin offsets
     const std::uint32_t *binAtoms; ///< bin-ordered atom ids (+ pad)
-    const double *sx;              ///< bin-ordered x coordinates (+ pad)
-    const double *sy;              ///< bin-ordered y coordinates (+ pad)
-    const double *sz;              ///< bin-ordered z coordinates (+ pad)
     const mdbench::Vec3 *x;        ///< positions in atom order
+    const std::int64_t *tag;       ///< global tags in atom order
     std::size_t nlocal;
     double cutSq;
+    /**
+     * Special lists resolved over the owned atoms: row i's excluded
+     * partner tags are specialTags[specialOffsets[i] ..
+     * specialOffsets[i + 1]). Null when the system has no exclusions.
+     */
+    const std::uint32_t *specialOffsets = nullptr;
+    const std::int64_t *specialTags = nullptr;
+    const double *sx = nullptr; ///< bin-ordered x coordinates (+ pad)
+    const double *sy = nullptr; ///< bin-ordered y coordinates (+ pad)
+    const double *sz = nullptr; ///< bin-ordered z coordinates (+ pad)
+
+    /** Excluded partner tags of owned atom @p i as [first, second). */
+    std::pair<const std::int64_t *, const std::int64_t *>
+    special(std::size_t i) const
+    {
+        if (specialOffsets == nullptr)
+            return {nullptr, nullptr};
+        return {specialTags + specialOffsets[i],
+                specialTags + specialOffsets[i + 1]};
+    }
+};
+
+/** Per-build candidate and exclusion totals (from the pass run once). */
+struct BuildTally
+{
+    std::size_t candidates = 0; ///< stencil slots examined
+    std::size_t excluded = 0;   ///< in-range pairs dropped as special
+
+    BuildTally &
+    operator+=(const BuildTally &o)
+    {
+        candidates += o.candidates;
+        excluded += o.excluded;
+        return *this;
+    }
 };
 
 /**
  * The stencil of atom @p i as contiguous binAtoms runs. flatten() is
- * x-fastest, so the dx = -1..1 triple of every (dy, dz) row is one
- * dense range of bin ids and therefore one dense range of bin-ordered
- * slots: at most 9 runs instead of 27 bins. Walking a run ascending
- * visits exactly the bins the scalar oracle visits, in its order.
+ * x-fastest, so the dx = -2..2 bins of every (dy, dz) row are one dense
+ * range of bin ids and therefore one dense range of bin-ordered slots:
+ * at most 25 runs instead of 125 bins. Runs are clamped to the grid, so
+ * an axis with fewer than five bins visits each bin once. Walking a run
+ * ascending visits exactly the bins the scalar oracle visits, in its
+ * order.
  */
 struct StencilRuns
 {
-    std::array<std::uint32_t, 9> lo; ///< first binAtoms slot of each run
-    std::array<std::uint32_t, 9> hi; ///< one past the last slot
+    std::array<std::uint32_t, kStencilRows> lo; ///< first slot of each run
+    std::array<std::uint32_t, kStencilRows> hi; ///< one past the last slot
     int count = 0;
     std::uint32_t total = 0; ///< candidate slots across all runs
 };
@@ -220,14 +279,14 @@ stencilRuns(const BuildCtx &c, const mdbench::Vec3 &xi)
 {
     const auto bi = c.grid.cellOf(xi);
     const int *nb = c.grid.nb;
-    const int x0 = std::max(bi[0] - 1, 0);
-    const int x1 = std::min(bi[0] + 1, nb[0] - 1);
+    const int x0 = std::max(bi[0] - kStencilReach, 0);
+    const int x1 = std::min(bi[0] + kStencilReach, nb[0] - 1);
     StencilRuns runs;
-    for (int dz = -1; dz <= 1; ++dz) {
+    for (int dz = -kStencilReach; dz <= kStencilReach; ++dz) {
         const int bz = bi[2] + dz;
         if (bz < 0 || bz >= nb[2])
             continue;
-        for (int dy = -1; dy <= 1; ++dy) {
+        for (int dy = -kStencilReach; dy <= kStencilReach; ++dy) {
             const int by = bi[1] + dy;
             if (by < 0 || by >= nb[1])
                 continue;
@@ -247,12 +306,14 @@ stencilRuns(const BuildCtx &c, const mdbench::Vec3 &xi)
 }
 
 /**
- * Fully vectorized CSR row fill for atom @p i (the exclusion-free
- * path): every stencil candidate is tested in a W-wide chunk of the
- * bin-ordered staging — contiguous transpose loads, no gathers — and
- * the whole inclusion predicate (distance, half-list index order,
- * ghost coordinate tie-break) is evaluated as lane masks. Accepted
- * lanes append through compressStore in ascending lane order, which is
+ * Fully vectorized CSR row fill for atom @p i: every stencil candidate
+ * is tested in a W-wide chunk of the bin-ordered staging — contiguous
+ * transpose loads, no gathers — and the whole inclusion predicate
+ * (distance, half-list index order, ghost coordinate tie-break) is
+ * evaluated as lane masks. With Special set (row i has special
+ * partners), the accepted lanes whose tag is one of them are dropped
+ * before the append and counted into @p excluded. Accepted lanes
+ * append through compressStore in ascending lane order, which is
  * exactly the scalar walk's emit order, so the produced rows are
  * identical to the scalar oracle's (modulo the documented 1-ulp ISA
  * fma contraction at the build cutoff).
@@ -265,13 +326,13 @@ stencilRuns(const BuildCtx &c, const mdbench::Vec3 &xi)
  *
  * With Fill unset only the accepted count is computed (the threaded
  * two-pass build's first pass). The caller precomputes @p runs — once
- * per row per pass — and charges runs.total to the candidate counter
- * from the pass that runs once.
+ * per row per pass — and charges runs.total and @p excluded to the
+ * counters from the pass that runs once.
  */
-template <int W, bool Full, bool Fill>
+template <int W, bool Full, bool Fill, bool Special>
 inline std::uint32_t
-fillRowSimd(const BuildCtx &c, std::size_t i, const StencilRuns &runs,
-            std::uint32_t *dst)
+fillRowSimdImpl(const BuildCtx &c, std::size_t i, const StencilRuns &runs,
+                std::uint32_t *dst, std::size_t &excluded)
 {
     using D = mdbench::Simd<double, W>;
     using M = mdbench::SimdMask<double, W>;
@@ -282,6 +343,7 @@ fillRowSimd(const BuildCtx &c, std::size_t i, const StencilRuns &runs,
     const D cutSqV(c.cutSq);
     const std::uint32_t i32 = static_cast<std::uint32_t>(i);
     const std::uint32_t nlocal32 = static_cast<std::uint32_t>(c.nlocal);
+    const auto [special, specialEnd] = c.special(i);
     std::uint32_t n = 0;
     const auto chunk = [&](std::uint32_t at, int laneMask) {
         const I ids = I::load(c.binAtoms + at);
@@ -309,7 +371,17 @@ fillRowSimd(const BuildCtx &c, std::size_t i, const StencilRuns &runs,
                           ((yj > yiV) | ((yj == yiV) & (xj >= xiV))));
             inc = dist & ((isLocal & idGT) | isLocal.andnot(tb));
         }
-        const int bits = inc.bits() & laneMask;
+        int bits = inc.bits() & laneMask;
+        if constexpr (Special) {
+            for (int m = bits; m != 0; m &= m - 1) {
+                const int l = std::countr_zero(static_cast<unsigned>(m));
+                if (std::find(special, specialEnd,
+                              c.tag[c.binAtoms[at + l]]) != specialEnd) {
+                    bits &= ~(1 << l);
+                    ++excluded;
+                }
+            }
+        }
         if constexpr (Fill) {
             n += static_cast<std::uint32_t>(
                 compressStore(dst + n, ids, bits));
@@ -334,6 +406,23 @@ fillRowSimd(const BuildCtx &c, std::size_t i, const StencilRuns &runs,
 }
 
 /**
+ * Row fill for atom @p i: only rows with special partners take the
+ * instantiation that tests accepted lanes against them, so rows (and
+ * systems) without exclusions run the plain predicate.
+ */
+template <int W, bool Full, bool Fill>
+inline std::uint32_t
+fillRowSimd(const BuildCtx &c, std::size_t i, const StencilRuns &runs,
+            std::uint32_t *dst, std::size_t &excluded)
+{
+    const auto [special, specialEnd] = c.special(i);
+    if (special != specialEnd)
+        return fillRowSimdImpl<W, Full, Fill, true>(c, i, runs, dst,
+                                                   excluded);
+    return fillRowSimdImpl<W, Full, Fill, false>(c, i, runs, dst, excluded);
+}
+
+/**
  * Vectorized CSR build over all owned atoms: serial single-pass append
  * (cursor fill with geometric headroom) or threaded two-pass
  * count/prefix/fill where each row lands in its exact [offsets[i],
@@ -344,7 +433,7 @@ fillRowSimd(const BuildCtx &c, std::size_t i, const StencilRuns &runs,
 template <int W, bool Full>
 void
 buildRowsSimd(NeighborList &list, const BuildCtx &ctx, ThreadPool &pool,
-              std::size_t prevCount, std::size_t &candidates)
+              std::size_t prevCount, BuildTally &tally)
 {
     const std::size_t nlocal = ctx.nlocal;
     if (pool.size() == 1 || nlocal < 2 * kNeighborGrain) {
@@ -352,13 +441,14 @@ buildRowsSimd(NeighborList &list, const BuildCtx &ctx, ThreadPool &pool,
         std::size_t cursor = 0;
         for (std::size_t i = 0; i < nlocal; ++i) {
             const StencilRuns runs = stencilRuns(ctx, ctx.x[i]);
-            candidates += runs.total;
+            tally.candidates += runs.total;
             if (list.neighbors.size() < cursor + runs.total) {
                 list.neighbors.resize(std::max(2 * list.neighbors.size(),
                                                cursor + runs.total));
             }
             cursor += fillRowSimd<W, Full, true>(
-                ctx, i, runs, list.neighbors.data() + cursor);
+                ctx, i, runs, list.neighbors.data() + cursor,
+                tally.excluded);
             list.offsets[i + 1] = static_cast<std::uint32_t>(cursor);
         }
         list.neighbors.resize(cursor);
@@ -366,45 +456,46 @@ buildRowsSimd(NeighborList &list, const BuildCtx &ctx, ThreadPool &pool,
     }
     pool.parallelFor(0, nlocal, kNeighborGrain,
                      [&](std::size_t begin, std::size_t end, int) {
+                         std::size_t dropped = 0; // charged by the fill
                          for (std::size_t i = begin; i < end; ++i) {
                              const StencilRuns runs =
                                  stencilRuns(ctx, ctx.x[i]);
                              list.offsets[i + 1] =
-                                 fillRowSimd<W, Full, false>(ctx, i, runs,
-                                                             nullptr);
+                                 fillRowSimd<W, Full, false>(
+                                     ctx, i, runs, nullptr, dropped);
                          }
                      });
     for (std::size_t i = 0; i < nlocal; ++i)
         list.offsets[i + 1] += list.offsets[i];
     list.neighbors.resize(list.offsets[nlocal]);
-    std::array<std::size_t, SliceRange::kMaxSlices> sliceCand{};
+    std::array<BuildTally, SliceRange::kMaxSlices> sliceTally{};
     std::uint32_t *nbrs = list.neighbors.data();
     const std::uint32_t *offs = list.offsets.data();
     pool.parallelFor(0, nlocal, kNeighborGrain,
                      [&](std::size_t begin, std::size_t end, int s) {
-                         std::size_t cand = 0;
+                         BuildTally t;
                          for (std::size_t i = begin; i < end; ++i) {
                              const StencilRuns runs =
                                  stencilRuns(ctx, ctx.x[i]);
-                             cand += runs.total;
-                             fillRowSimd<W, Full, true>(ctx, i, runs,
-                                                        nbrs + offs[i]);
+                             t.candidates += runs.total;
+                             fillRowSimd<W, Full, true>(
+                                 ctx, i, runs, nbrs + offs[i], t.excluded);
                          }
-                         sliceCand[static_cast<std::size_t>(s)] += cand;
+                         sliceTally[static_cast<std::size_t>(s)] = t;
                      });
-    for (std::size_t s = 0; s < sliceCand.size(); ++s)
-        candidates += sliceCand[s];
+    for (const BuildTally &t : sliceTally)
+        tally += t;
 }
 
 /** Width × flavor dispatch for the vectorized build. */
 void
 dispatchBuildRows(int filterW, bool full, NeighborList &list,
                   const BuildCtx &ctx, ThreadPool &pool,
-                  std::size_t prevCount, std::size_t &candidates)
+                  std::size_t prevCount, BuildTally &tally)
 {
     auto run = [&](auto widthTag, auto fullTag) {
         buildRowsSimd<decltype(widthTag)::value, decltype(fullTag)::value>(
-            list, ctx, pool, prevCount, candidates);
+            list, ctx, pool, prevCount, tally);
     };
     auto width = [&](auto fullTag) {
         if (filterW == 8)
@@ -421,147 +512,75 @@ dispatchBuildRows(int filterW, bool full, NeighborList &list,
 }
 
 /**
- * Scalar stencil-walk build: the bitwise oracle (width knob 0/1) and
- * the only path for systems with exclusions (the exclusion probe is a
- * hash lookup, not mask algebra). Kept out of line and marked noinline
- * for the same reason Neighbor::buildImpl is: the vectorized staging
- * that now shares buildImpl would push gcc's function-size estimate
- * past its large-function limits and the hot candidate loop here would
- * stop being unrolled (~2x on the serial 500k-atom build). The W-wide
- * distance pre-filter is compiled in only when a width is active
- * (@p Prefilter) so the width-0 oracle keeps the seed's exact loop
- * shape — the dead dispatch alone costs ~15% at 500k atoms.
+ * Scalar stencil-walk build: the bitwise oracle (width knob 0/1). It
+ * walks the same stencilRuns as the vectorized fill, in the same
+ * order, one candidate at a time, with the same inclusion and special
+ * list rules. Kept out of line and marked noinline for the same reason
+ * Neighbor::buildImpl is: inlined into the build with the vectorized
+ * staging, gcc's function-size estimate passes its large-function
+ * limits and the hot candidate loop stops being unrolled.
  */
-template <bool Prefilter>
 [[gnu::noinline]] void
-buildRowsScalarImpl(Simulation &sim, NeighborList &list,
-                    const BinGrid &grid, const std::uint32_t *binStart,
-                    const std::uint32_t *binAtoms, std::size_t nlocal,
-                    double cutSq, bool checkExclusions, int filterW,
-                    ThreadPool &pool, std::size_t prevCount,
-                    std::size_t &candidates)
+buildRowsScalar(NeighborList &list, const BuildCtx &c, ThreadPool &pool,
+                std::size_t prevCount, BuildTally &tally)
 {
-    const AtomStore &atoms = sim.atoms;
-    const Vec3 *x = atoms.x.data();
-    static_assert(sizeof(Vec3) == 3 * sizeof(double));
-    [[maybe_unused]] const double *xd =
-        reinterpret_cast<const double *>(x);
+    const mdbench::Vec3 *x = c.x;
+    const std::size_t nlocal = c.nlocal;
     const bool full = list.full;
-    const int *nb = grid.nb;
 
     // Stencil walk shared by every fill strategy: emit(j) for each
     // neighbor of i, in a traversal order that depends only on the
     // binning (never on threading), so all paths build identical lists.
-    // The W-wide distance pre-filter tests chunks of W candidates at
-    // once and only passing lanes take the scalar inclusion checks (in
-    // ascending-lane order, preserving the emit order exactly — the
-    // index/tie-break/exclusion rules are independent of the distance
-    // test). @p cand, when non-null, accumulates the candidate total
-    // for the build counters (passed only by the pass that runs once).
-    auto visitNeighbors = [&](std::size_t i, auto &&emit,
-                              std::size_t *cand) {
-        const Vec3 xi = x[i];
-        const auto bi = grid.cellOf(xi);
-        // Non-distance inclusion checks for a candidate that already
-        // passed the W-wide distance mask. Mirrors the scalar walk's
-        // rules; only the (pure) check order differs.
-        [[maybe_unused]] auto considerNear = [&](std::size_t ju) {
-            if (ju == i)
-                return;
-            if (!full && ju < nlocal && ju < i)
-                return;
-            if (!full && ju >= nlocal) {
-                const Vec3 xj = x[ju];
-                if (xj.z != xi.z) {
-                    if (xj.z < xi.z)
-                        return;
-                } else if (xj.y != xi.y) {
-                    if (xj.y < xi.y)
-                        return;
-                } else if (xj.x < xi.x) {
-                    return;
-                }
-            }
-            if (checkExclusions &&
-                sim.topology.excluded(atoms.tag[i], atoms.tag[ju]))
-                return;
-            emit(static_cast<std::uint32_t>(ju));
-        };
-        for (int dz = -1; dz <= 1; ++dz) {
-            const int bz = bi[2] + dz;
-            if (bz < 0 || bz >= nb[2])
-                continue;
-            for (int dy = -1; dy <= 1; ++dy) {
-                const int by = bi[1] + dy;
-                if (by < 0 || by >= nb[1])
+    // @p t, when non-null, accumulates the candidate and exclusion
+    // totals (passed only by the pass that runs once).
+    auto visitNeighbors = [&](std::size_t i, auto &&emit, BuildTally *t) {
+        const mdbench::Vec3 xi = x[i];
+        const StencilRuns runs = stencilRuns(c, xi);
+        const auto [special, specialEnd] = c.special(i);
+        std::size_t excluded = 0;
+        for (int run = 0; run < runs.count; ++run) {
+            const std::uint32_t runEnd =
+                runs.hi[static_cast<std::size_t>(run)];
+            for (std::uint32_t idx = runs.lo[static_cast<std::size_t>(run)];
+                 idx < runEnd; ++idx) {
+                const std::size_t ju = c.binAtoms[idx];
+                if (ju == i)
                     continue;
-                for (int dx = -1; dx <= 1; ++dx) {
-                    const int bx = bi[0] + dx;
-                    if (bx < 0 || bx >= nb[0])
+                // Half-list inclusion rule (Newton on): local pairs once
+                // by index order (rejected before the position load);
+                // pairs with ghosts once by a coordinate tie-break, so
+                // that of the two mirrored boundary pairs exactly one
+                // side stores it.
+                if (!full && ju < nlocal && ju < i)
+                    continue;
+                // One load serves both the distance check and the ghost
+                // tie-break; the distance test goes first because it
+                // rejects most candidates with one predictable branch.
+                const mdbench::Vec3 xj = x[ju];
+                if ((xj - xi).normSq() >= c.cutSq)
+                    continue;
+                if (!full && ju >= nlocal) {
+                    if (xj.z != xi.z) {
+                        if (xj.z < xi.z)
+                            continue;
+                    } else if (xj.y != xi.y) {
+                        if (xj.y < xi.y)
+                            continue;
+                    } else if (xj.x < xi.x) {
                         continue;
-                    const std::size_t bin = grid.flatten(bx, by, bz);
-                    const std::uint32_t binEnd = binStart[bin + 1];
-                    std::uint32_t idx = binStart[bin];
-                    if (cand)
-                        *cand += binEnd - idx;
-                    if constexpr (Prefilter) {
-                        auto filtered = [&](auto widthTag) {
-                            constexpr int W = decltype(widthTag)::value;
-                            for (; idx + W <= binEnd; idx += W) {
-                                int mask = candidateDistanceMask<W>(
-                                    xd, binAtoms + idx, xi, cutSq);
-                                for (; mask; mask &= mask - 1) {
-                                    const int l = std::countr_zero(
-                                        static_cast<unsigned>(mask));
-                                    considerNear(binAtoms[idx + l]);
-                                }
-                            }
-                        };
-                        if (filterW == 8)
-                            filtered(std::integral_constant<int, 8>{});
-                        else if (filterW == 4)
-                            filtered(std::integral_constant<int, 4>{});
-                        else if (filterW == 2)
-                            filtered(std::integral_constant<int, 2>{});
-                    }
-                    for (; idx < binEnd; ++idx) {
-                        const std::size_t ju = binAtoms[idx];
-                        if (ju == i)
-                            continue;
-                        // Half-list inclusion rule (Newton on): local
-                        // pairs once by index order (rejected before
-                        // the position load); pairs with ghosts once by
-                        // a coordinate tie-break, so that of the two
-                        // mirrored boundary pairs exactly one side
-                        // stores it.
-                        if (!full && ju < nlocal && ju < i)
-                            continue;
-                        // One load serves both the ghost tie-break and
-                        // the distance check below.
-                        const Vec3 xj = x[ju];
-                        if (!full && ju >= nlocal) {
-                            if (xj.z != xi.z) {
-                                if (xj.z < xi.z)
-                                    continue;
-                            } else if (xj.y != xi.y) {
-                                if (xj.y < xi.y)
-                                    continue;
-                            } else if (xj.x < xi.x) {
-                                continue;
-                            }
-                        }
-                        if ((xj - xi).normSq() >= cutSq)
-                            continue;
-                        if (checkExclusions &&
-                            sim.topology.excluded(atoms.tag[i],
-                                                  atoms.tag[ju])) {
-                            continue;
-                        }
-                        emit(static_cast<std::uint32_t>(ju));
                     }
                 }
+                if (special != specialEnd &&
+                    std::find(special, specialEnd, c.tag[ju]) !=
+                        specialEnd) {
+                    ++excluded;
+                    continue;
+                }
+                emit(static_cast<std::uint32_t>(ju));
             }
         }
+        if (t)
+            *t += {runs.total, excluded};
     };
 
     if (pool.size() == 1 || nlocal < 2 * kNeighborGrain) {
@@ -573,7 +592,7 @@ buildRowsScalarImpl(Simulation &sim, NeighborList &list,
         for (std::size_t i = 0; i < nlocal; ++i) {
             visitNeighbors(i, [&](std::uint32_t ju) {
                 list.neighbors.push_back(ju);
-            }, &candidates);
+            }, &tally);
             list.offsets[i + 1] =
                 static_cast<std::uint32_t>(list.neighbors.size());
         }
@@ -595,41 +614,20 @@ buildRowsScalarImpl(Simulation &sim, NeighborList &list,
     for (std::size_t i = 0; i < nlocal; ++i)
         list.offsets[i + 1] += list.offsets[i];
     list.neighbors.resize(list.offsets[nlocal]);
-    std::array<std::size_t, SliceRange::kMaxSlices> sliceCand{};
+    std::array<BuildTally, SliceRange::kMaxSlices> sliceTally{};
     pool.parallelFor(0, nlocal, kNeighborGrain,
                      [&](std::size_t begin, std::size_t end, int s) {
-                         std::size_t cand = 0;
+                         BuildTally t;
                          for (std::size_t i = begin; i < end; ++i) {
                              std::uint32_t cursor = list.offsets[i];
                              visitNeighbors(i, [&](std::uint32_t ju) {
                                  list.neighbors[cursor++] = ju;
-                             }, &cand);
+                             }, &t);
                          }
-                         sliceCand[static_cast<std::size_t>(s)] +=
-                             cand;
+                         sliceTally[static_cast<std::size_t>(s)] = t;
                      });
-    for (std::size_t s = 0; s < sliceCand.size(); ++s)
-        candidates += sliceCand[s];
-}
-
-/** Prefilter on/off dispatch for the scalar walk. */
-void
-buildRowsScalar(Simulation &sim, NeighborList &list, const BinGrid &grid,
-                const std::uint32_t *binStart,
-                const std::uint32_t *binAtoms, std::size_t nlocal,
-                double cutSq, bool checkExclusions, int filterW,
-                ThreadPool &pool, std::size_t prevCount,
-                std::size_t &candidates)
-{
-    if (filterW >= 2) {
-        buildRowsScalarImpl<true>(sim, list, grid, binStart, binAtoms,
-                                  nlocal, cutSq, checkExclusions, filterW,
-                                  pool, prevCount, candidates);
-    } else {
-        buildRowsScalarImpl<false>(sim, list, grid, binStart, binAtoms,
-                                   nlocal, cutSq, checkExclusions, filterW,
-                                   pool, prevCount, candidates);
-    }
+    for (const BuildTally &t : sliceTally)
+        tally += t;
 }
 
 } // namespace
@@ -704,7 +702,6 @@ void
 Neighbor::buildImpl(Simulation &sim)
 {
     const AtomStore &atoms = sim.atoms;
-    const Box &box = sim.box;
     const std::size_t nlocal = atoms.nlocal();
     const std::size_t nall = atoms.nall();
 
@@ -714,37 +711,51 @@ Neighbor::buildImpl(Simulation &sim)
 
     ThreadPool &pool = ThreadPool::global();
 
-    // Bin the extended domain (box plus a ghost shell of one cutoff).
-    const BinGrid grid = makeBinGrid(box, cut);
+    // Bin the owned and ghost atoms at half the build cutoff.
+    const Vec3 *x = atoms.x.data();
+    const BinGrid grid = makeBinGrid(sim.box, cut, x, nall);
     if (pool.size() > 1 && nall >= 4 * kNeighborGrain) {
-        countingSortBinsParallel(grid, atoms.x.data(), nall, pool, binOf_,
-                                 binStart_, binSliceCount_, binAtoms_);
+        countingSortBinsParallel(grid, x, nall, pool, binOf_, binStart_,
+                                 binSliceCount_, binAtoms_);
     } else {
-        countingSortBins(grid, atoms.x.data(), nall, binOf_, binStart_,
-                         binCursor_, binAtoms_);
+        countingSortBins(grid, x, nall, binOf_, binStart_, binCursor_,
+                         binAtoms_);
     }
     // Readable (masked-off) slots past the last bin for whole-chunk
     // loads; zero ids point at a real record but never pass the
     // lane-validity mask.
     binAtoms_.resize(nall + kSimdPad, 0);
 
-    const bool checkExclusions = !sim.topology.bonds.empty() ||
-                                 !sim.topology.angles.empty();
-
     list_.full = full;
     list_.buildCutoff = cut;
     list_.offsets.assign(nlocal + 1, 0);
 
-    // Raw pointers into the bin structures: the fill loops below append
-    // to a member vector, so indexing the members directly would force
-    // the compiler to re-load their data pointers every iteration.
-    const std::uint32_t *binStart = binStart_.data();
-    const std::uint32_t *binAtoms = binAtoms_.data();
-    const Vec3 *x = atoms.x.data();
+    // Raw pointers into the bin structures: the fill loops append to a
+    // member vector, so indexing the members directly would force the
+    // compiler to re-load their data pointers every iteration.
+    BuildCtx ctx{grid, binStart_.data(), binAtoms_.data(), x,
+                 atoms.tag.data(), nlocal, cutSq};
+
+    // Resolve the special lists once per build into a CSR over the
+    // owned atoms; the fills drop accepted candidates whose tag is in
+    // row i's list.
+    if (sim.topology.exclusionCount() > 0) {
+        specialOffsets_.assign(nlocal + 1, 0);
+        specialTags_.clear();
+        for (std::size_t i = 0; i < nlocal; ++i) {
+            const auto partners = sim.topology.specialPartners(atoms.tag[i]);
+            specialTags_.insert(specialTags_.end(), partners.begin(),
+                                partners.end());
+            specialOffsets_[i + 1] =
+                static_cast<std::uint32_t>(specialTags_.size());
+        }
+        ctx.specialOffsets = specialOffsets_.data();
+        ctx.specialTags = specialTags_.data();
+    }
 
     // W-wide candidate filter width: the dominant cost of the bin walk
-    // is the per-candidate r² check. Widths 0/1 keep the original
-    // scalar walk below as the bitwise oracle.
+    // is the per-candidate r² check. Widths 0/1 keep the scalar walk as
+    // the bitwise oracle.
     const int filterW = [] {
         const int dw = simdWidthFor(false);
         if (dw >= 8)
@@ -753,9 +764,8 @@ Neighbor::buildImpl(Simulation &sim)
             return 4;
         return dw == 2 ? 2 : 0;
     }();
-    std::size_t candidates = 0;
-    const bool vectorized = filterW >= 2 && !checkExclusions && nlocal > 0;
-    if (vectorized) {
+    BuildTally tally;
+    if (filterW >= 2 && nlocal > 0) {
         // Fully vectorized build: candidate coordinates are staged once
         // in bin order as three SoA runs, so the per-run chunks are
         // plain contiguous vector loads and accepted lanes compress
@@ -766,6 +776,7 @@ Neighbor::buildImpl(Simulation &sim)
         double *sx = buildStage_.records(stride);
         double *sy = sx + stride;
         double *sz = sy + stride;
+        const std::uint32_t *binAtoms = ctx.binAtoms;
         pool.parallelFor(0, nall, 4 * kNeighborGrain,
                          [&](std::size_t begin, std::size_t end, int) {
                              for (std::size_t k = begin; k < end; ++k) {
@@ -780,21 +791,21 @@ Neighbor::buildImpl(Simulation &sim)
             sy[k] = 0.0;
             sz[k] = 0.0;
         }
-        const BuildCtx ctx{grid, binStart, binAtoms, sx,
-                           sy,   sz,       x,        nlocal, cutSq};
+        ctx.sx = sx;
+        ctx.sy = sy;
+        ctx.sz = sz;
         dispatchBuildRows(filterW, full, list_, ctx, pool,
-                          prevNeighborCount_, candidates);
+                          prevNeighborCount_, tally);
     } else {
         TraceScope filterTrace("neigh", "build_filter");
-        buildRowsScalar(sim, list_, grid, binStart, binAtoms, nlocal,
-                        cutSq, checkExclusions, filterW, pool,
-                        prevNeighborCount_, candidates);
+        buildRowsScalar(list_, ctx, pool, prevNeighborCount_, tally);
     }
     prevNeighborCount_ = list_.neighbors.size();
     counterAdd(Counter::NeighBuilds);
     counterAdd(Counter::NeighPairs, list_.neighbors.size());
-    counterAdd(Counter::NeighBuildCandidates, candidates);
+    counterAdd(Counter::NeighBuildCandidates, tally.candidates);
     counterAdd(Counter::NeighBuildAccepted, list_.neighbors.size());
+    counterAdd(Counter::NeighExcludedPairs, tally.excluded);
 
     packLists(sim);
 
@@ -951,11 +962,13 @@ Neighbor::computeSortOrder(const Simulation &sim,
     const AtomStore &atoms = sim.atoms;
     const double cut = cutoff + skin;
     require(cut > 0.0, "sort order needs a positive neighbor cutoff");
-    // Same grid as the next build, restricted to the owned atoms: the
-    // neighbor ids of spatially close atoms become close indices, so
-    // the pair-kernel x[j] gathers walk the position array nearly
-    // monotonically (LAMMPS `atom_modify sort` / MD-Bench layout).
-    const BinGrid grid = makeBinGrid(sim.box, cut);
+    // The build's grid rule over the owned atoms (no ghosts exist at
+    // sort time): the neighbor ids of spatially close atoms become
+    // close indices, so the pair-kernel x[j] gathers walk the position
+    // array nearly monotonically (LAMMPS `atom_modify sort` / MD-Bench
+    // layout).
+    const BinGrid grid =
+        makeBinGrid(sim.box, cut, atoms.x.data(), atoms.nlocal());
     countingSortBins(grid, atoms.x.data(), atoms.nlocal(), binOf_,
                      binStart_, binCursor_, binAtoms_);
     order.assign(binAtoms_.begin(), binAtoms_.end());

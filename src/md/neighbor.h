@@ -244,6 +244,14 @@ class Neighbor
     /** Per-(slice, bin) histograms for the parallel counting sort. */
     std::vector<std::uint32_t> binSliceCount_;
 
+    /**
+     * Special lists resolved over the owned atoms at each build (only
+     * for systems with exclusions): row i's excluded partner tags are
+     * specialTags_[specialOffsets_[i] .. specialOffsets_[i + 1]).
+     */
+    std::vector<std::uint32_t> specialOffsets_;
+    std::vector<std::int64_t> specialTags_;
+
     /** Bin-ordered [x, y, z, 0] records staged for the SIMD filter. */
     XPack<double> buildStage_;
 

@@ -1,5 +1,8 @@
 #include "md/topology.h"
 
+#include <algorithm>
+#include <utility>
+
 #include "md/atoms.h"
 
 namespace mdbench {
@@ -24,42 +27,70 @@ Topology::indexOf(std::int64_t tag) const
     return it == tagMap_.end() ? -1 : it->second;
 }
 
-std::uint64_t
-Topology::pairKey(std::int64_t tagA, std::int64_t tagB)
-{
-    const std::uint64_t lo = static_cast<std::uint64_t>(
-        tagA < tagB ? tagA : tagB);
-    const std::uint64_t hi = static_cast<std::uint64_t>(
-        tagA < tagB ? tagB : tagA);
-    return (hi << 32) | lo;
-}
-
 void
 Topology::buildExclusions()
 {
-    exclusions_.clear();
-    exclusions_.reserve(bonds.size() + angles.size());
+    // Every excluded pair in both directions, as (tag, partner).
+    std::vector<std::pair<std::int64_t, std::int64_t>> pairs;
+    pairs.reserve(2 * (bonds.size() + 3 * angles.size()));
+    const auto add = [&](std::int64_t a, std::int64_t b) {
+        pairs.emplace_back(a, b);
+        pairs.emplace_back(b, a);
+    };
     for (const Bond &bond : bonds)
-        exclusions_.insert(pairKey(bond.tagA, bond.tagB));
+        add(bond.tagA, bond.tagB);
     for (const Angle &angle : angles) {
-        exclusions_.insert(pairKey(angle.tagA, angle.tagB));
-        exclusions_.insert(pairKey(angle.tagB, angle.tagC));
-        exclusions_.insert(pairKey(angle.tagA, angle.tagC));
+        add(angle.tagA, angle.tagB);
+        add(angle.tagB, angle.tagC);
+        add(angle.tagA, angle.tagC);
+    }
+    std::sort(pairs.begin(), pairs.end());
+    pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
+    exclusionPairs_ = static_cast<std::size_t>(
+        std::count_if(pairs.begin(), pairs.end(),
+                      [](const auto &p) { return p.first <= p.second; }));
+
+    specialKeys_.clear();
+    specialOffsets_.assign(1, 0);
+    specialPartners_.clear();
+    specialPartners_.reserve(pairs.size());
+    for (const auto &[tag, partner] : pairs) {
+        if (specialKeys_.empty() || specialKeys_.back() != tag) {
+            specialKeys_.push_back(tag);
+            specialOffsets_.push_back(specialOffsets_.back());
+        }
+        specialPartners_.push_back(partner);
+        ++specialOffsets_.back();
     }
 }
 
 void
-Topology::addExclusion(std::int64_t tagA, std::int64_t tagB)
+Topology::copyExclusions(const Topology &other)
 {
-    exclusions_.insert(pairKey(tagA, tagB));
+    specialKeys_ = other.specialKeys_;
+    specialOffsets_ = other.specialOffsets_;
+    specialPartners_ = other.specialPartners_;
+    exclusionPairs_ = other.exclusionPairs_;
+}
+
+std::span<const std::int64_t>
+Topology::specialPartners(std::int64_t tag) const
+{
+    const auto it =
+        std::lower_bound(specialKeys_.begin(), specialKeys_.end(), tag);
+    if (it == specialKeys_.end() || *it != tag)
+        return {};
+    const std::size_t k =
+        static_cast<std::size_t>(it - specialKeys_.begin());
+    return {specialPartners_.data() + specialOffsets_[k],
+            specialPartners_.data() + specialOffsets_[k + 1]};
 }
 
 bool
 Topology::excluded(std::int64_t tagA, std::int64_t tagB) const
 {
-    if (exclusions_.empty())
-        return false;
-    return exclusions_.contains(pairKey(tagA, tagB));
+    const std::span<const std::int64_t> partners = specialPartners(tagA);
+    return std::binary_search(partners.begin(), partners.end(), tagB);
 }
 
 } // namespace mdbench

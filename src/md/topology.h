@@ -10,8 +10,8 @@
 #define MDBENCH_MD_TOPOLOGY_H
 
 #include <cstdint>
+#include <span>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 namespace mdbench {
@@ -61,22 +61,26 @@ class Topology
     std::vector<ShakeCluster> shakeClusters;
 
     /**
-     * Build the special-bonds exclusion set: 1-2 pairs (bonds) and 1-3
-     * pairs (angle ends) are removed from the pairwise neighbor lists,
-     * matching LAMMPS `special_bonds 0 0 1` semantics used by the
-     * Chain and Rhodopsin workloads.
+     * Build the special lists: 1-2 pairs (bonds) and 1-3 pairs (angle
+     * ends) are removed from the pairwise neighbor lists, matching
+     * LAMMPS `special_bonds 0 0 1` semantics used by the Chain and
+     * Rhodopsin workloads. Each tag with partners gets the ascending
+     * list of its excluded partner tags (LAMMPS `special[]`).
      */
     void buildExclusions();
 
     /**
-     * Add one exclusion directly (used by the decomposed driver, whose
-     * per-rank topologies hold only locally-owned bonds but must exclude
-     * globally).
+     * Replace the special lists with @p other's (used by
+     * RankedSimulation, whose per-rank topologies hold only
+     * locally-owned bonds but must exclude globally).
      */
-    void addExclusion(std::int64_t tagA, std::int64_t tagB);
+    void copyExclusions(const Topology &other);
 
-    /** Number of exclusion entries. */
-    std::size_t exclusionCount() const { return exclusions_.size(); }
+    /** Number of excluded tag pairs. */
+    std::size_t exclusionCount() const { return exclusionPairs_; }
+
+    /** Ascending excluded partner tags of @p tag (empty when none). */
+    std::span<const std::int64_t> specialPartners(std::int64_t tag) const;
 
     /** True when the (tagA, tagB) pair is excluded from pair interactions. */
     bool excluded(std::int64_t tagA, std::int64_t tagB) const;
@@ -94,10 +98,15 @@ class Topology
     std::size_t mappedAtoms() const { return tagMap_.size(); }
 
   private:
-    static std::uint64_t pairKey(std::int64_t tagA, std::int64_t tagB);
-
     std::unordered_map<std::int64_t, std::int64_t> tagMap_;
-    std::unordered_set<std::uint64_t> exclusions_;
+
+    // Special lists as a CSR keyed by tag: specialKeys_ holds the
+    // ascending tags that have partners, row k of specialPartners_
+    // (specialOffsets_[k] .. specialOffsets_[k + 1]) their partners.
+    std::vector<std::int64_t> specialKeys_;
+    std::vector<std::uint32_t> specialOffsets_;
+    std::vector<std::int64_t> specialPartners_;
+    std::size_t exclusionPairs_ = 0;
 };
 
 } // namespace mdbench

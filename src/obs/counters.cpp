@@ -19,6 +19,7 @@ counterName(Counter counter)
       case Counter::NeighPaddedSlots: return "neigh.padded_slots";
       case Counter::NeighBuildCandidates: return "neigh.build_candidates";
       case Counter::NeighBuildAccepted: return "neigh.build_accepted";
+      case Counter::NeighExcludedPairs: return "neigh.excluded_pairs";
       case Counter::SortApplied: return "neigh.sorts_applied";
       case Counter::SortSkipped: return "neigh.sorts_skipped";
       case Counter::PairComputes: return "pair.computes";

@@ -33,6 +33,7 @@ enum class Counter : std::size_t {
     NeighPaddedSlots,   ///< sentinel slots added by SIMD padded packing
     NeighBuildCandidates, ///< stencil candidates examined by builds
     NeighBuildAccepted,   ///< candidates accepted into the list
+    NeighExcludedPairs,   ///< in-range pairs dropped by special lists
     SortApplied,        ///< spatial atom reorders applied
     SortSkipped,        ///< sort-enabled rebuilds that did not reorder
     PairComputes,       ///< pair-style compute() calls

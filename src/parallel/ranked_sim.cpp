@@ -186,13 +186,7 @@ RankedSimulation::RankedSimulation(
     for (auto &sim : sims_) {
         configureRank(*sim);
         // Every rank checks pair exclusions against the global topology.
-        for (const Bond &bond : globalTopology_.bonds)
-            sim->topology.addExclusion(bond.tagA, bond.tagB);
-        for (const Angle &angle : globalTopology_.angles) {
-            sim->topology.addExclusion(angle.tagA, angle.tagB);
-            sim->topology.addExclusion(angle.tagB, angle.tagC);
-            sim->topology.addExclusion(angle.tagA, angle.tagC);
-        }
+        sim->topology.copyExclusions(globalTopology_);
     }
     assignTopology();
 }

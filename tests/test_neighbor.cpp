@@ -6,10 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <memory>
-#include <set>
 #include <utility>
 #include <vector>
 
@@ -20,10 +21,12 @@
 #include "md/velocity.h"
 #include "forcefield/pair_lj_cut.h"
 #include "md/fix_nve.h"
+#include "obs/counters.h"
 #include "util/error.h"
 #include "util/precision.h"
 #include "util/rng.h"
 #include "util/simd.h"
+#include "util/thread_pool.h"
 
 namespace mdbench {
 namespace {
@@ -41,11 +44,22 @@ randomSystem(Simulation &sim, int n, double length, std::uint64_t seed)
                            rng.uniform(0, length)});
 }
 
-/** All minimum-image pairs within cutoff, as sorted-tag pairs. */
-std::multiset<std::pair<std::int64_t, std::int64_t>>
+/** (low tag, high tag) pairs in ascending order; repeats are kept. */
+using TagPairs = std::vector<std::pair<std::int64_t, std::int64_t>>;
+
+/** The (low, high) tag pair of atoms @p i and @p j. */
+std::pair<std::int64_t, std::int64_t>
+tagPair(const Simulation &sim, std::size_t i, std::size_t j)
+{
+    return {std::min(sim.atoms.tag[i], sim.atoms.tag[j]),
+            std::max(sim.atoms.tag[i], sim.atoms.tag[j])};
+}
+
+/** All minimum-image pairs within cutoff. */
+TagPairs
 bruteForcePairs(const Simulation &sim, double cutoff)
 {
-    std::multiset<std::pair<std::int64_t, std::int64_t>> pairs;
+    TagPairs pairs;
     const std::size_t n = sim.atoms.nlocal();
     const double cutSq = cutoff * cutoff;
     for (std::size_t i = 0; i < n; ++i) {
@@ -53,28 +67,38 @@ bruteForcePairs(const Simulation &sim, double cutoff)
             const Vec3 d =
                 sim.box.minimumImage(sim.atoms.x[i] - sim.atoms.x[j]);
             if (d.normSq() < cutSq)
-                pairs.insert({std::min(sim.atoms.tag[i], sim.atoms.tag[j]),
-                              std::max(sim.atoms.tag[i], sim.atoms.tag[j])});
+                pairs.push_back(tagPair(sim, i, j));
         }
     }
+    std::sort(pairs.begin(), pairs.end());
     return pairs;
 }
 
-/** Pairs stored in a half list, as sorted-tag pairs. */
-std::multiset<std::pair<std::int64_t, std::int64_t>>
+/** Every entry stored in the list (a full list yields each pair twice). */
+TagPairs
 halfListPairs(const Simulation &sim)
 {
-    std::multiset<std::pair<std::int64_t, std::int64_t>> pairs;
+    TagPairs pairs;
     const NeighborList &list = sim.neighbor.list();
     for (std::size_t i = 0; i < sim.atoms.nlocal(); ++i) {
         const auto [begin, end] = list.range(i);
-        for (std::uint32_t k = begin; k < end; ++k) {
-            const std::uint32_t j = list.neighbors[k];
-            pairs.insert({std::min(sim.atoms.tag[i], sim.atoms.tag[j]),
-                          std::max(sim.atoms.tag[i], sim.atoms.tag[j])});
-        }
+        for (std::uint32_t k = begin; k < end; ++k)
+            pairs.push_back(tagPair(sim, i, list.neighbors[k]));
     }
+    std::sort(pairs.begin(), pairs.end());
     return pairs;
+}
+
+/** @p pairs with every entry twice: what a full list stores. */
+TagPairs
+doubled(const TagPairs &pairs)
+{
+    TagPairs twice;
+    for (const auto &pair : pairs) {
+        twice.push_back(pair);
+        twice.push_back(pair);
+    }
+    return twice;
 }
 
 TEST(Neighbor, HalfListMatchesBruteForce)
@@ -117,11 +141,7 @@ TEST(Neighbor, FullListStoresEachPairTwice)
     sim.comm->borders(sim);
     sim.neighbor.build(sim);
 
-    const auto brute = bruteForcePairs(sim, 1.5);
-    const auto full = halfListPairs(sim); // collects every stored entry
-    EXPECT_EQ(full.size(), 2 * brute.size());
-    for (const auto &pair : brute)
-        EXPECT_EQ(full.count(pair), 2u) << pair.first << "," << pair.second;
+    EXPECT_EQ(halfListPairs(sim), doubled(bruteForcePairs(sim, 1.5)));
 }
 
 TEST(Neighbor, SkinGrowsList)
@@ -230,9 +250,9 @@ TEST(Neighbor, VectorizedBuildMatchesScalarOracleAtAllWidths)
 
 TEST(Neighbor, ExclusionSystemListUnaffectedByWidth)
 {
-    // Bonded systems take the scalar inclusion path (exclusion checks
-    // are not vectorized); the produced list must not depend on the
-    // SIMD width knob regardless.
+    // Bonded systems drop their special partners inside the vectorized
+    // fill at widths >= 2 and inside the scalar walk at widths 0/1; the
+    // rows must equal the width-0 oracle's at every width.
     auto listsAt = [](int width) {
         setSimdWidth(width);
         auto sim = buildChain(4);
@@ -243,9 +263,163 @@ TEST(Neighbor, ExclusionSystemListUnaffectedByWidth)
                               sim->neighbor.list().neighbors);
     };
     const auto reference = listsAt(0);
-    const auto wide = listsAt(8);
-    EXPECT_EQ(wide.first, reference.first);
-    EXPECT_EQ(wide.second, reference.second);
+    for (const int width : {1, 2, 4, 8}) {
+        SCOPED_TRACE(width);
+        const auto wide = listsAt(width);
+        EXPECT_EQ(wide.first, reference.first);
+        EXPECT_EQ(wide.second, reference.second);
+    }
+}
+
+/** A neighbor build of the Rhodo proxy at the given knobs. */
+struct BondedBuild
+{
+    std::unique_ptr<Simulation> sim;
+    std::uint64_t excludedCounter = 0;
+};
+
+BondedBuild
+buildRhodoListAt(int width, int threads, bool full)
+{
+    const int before = ThreadPool::threads();
+    setSimdWidth(width);
+    ThreadPool::setThreads(threads);
+    BondedBuild build;
+    build.sim = buildRhodoProxy(9);
+    Simulation &sim = *build.sim;
+    sim.neighbor.cutoff = sim.pair->cutoff();
+    sim.neighbor.full = full;
+    sim.topology.buildExclusions();
+    sim.comm->exchange(sim);
+    sim.comm->borders(sim);
+    sim.topology.buildTagMap(sim.atoms);
+    resetCounters();
+    sim.neighbor.build(sim);
+    build.excludedCounter = counterValue(Counter::NeighExcludedPairs);
+    ThreadPool::setThreads(before);
+    setSimdWidth(-1);
+    return build;
+}
+
+TEST(Neighbor, ExclusionListMatchesBruteForce)
+{
+    // The proxy's 28 Å box is more than twice the 12 Å build cutoff, so
+    // each physical pair is stored once; its solute row carries bonds
+    // and angles, so some in-range pairs are special and must be gone.
+    const BondedBuild reference = buildRhodoListAt(0, 1, false);
+    const Simulation &ref = *reference.sim;
+    const double cut = ref.neighbor.list().buildCutoff;
+    ASSERT_LT(2.0 * cut, ref.box.lengths().x);
+    ASSERT_GT(ref.topology.exclusionCount(), 0u);
+
+    TagPairs expected = bruteForcePairs(ref, cut);
+    const std::uint64_t excludedInRange =
+        std::erase_if(expected, [&](const auto &pair) {
+            return ref.topology.excluded(pair.first, pair.second);
+        });
+    ASSERT_GT(excludedInRange, 0u);
+
+    for (const int width : {0, 8}) {
+        for (const int threads : {1, 4}) {
+            SCOPED_TRACE(testing::Message()
+                         << "width=" << width << " threads=" << threads);
+            const BondedBuild build = buildRhodoListAt(width, threads, false);
+            EXPECT_EQ(halfListPairs(*build.sim), expected);
+            EXPECT_EQ(build.excludedCounter, excludedInRange);
+            // Bitwise the oracle's rows, not just the same pair set.
+            EXPECT_EQ(build.sim->neighbor.list().offsets,
+                      ref.neighbor.list().offsets);
+            EXPECT_EQ(build.sim->neighbor.list().neighbors,
+                      ref.neighbor.list().neighbors);
+        }
+    }
+}
+
+/**
+ * Half and full lists of @p sim at widths 0 and 8 against brute force
+ * (the caller fills atoms, box and cutoff; skin is zero).
+ */
+void
+expectListsMatchBruteForce(const std::function<void(Simulation &)> &make)
+{
+    for (const bool full : {false, true}) {
+        for (const int width : {0, 8}) {
+            SCOPED_TRACE(testing::Message()
+                         << "full=" << full << " width=" << width);
+            setSimdWidth(width);
+            Simulation sim;
+            make(sim);
+            sim.neighbor.skin = 0.0;
+            sim.neighbor.full = full;
+            sim.comm->exchange(sim);
+            sim.comm->borders(sim);
+            sim.neighbor.build(sim);
+            setSimdWidth(-1);
+            const TagPairs brute = bruteForcePairs(sim, sim.neighbor.cutoff);
+            EXPECT_EQ(halfListPairs(sim), full ? doubled(brute) : brute);
+        }
+    }
+}
+
+TEST(Neighbor, BinGridEdgeCasesMatchBruteForce)
+{
+    // A box side that is not a multiple of the bin edge (cut / 2).
+    expectListsMatchBruteForce([](Simulation &sim) {
+        randomSystem(sim, 300, 7.3, 41);
+        sim.neighbor.cutoff = 1.55;
+    });
+
+    // Atoms in slabs thinner than two bins: the thin axis has fewer
+    // than five bins, so the clamped stencil must still visit each bin
+    // once — along x (the contiguous run axis) and along z (rows).
+    for (const int axis : {0, 2}) {
+        SCOPED_TRACE(axis);
+        expectListsMatchBruteForce([axis](Simulation &sim) {
+            sim.box = Box({0, 0, 0}, {8.0, 8.0, 8.0});
+            sim.atoms.setNumTypes(1);
+            Rng rng(97 + axis);
+            for (int i = 0; i < 250; ++i) {
+                double p[3] = {rng.uniform(0, 8.0), rng.uniform(0, 8.0),
+                               rng.uniform(0, 8.0)};
+                p[axis] = rng.uniform(3.0, 4.6);
+                sim.atoms.addAtom(i + 1, 1, {p[0], p[1], p[2]});
+            }
+            sim.neighbor.cutoff = 1.5;
+        });
+    }
+
+    // A simple-cubic lattice at half the cutoff puts every atom exactly
+    // on a bin boundary (all values are exact in binary), and lattice
+    // pairs two sites apart sit exactly at the cutoff: rsq < cutSq
+    // must leave them out, like the brute force does.
+    expectListsMatchBruteForce([](Simulation &sim) {
+        sim.box = Box({0, 0, 0}, {4.0, 4.0, 4.0});
+        sim.atoms.setNumTypes(1);
+        std::int64_t tag = 1;
+        for (int z = 0; z < 8; ++z)
+            for (int y = 0; y < 8; ++y)
+                for (int x = 0; x < 8; ++x)
+                    sim.atoms.addAtom(tag++, 1, {0.5 * x, 0.5 * y, 0.5 * z});
+        sim.neighbor.cutoff = 1.0;
+    });
+    Simulation lattice;
+    lattice.box = Box({0, 0, 0}, {4.0, 4.0, 4.0});
+    lattice.atoms.setNumTypes(1);
+    lattice.atoms.addAtom(1, 1, {1.0, 1.0, 1.0});
+    lattice.atoms.addAtom(2, 1, {2.0, 1.0, 1.0});
+    lattice.atoms.addAtom(3, 1, {1.0, 1.5, 1.0});
+    lattice.neighbor.cutoff = 1.0;
+    lattice.neighbor.skin = 0.0;
+    for (const int width : {0, 8}) {
+        setSimdWidth(width);
+        lattice.comm->exchange(lattice);
+        lattice.comm->borders(lattice);
+        lattice.neighbor.build(lattice);
+        setSimdWidth(-1);
+        // Only the 0.5-apart pair (1, 3); (1, 2) is exactly at the cutoff.
+        const TagPairs want{{1, 3}};
+        EXPECT_EQ(halfListPairs(lattice), want) << "width " << width;
+    }
 }
 
 TEST(Neighbor, PackingRefreshesOnWidthChange)

@@ -167,6 +167,7 @@ TEST(Counters, NamesAreStableAndDistinct)
         names.insert(counterName(static_cast<Counter>(c)));
     EXPECT_EQ(names.size(), kNumCounters);
     EXPECT_EQ(names.count("neigh.builds"), 1u);
+    EXPECT_EQ(names.count("neigh.excluded_pairs"), 1u);
     EXPECT_EQ(names.count("pair.interactions"), 1u);
     EXPECT_EQ(names.count("kspace.ffts"), 1u);
     EXPECT_EQ(names.count("pool.slices"), 1u);
@@ -310,6 +311,27 @@ TEST(Counters, NeighborBuildFilterAccounting)
     EXPECT_EQ(counterValue(Counter::NeighBuildAccepted), accepted);
     resetCounters();
     setSimdWidth(-1);
+}
+
+TEST(Counters, NeighborExcludedPairsAccounting)
+{
+    // In-range pairs dropped by the special lists: charged once per
+    // build whatever the filter width, and zero for a system without
+    // bonds or angles.
+    auto excludedAt = [](int width, bool bonded) {
+        setSimdWidth(width);
+        resetCounters();
+        auto sim = bonded ? buildChain(4) : buildLJ(4);
+        sim->thermoEvery = 0;
+        sim->setup();
+        setSimdWidth(-1);
+        return counterValue(Counter::NeighExcludedPairs);
+    };
+    const auto vectorized = excludedAt(4, true);
+    EXPECT_GT(vectorized, 0u);
+    EXPECT_EQ(excludedAt(0, true), vectorized);
+    EXPECT_EQ(excludedAt(4, false), 0u);
+    resetCounters();
 }
 
 TEST(Trace, NeighborBuildFilterScopeAppearsInExport)

@@ -13,11 +13,13 @@
 #include <functional>
 #include <memory>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "core/suite.h"
 #include "md/neighbor.h"
 #include "md/simulation.h"
+#include "util/simd.h"
 #include "util/thread_pool.h"
 
 namespace mdbench {
@@ -205,6 +207,33 @@ TEST(ThreadDeterminism, VectorizedNeighborBuildListsAreThreadInvariant)
     for (int nthreads : {2, 4, 8, 16}) {
         SCOPED_TRACE(nthreads);
         EXPECT_EQ(listsAt(nthreads), reference);
+    }
+    ThreadPool::setThreads(before);
+}
+
+// Bonded systems drop special partners inside both passes of the
+// threaded fill; their rows must not depend on the thread count either,
+// at the scalar oracle's width and at a vectorized one.
+TEST(ThreadDeterminism, BondedNeighborBuildListsAreThreadInvariant)
+{
+    const int before = ThreadPool::threads();
+    for (const int width : {0, 8}) {
+        auto listsAt = [width](int nthreads) {
+            setSimdWidth(width);
+            ThreadPool::setThreads(nthreads);
+            auto sim = buildChain(8);
+            sim->thermoEvery = 0;
+            sim->setup();
+            setSimdWidth(-1);
+            const NeighborList &list = sim->neighbor.list();
+            return std::make_pair(list.offsets, list.neighbors);
+        };
+        const auto reference = listsAt(1);
+        for (int nthreads : {2, 4, 8, 16}) {
+            SCOPED_TRACE(testing::Message() << "width=" << width
+                                            << " threads=" << nthreads);
+            EXPECT_EQ(listsAt(nthreads), reference);
+        }
     }
     ThreadPool::setThreads(before);
 }
