@@ -14,47 +14,6 @@
 
 namespace mdbench {
 
-namespace {
-
-/**
- * W-wide CubicSpline::eval over gathered knots: the same clamp /
- * locate / Hermite-basis expressions as the scalar eval, so in the
- * double instantiation each lane is bitwise-identical to a scalar eval
- * at that abscissa (float instantiations evaluate the same expressions
- * over the once-cast float knot mirrors). Out-of-range lanes (the
- * sentinel's huge radius) clamp to the last interval and produce
- * finite garbage that callers mask off.
- */
-template <typename T, int W>
-inline void
-evalSplineSimd(const CubicSpline::ViewT<T> &sp, const Simd<T, W> &x,
-               Simd<T, W> &value, Simd<T, W> &derivative)
-{
-    using D = Simd<T, W>;
-    using I = SimdIndex<W>;
-    const D nMinus1(static_cast<T>(sp.n - 1));
-    D s = (x - D(sp.x0)) / D(sp.dx);
-    s = D::min(D::max(s, D(T(0))), nMinus1);
-    const I idx =
-        I::min(D::truncToIndex(s),
-               static_cast<std::uint32_t>(sp.n - 2));
-    const D t = s - D::fromIndex(idx);
-    const D a = D(T(1)) - t;
-    const D yi = D::gather(sp.y, idx);
-    const D yi1 = D::gather(sp.y, idx + 1u);
-    const D mi = D::gather(sp.m, idx);
-    const D mi1 = D::gather(sp.m, idx + 1u);
-    const D h2 = D(sp.dx * sp.dx);
-    value = a * yi + t * yi1 +
-            ((a * a * a - a) * mi + (t * t * t - t) * mi1) * h2 / D(T(6));
-    derivative = (yi1 - yi) / D(sp.dx) +
-                 ((D(T(3)) * t * t - D(T(1))) * mi1 -
-                  (D(T(3)) * a * a - D(T(1))) * mi) *
-                     D(sp.dx) / D(T(6));
-}
-
-} // namespace
-
 EamTables
 EamTables::makeSyntheticCopper(double cutoff, int points)
 {
@@ -296,9 +255,10 @@ PairEAM::computeSimdImpl(Simulation &sim, const NeighborList &list)
 
     const std::uint32_t *packed = list.packedNeighbors.data();
     // Spline views in the tier's `real`: float tiers gather the
-    // once-cast knot mirrors (spline.h viewF). The embedding table is
-    // only evaluated by the double-tier W-wide pass; float tiers keep
-    // the per-atom embedding pass in scalar double (see below).
+    // once-cast coefficient mirrors (spline.h viewF). The embedding
+    // table is only evaluated by the double-tier W-wide pass; float
+    // tiers keep the per-atom embedding pass in scalar double (see
+    // below).
     SpView rhoTab, phiTab;
     [[maybe_unused]] CubicSpline::View embedTab;
     if constexpr (kDoubleTier) {

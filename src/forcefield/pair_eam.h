@@ -108,12 +108,12 @@ class PairEAM : public PairStyle
      * reproduces the scalar kernel's results.
      *
      * P is the precision policy (util/precision.h): the radial passes
-     * — the O(N * neighbors) work — run in P::real lanes over float
-     * spline-knot mirrors; the per-atom O(N) F-embedding pass stays in
-     * double at every tier (W-wide with a scalar tail on the double
-     * tier, plain scalar on float tiers), so rhoBar_ and fp_ always
-     * hold double. The double tier accumulates energy/virial in
-     * slice-long lane stripes (the bitwise-legacy order); float tiers
+     * — the O(N * neighbors) work — run in P::real lanes over the
+     * splines' float coefficient mirrors; the per-atom O(N) F-embedding
+     * pass stays in double at every tier (W-wide with a scalar tail
+     * on the double tier, plain scalar on float tiers), so rhoBar_ and
+     * fp_ always hold double. The double tier accumulates energy/virial
+     * in slice-long lane stripes (the bitwise-legacy order); float tiers
      * flush per-row partial sums into P::acc scalars. Host densities
      * and per-atom forces always accumulate in the double scratch
      * arrays.

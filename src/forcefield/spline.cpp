@@ -1,26 +1,26 @@
 #include "forcefield/spline.h"
 
-#include <algorithm>
+#include <utility>
 
 #include "util/error.h"
 
 namespace mdbench {
 
 CubicSpline::CubicSpline(double x0, double dx, std::vector<double> y)
-    : x0_(x0), dx_(dx), y_(std::move(y))
+    : x0_(x0), dx_(dx), invDx_(1.0 / dx), n_(y.size())
 {
     require(dx > 0.0, "spline grid spacing must be positive");
-    require(y_.size() >= 3, "spline needs at least three samples");
+    require(n_ >= 3, "spline needs at least three samples");
 
     // Solve the tridiagonal natural-spline system for second derivatives.
-    const std::size_t n = y_.size();
-    m_.assign(n, 0.0);
+    const std::size_t n = n_;
+    std::vector<double> m(n, 0.0);
     std::vector<double> diag(n, 0.0);
     std::vector<double> rhs(n, 0.0);
     diag[0] = 1.0;
     for (std::size_t i = 1; i + 1 < n; ++i) {
         diag[i] = 4.0;
-        rhs[i] = 6.0 * (y_[i + 1] - 2.0 * y_[i] + y_[i - 1]) / (dx_ * dx_);
+        rhs[i] = 6.0 * (y[i + 1] - 2.0 * y[i] + y[i - 1]) / (dx * dx);
     }
     diag[n - 1] = 1.0;
 
@@ -31,52 +31,22 @@ CubicSpline::CubicSpline(double x0, double dx, std::vector<double> y)
         rhs[i] -= w * rhs[i - 1];
     }
     for (std::size_t i = n - 1; i-- > 1;)
-        m_[i] = (rhs[i] - (i + 2 < n ? m_[i + 1] : 0.0)) / diag[i];
-}
+        m[i] = (rhs[i] - (i + 2 < n ? m[i + 1] : 0.0)) / diag[i];
 
-void
-CubicSpline::locate(double x, std::size_t &index, double &t) const
-{
-    const std::size_t n = y_.size();
-    double s = (x - x0_) / dx_;
-    s = std::clamp(s, 0.0, static_cast<double>(n - 1));
-    index = std::min(static_cast<std::size_t>(s), n - 2);
-    t = s - static_cast<double>(index);
-}
-
-double
-CubicSpline::value(double x) const
-{
-    double v;
-    double d;
-    eval(x, v, d);
-    return v;
-}
-
-double
-CubicSpline::derivative(double x) const
-{
-    double v;
-    double d;
-    eval(x, v, d);
-    return d;
-}
-
-void
-CubicSpline::eval(double x, double &value, double &derivative) const
-{
-    std::size_t i;
-    double t;
-    locate(x, i, t);
-    const double a = 1.0 - t;
-    const double h2 = dx_ * dx_;
-    value = a * y_[i] + t * y_[i + 1] +
-            ((a * a * a - a) * m_[i] + (t * t * t - t) * m_[i + 1]) * h2 /
-                6.0;
-    derivative = (y_[i + 1] - y_[i]) / dx_ +
-                 ((3.0 * t * t - 1.0) * m_[i + 1] -
-                  (3.0 * a * a - 1.0) * m_[i]) *
-                     dx_ / 6.0;
+    // Hermite form of interval i in t = (x - x_i) / dx, a = 1 - t:
+    //   a y_i + t y_{i+1} + ((a^3 - a) m_i + (t^3 - t) m_{i+1}) dx^2/6,
+    // expanded into powers of t.
+    const double h2o6 = dx * dx / 6.0;
+    c1_.resize(n - 1);
+    c2_.resize(n - 1);
+    c3_.resize(n - 1);
+    for (std::size_t i = 0; i + 1 < n; ++i) {
+        c1_[i] = (y[i + 1] - y[i]) - h2o6 * (2.0 * m[i] + m[i + 1]);
+        c2_[i] = 3.0 * h2o6 * m[i];
+        c3_[i] = h2o6 * (m[i + 1] - m[i]);
+    }
+    c0_ = std::move(y);
+    c0_.pop_back();
 }
 
 } // namespace mdbench

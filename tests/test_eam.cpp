@@ -6,7 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
+#include <vector>
 
 #include "forcefield/pair_eam.h"
 #include "forcefield/spline.h"
@@ -15,6 +18,7 @@
 #include "md/simulation.h"
 #include "md/velocity.h"
 #include "util/rng.h"
+#include "util/simd.h"
 
 namespace mdbench {
 namespace {
@@ -60,8 +64,104 @@ TEST(Spline, ExactAtKnots)
 TEST(Spline, ClampsOutsideRange)
 {
     CubicSpline spline(0.0, 1.0, {1.0, 2.0, 3.0});
-    EXPECT_NO_THROW(spline.value(-5.0));
-    EXPECT_NO_THROW(spline.value(10.0));
+    EXPECT_EQ(spline.value(-5.0), spline.value(0.0));
+    EXPECT_EQ(spline.derivative(-5.0), spline.derivative(0.0));
+    EXPECT_EQ(spline.value(10.0), spline.value(spline.xMax()));
+    EXPECT_EQ(spline.derivative(10.0), spline.derivative(spline.xMax()));
+}
+
+/**
+ * An irregular O(1) table on a power-of-two grid: knots, 1/dx and the
+ * local coordinate are exact, so the value just below a knot is
+ * evaluated on the interval to its left.
+ */
+CubicSpline
+wavySpline()
+{
+    const double x0 = 1.0;
+    const double dx = 0.125;
+    std::vector<double> samples(64);
+    for (std::size_t i = 0; i < samples.size(); ++i) {
+        const double x = x0 + static_cast<double>(i) * dx;
+        samples[i] = std::sin(1.3 * x) + 0.5 * std::cos(4.1 * x) + 0.2 * x;
+    }
+    return CubicSpline(x0, dx, samples);
+}
+
+TEST(Spline, DerivativeMatchesFiniteDifference)
+{
+    const CubicSpline spline = wavySpline();
+    const double h = 1e-6;
+    // Points well inside their intervals, so x +- h share the cubic.
+    for (double x = 1.03; x < spline.xMax(); x += 0.125) {
+        const double central =
+            (spline.value(x + h) - spline.value(x - h)) / (2.0 * h);
+        EXPECT_NEAR(spline.derivative(x), central, 1e-8) << x;
+    }
+}
+
+TEST(Spline, ContinuousAcrossInteriorKnots)
+{
+    const CubicSpline spline = wavySpline();
+    const double inf = std::numeric_limits<double>::infinity();
+    for (double knot = 1.125; knot < spline.xMax(); knot += 0.125) {
+        // The largest double below the knot lies on the left interval
+        // at t = 1 - O(1e-16); the knot itself is t = 0 on the right.
+        const double below = std::nextafter(knot, -inf);
+        double leftV, leftD, rightV, rightD;
+        spline.eval(below, leftV, leftD);
+        spline.eval(knot, rightV, rightD);
+        EXPECT_NEAR(leftV, rightV, 1e-12 * std::max(1.0, std::fabs(rightV)))
+            << knot;
+        EXPECT_NEAR(leftD, rightD, 1e-12 * std::max(1.0, std::fabs(rightD)))
+            << knot;
+    }
+}
+
+/** Every lane of a W-wide eval against CubicSpline::eval. */
+template <int W>
+void
+expectSimdEvalMatchesScalar(const CubicSpline &spline)
+{
+    using D = Simd<double, W>;
+    const CubicSpline::View view = spline.view();
+    // Abscissae sweep past both ends, so clamped lanes are covered.
+    std::vector<double> xs;
+    for (double x = 0.0; x < spline.xMax() + 1.0; x += 0.0173)
+        xs.push_back(x);
+    while (xs.size() % W != 0)
+        xs.push_back(spline.xMax() + 5.0);
+    for (std::size_t k = 0; k < xs.size(); k += W) {
+        D value, deriv;
+        evalSplineSimd<double, W>(view, D::loadu(xs.data() + k), value,
+                                  deriv);
+        alignas(64) double v[W], d[W];
+        value.storeu(v);
+        deriv.storeu(d);
+        for (int l = 0; l < W; ++l) {
+            double refV, refD;
+            spline.eval(xs[k + l], refV, refD);
+            if (kSimdCompiledWidth == 1) {
+                // No FMA codegen: the same expressions, bit for bit.
+                EXPECT_EQ(v[l], refV) << "W " << W << " x " << xs[k + l];
+                EXPECT_EQ(d[l], refD) << "W " << W << " x " << xs[k + l];
+            } else {
+                EXPECT_NEAR(v[l], refV, 1e-13)
+                    << "W " << W << " x " << xs[k + l];
+                EXPECT_NEAR(d[l], refD, 1e-13)
+                    << "W " << W << " x " << xs[k + l];
+            }
+        }
+    }
+}
+
+TEST(Spline, SimdEvalMatchesScalarAtEveryWidth)
+{
+    const CubicSpline spline = wavySpline();
+    expectSimdEvalMatchesScalar<1>(spline);
+    expectSimdEvalMatchesScalar<2>(spline);
+    expectSimdEvalMatchesScalar<4>(spline);
+    expectSimdEvalMatchesScalar<8>(spline);
 }
 
 TEST(EamTables, PairTermVanishesAtCutoff)

@@ -49,16 +49,30 @@ jitter(Simulation &sim)
     }
 }
 
+/** A jittered system from @p build, set up at @p tier and @p width. */
+template <typename Build>
 std::unique_ptr<Simulation>
-builtLJ(Precision tier, int width)
+builtAt(Build build, Precision tier, int width)
 {
     setPrecisionTier(tier);
     setSimdWidth(width);
-    auto sim = buildLJ(4);
+    auto sim = build();
     jitter(*sim);
     sim->thermoEvery = 0;
     sim->setup();
     return sim;
+}
+
+std::unique_ptr<Simulation>
+builtLJ(Precision tier, int width)
+{
+    return builtAt([] { return buildLJ(4); }, tier, width);
+}
+
+std::unique_ptr<Simulation>
+builtEAM(Precision tier, int width)
+{
+    return builtAt([] { return buildEAM(4); }, tier, width);
 }
 
 /** The tier's native vector width (float tiers double the lanes). */
@@ -145,16 +159,22 @@ TEST(PrecisionPacking, DefaultWidthDoublesLanesOnFloatTiers)
 
 // ------------------------------------------------- force agreement
 
-TEST(PrecisionForces, MixedMatchesDoubleWithinFloatTolerance)
+/**
+ * Both float tiers at their native width against the double scalar
+ * oracle. Per-pair forces are computed in float and accumulated in
+ * double, so the per-atom force error is bounded by float round-off on
+ * each pair term, a few ulp x the neighbor count. The documented
+ * tolerance is 1e-4 relative to the largest force component and 1e-5
+ * relative on the potential energy.
+ */
+void
+expectFloatTiersMatchDouble(std::unique_ptr<Simulation> (*built)(Precision,
+                                                                 int))
 {
-    // The mixed tier computes per-pair forces in float and accumulates
-    // in double: per-atom force error is bounded by float round-off on
-    // each pair term, a few ulp x the neighbor count. The documented
-    // tolerance is 1e-4 relative to the largest force component.
     TierGuard guard;
-    auto ref = builtLJ(Precision::Double, 0);
+    auto ref = built(Precision::Double, 0);
     for (Precision tier : {Precision::Mixed, Precision::Single}) {
-        auto sim = builtLJ(tier, nativeWidth(tier));
+        auto sim = built(tier, nativeWidth(tier));
         ASSERT_EQ(ref->atoms.nlocal(), sim->atoms.nlocal());
         double maxForce = 0.0;
         double maxDiff = 0.0;
@@ -173,6 +193,18 @@ TEST(PrecisionForces, MixedMatchesDoubleWithinFloatTolerance)
                     1e-5 * std::fabs(refEnergy))
             << precisionName(tier);
     }
+}
+
+TEST(PrecisionForces, MixedMatchesDoubleWithinFloatTolerance)
+{
+    expectFloatTiersMatchDouble(builtLJ);
+}
+
+TEST(PrecisionForces, EamMatchesDoubleWithinFloatTolerance)
+{
+    // The float tiers evaluate the EAM splines over once-cast float
+    // coefficient mirrors; the embedding pass stays double.
+    expectFloatTiersMatchDouble(builtEAM);
 }
 
 TEST(PrecisionForces, DoubleTierIsUnchangedByTheKnob)

@@ -15,6 +15,7 @@
 #include <functional>
 #include <memory>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "core/suite.h"
@@ -480,20 +481,26 @@ TEST(WidthApi, BackendNamesAreConsistent)
 {
     EXPECT_STREQ(simdBackendName(0), "scalar");
     EXPECT_STREQ(simdBackendName(-1), "scalar");
+    // The compiled ISA backend serves its own lane count; an AVX-512
+    // build also compiles the AVX2 specializations, which serve half
+    // that count. Every other width runs the generic template.
+    const std::string isa = simdIsaName();
+    const auto expected = [&](int w, int isaWidth) -> std::string {
+        if (w > 1 && w == isaWidth)
+            return isa;
+        if (isa == "avx512" && w == isaWidth / 2)
+            return "avx2";
+        return "generic";
+    };
     for (int w : {1, 2, 4, 8, 16}) {
         ASSERT_TRUE(simdWidthSupported(w));
-        const char *name = simdBackendName(w);
-        if (w == kSimdCompiledWidth && w > 1)
-            EXPECT_STREQ(name, simdIsaName());
-        else
-            EXPECT_STREQ(name, "generic");
+        EXPECT_EQ(simdBackendName(w), expected(w, kSimdCompiledWidth))
+            << "width " << w;
         // Float lanes at a given width use the ISA backend whose float
         // vector holds that many lanes (twice the double count).
-        const char *floatName = simdBackendName(w, true);
-        if (w == kSimdCompiledFloatWidth && w > 1)
-            EXPECT_STREQ(floatName, simdIsaName());
-        else
-            EXPECT_STREQ(floatName, "generic");
+        EXPECT_EQ(simdBackendName(w, true),
+                  expected(w, kSimdCompiledFloatWidth))
+            << "float width " << w;
     }
     EXPECT_FALSE(simdWidthSupported(3));
     EXPECT_FALSE(simdWidthSupported(32));
