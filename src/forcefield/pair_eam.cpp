@@ -1,10 +1,9 @@
 #include "forcefield/pair_eam.h"
 
-#include <array>
-#include <bit>
 #include <cmath>
 #include <type_traits>
 
+#include "forcefield/pair_kernel.h"
 #include "md/neighbor.h"
 #include "md/simulation.h"
 #include "obs/counters.h"
@@ -86,30 +85,9 @@ PairEAM::PairEAM(EamTables tables) : tables_(std::move(tables))
 void
 PairEAM::compute(Simulation &sim, const NeighborList &list)
 {
-    // The tier recorded at packing time governs: a knob flip between
-    // build and compute must not mismatch the padded geometry.
-    switch (list.packTier) {
-      case Precision::Mixed:
-        return dispatchWidth<PrecisionMixed>(sim, list);
-      case Precision::Single:
-        return dispatchWidth<PrecisionSingle>(sim, list);
-      default:
-        return dispatchWidth<PrecisionDouble>(sim, list);
-    }
-}
-
-template <typename P>
-void
-PairEAM::dispatchWidth(Simulation &sim, const NeighborList &list)
-{
-    switch (list.padWidth) {
-      case 1: return computeSimdImpl<P, 1>(sim, list);
-      case 2: return computeSimdImpl<P, 2>(sim, list);
-      case 4: return computeSimdImpl<P, 4>(sim, list);
-      case 8: return computeSimdImpl<P, 8>(sim, list);
-      case 16: return computeSimdImpl<P, 16>(sim, list);
-      default: return computeImpl(sim, list);
-    }
+    dispatchPairKernel(
+        list, [&] { computeImpl(sim, list); },
+        [&]<typename P, int W>() { computeSimdImpl<P, W>(sim, list); });
 }
 
 void
@@ -127,13 +105,13 @@ PairEAM::computeImpl(Simulation &sim, const NeighborList &list)
 
     ThreadPool &pool = ThreadPool::global();
     const SliceRange slices(0, nlocal, forceKernelGrain(nlocal));
-    std::array<double, SliceRange::kMaxSlices> energySlice{};
-    std::array<double, SliceRange::kMaxSlices> virialSlice{};
+    SlicePartials<double> embedSlice;
+    SlicePartials<double> energySlice;
+    SlicePartials<double> virialSlice;
 
     // Pass 1: host electron densities. Both sides of every pair go
-    // through the reduction scratch (see PairLJCut::compute);
-    // runAndReduce folds the per-slice partial sums into rhoBar_ in
-    // ascending slice order.
+    // through the reduction scratch; runAndReduce folds the per-slice
+    // partial sums into rhoBar_ in ascending slice order.
     rhoBar_.assign(nall, 0.0);
     const Vec3 *x = atoms.x.data();
     rhoScratch_.runAndReduce(pool, slices, nall, rhoBar_.data(), [&](
@@ -171,10 +149,9 @@ PairEAM::computeImpl(Simulation &sim, const NeighborList &list)
             embedEnergy += value;
             fp_[i] = deriv;
         }
-        energySlice[s] = embedEnergy;
+        embedSlice[s] = embedEnergy;
     });
-    for (int s = 0; s < slices.count(); ++s)
-        energy_ += energySlice[s];
+    energy_ = embedSlice.fold(slices, energy_);
     sim.comm->forwardScalar(sim, fp_);
 
     // Pass 2: forces from pair term + density-mediated embedding term.
@@ -212,10 +189,8 @@ PairEAM::computeImpl(Simulation &sim, const NeighborList &list)
         energySlice[s] = energy;
         virialSlice[s] = virial;
     });
-    for (int s = 0; s < slices.count(); ++s) {
-        energy_ += energySlice[s];
-        virial_ += virialSlice[s];
-    }
+    energy_ = energySlice.fold(slices, energy_);
+    virial_ = virialSlice.fold(slices, virial_);
 }
 
 template <typename P, int W>
@@ -223,7 +198,6 @@ void
 PairEAM::computeSimdImpl(Simulation &sim, const NeighborList &list)
 {
     using real = typename P::real;
-    using acc = typename P::acc;
     constexpr bool kDoubleTier = std::is_same_v<real, double>;
 
     static_assert(sizeof(Vec3) == 3 * sizeof(double));
@@ -246,8 +220,9 @@ PairEAM::computeSimdImpl(Simulation &sim, const NeighborList &list)
 
     ThreadPool &pool = ThreadPool::global();
     const SliceRange slices(0, nlocal, forceKernelGrain(nlocal));
-    std::array<double, SliceRange::kMaxSlices> energySlice{};
-    std::array<double, SliceRange::kMaxSlices> virialSlice{};
+    SlicePartials<double> embedSlice;
+    SlicePartials<double> energySlice;
+    SlicePartials<double> virialSlice;
 
     using D = Simd<real, W>;
     using M = SimdMask<real, W>;
@@ -280,8 +255,8 @@ PairEAM::computeSimdImpl(Simulation &sim, const NeighborList &list)
     // 0 and is refilled with F'(rho) before pass 2, folding the fpJ
     // gather into the same transpose.
     const std::size_t nallPad = nall + atoms.npad();
-    const real *xpackPtr = xpack<real>().stage(atoms.x.data(), nullptr,
-                                               nallPad);
+    const real *xpackPtr =
+        xpack_.get<real>().stage(atoms.x.data(), nullptr, nallPad);
 
     // Pass 1: host electron densities, W pairs at a time. The masked
     // contribution is an exact zero for rejected and sentinel lanes, so
@@ -294,8 +269,7 @@ PairEAM::computeSimdImpl(Simulation &sim, const NeighborList &list)
     rhoScratch_.runAndReduce(pool, slices, nall, rhoBar_.data(), [&](
         std::size_t sliceBegin, std::size_t sliceEnd, int, int buffer) {
         auto rho = rhoScratch_.acc(buffer);
-        // Lambda-locals so the rho scatters cannot force reloads of
-        // anything the inner loop keeps live (see PairLJCut).
+        // Lambda-locals (the hot-loop rule of forcefield/pair_kernel.h).
         const real *const xpk = xpackPtr;
         const std::uint32_t *const pk = packed;
         const SpView rhoSp = rhoTab;
@@ -327,14 +301,7 @@ PairEAM::computeSimdImpl(Simulation &sim, const NeighborList &list)
                 evalSplineSimd<real, W>(rhoSp, r, rhoV, rhoD);
                 const D contribution = D::select(mask, rhoV, zeroL);
                 rhoI += contribution;
-                // Set-bit walk ascending = the scalar ascending-k order.
-                alignas(64) real sc[W];
-                contribution.storeu(sc);
-                for (int rest = active; rest; rest &= rest - 1) {
-                    const int l =
-                        std::countr_zero(static_cast<unsigned>(rest));
-                    rho.at(pk[k + l]) += sc[l];
-                }
+                newtonScatter(rho, pk, k, active, contribution);
             }
             rho.at(i) += rhoI.sum();
         }
@@ -373,7 +340,7 @@ PairEAM::computeSimdImpl(Simulation &sim, const NeighborList &list)
             }
             // Vector sum first, tail second: the legacy summation
             // order, preserved bitwise.
-            energySlice[s] = embedAcc.sum() + embedTail;
+            embedSlice[s] = embedAcc.sum() + embedTail;
         } else {
             for (; i < sliceEnd; ++i) {
                 double value;
@@ -382,18 +349,17 @@ PairEAM::computeSimdImpl(Simulation &sim, const NeighborList &list)
                 embedTail += value;
                 fp_[i] = deriv;
             }
-            energySlice[s] = embedTail;
+            embedSlice[s] = embedTail;
         }
     });
-    for (int s = 0; s < slices.count(); ++s)
-        energy_ += energySlice[s];
+    energy_ = embedSlice.fold(slices, energy_);
     sim.comm->forwardScalar(sim, fp_);
 
     // Pass 2: forces. fScalar is masked (not the accumulators), so
     // rejected and sentinel lanes contribute exact zeros to fi, the
     // energies, and the virial, and are skipped by the Newton scatter.
     const double *fp = fp_.data();
-    xpackPtr = xpack<real>().setPayload(fp, nallPad);
+    xpackPtr = xpack_.get<real>().setPayload(fp, nallPad);
     fscratch_.runAndReduce(pool, slices, nall, atoms.f.data(), [&](
         std::size_t sliceBegin, std::size_t sliceEnd, int s, int buffer) {
         auto fw = fscratch_.acc(buffer);
@@ -404,23 +370,12 @@ PairEAM::computeSimdImpl(Simulation &sim, const NeighborList &list)
         const D cutSqL(static_cast<real>(cutSq));
         const D zeroL(real(0));
         const D minusOneL(real(-1));
-        // Energy/virial accumulation (see PairLJCut): the double tier
-        // keeps slice-long lane-striped accumulators — at W = 1 exactly
-        // the scalar kernel's running sums. Float tiers reset the lane
-        // stripes every row and flush the row sum into `acc` scalars.
-        D energyAcc(real(0));
-        D virialAcc(real(0));
-        acc energyRows = acc(0);
-        acc virialRows = acc(0);
+        TierSums<P, W, 2> sums; // [0] energy, [1] virial
         for (std::size_t i = sliceBegin; i < sliceEnd; ++i) {
             const real *xiRec = xpk + 4 * i;
             const D xiX(xiRec[0]), xiY(xiRec[1]), xiZ(xiRec[2]);
             const D fpI(xiRec[3]);
             D fiX(real(0)), fiY(real(0)), fiZ(real(0));
-            D rowEnergy(real(0));
-            D rowVirial(real(0));
-            D &eAcc = kDoubleTier ? energyAcc : rowEnergy;
-            D &vAcc = kDoubleTier ? virialAcc : rowVirial;
             const auto [begin, end] = list.packedRange(i);
             for (std::uint32_t k = begin; k < end; k += W) {
                 D xjX, xjY, xjZ, fpJ;
@@ -449,47 +404,18 @@ PairEAM::computeSimdImpl(Simulation &sim, const NeighborList &list)
                 fiX += fpx;
                 fiY += fpy;
                 fiZ += fpz;
-                // Newton scatter: pair terms spilled once, set-bit walk
-                // ascending = the scalar kernel's ascending-k order.
-                // Float-tier pair terms widen here, once per store.
-                alignas(64) real sx[W], sy[W], sz[W];
-                fpx.storeu(sx);
-                fpy.storeu(sy);
-                fpz.storeu(sz);
-                for (int rest = active; rest; rest &= rest - 1) {
-                    const int l =
-                        std::countr_zero(static_cast<unsigned>(rest));
-                    Vec3 &fj = fw.at(pk[k + l]);
-                    fj.x -= sx[l];
-                    fj.y -= sy[l];
-                    fj.z -= sz[l];
-                }
-                eAcc += D::select(mask, phiV, zeroL);
-                vAcc += fScalar * r;
+                newtonScatter(fw, pk, k, active, fpx, fpy, fpz);
+                sums[0] += D::select(mask, phiV, zeroL);
+                sums[1] += fScalar * r;
             }
-            // Row force sums widen into the double scratch arrays
-            // (float tiers: the once-per-atom widening).
-            Vec3 &fi = fw.at(i);
-            fi.x += fiX.sum();
-            fi.y += fiY.sum();
-            fi.z += fiZ.sum();
-            if constexpr (!kDoubleTier) {
-                energyRows += static_cast<acc>(rowEnergy.sum());
-                virialRows += static_cast<acc>(rowVirial.sum());
-            }
+            flushRowForce(fw.at(i), fiX, fiY, fiZ);
+            sums.endRow();
         }
-        if constexpr (kDoubleTier) {
-            energySlice[s] = energyAcc.sum();
-            virialSlice[s] = virialAcc.sum();
-        } else {
-            energySlice[s] = static_cast<double>(energyRows);
-            virialSlice[s] = static_cast<double>(virialRows);
-        }
+        energySlice[s] = sums.total(0);
+        virialSlice[s] = sums.total(1);
     });
-    for (int s = 0; s < slices.count(); ++s) {
-        energy_ += energySlice[s];
-        virial_ += virialSlice[s];
-    }
+    energy_ = energySlice.fold(slices, energy_);
+    virial_ = virialSlice.fold(slices, virial_);
 }
 
 } // namespace mdbench

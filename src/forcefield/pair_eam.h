@@ -18,7 +18,6 @@
 #ifndef MDBENCH_FORCEFIELD_PAIR_EAM_H
 #define MDBENCH_FORCEFIELD_PAIR_EAM_H
 
-#include <type_traits>
 #include <vector>
 
 #include "forcefield/spline.h"
@@ -83,18 +82,7 @@ class PairEAM : public PairStyle
      * F'(rho_j) in pass 2, which folds the fpJ gather into the same
      * transpose load.
      */
-    XPack<double> xpackD_;
-    XPack<float> xpackF_;
-
-    template <typename T>
-    XPack<T> &
-    xpack()
-    {
-        if constexpr (std::is_same_v<T, double>)
-            return xpackD_;
-        else
-            return xpackF_;
-    }
+    XPackTiers xpack_;
 
     /** The scalar two-pass kernel (the oracle for the SIMD path). */
     void computeImpl(Simulation &sim, const NeighborList &list);
@@ -112,18 +100,11 @@ class PairEAM : public PairStyle
      * splines' float coefficient mirrors; the per-atom O(N) F-embedding
      * pass stays in double at every tier (W-wide with a scalar tail
      * on the double tier, plain scalar on float tiers), so rhoBar_ and
-     * fp_ always hold double. The double tier accumulates energy/virial
-     * in slice-long lane stripes (the bitwise-legacy order); float tiers
-     * flush per-row partial sums into P::acc scalars. Host densities
-     * and per-atom forces always accumulate in the double scratch
-     * arrays.
+     * fp_ always hold double. Host densities and per-atom forces always
+     * accumulate in the double scratch arrays.
      */
     template <typename P, int W>
     void computeSimdImpl(Simulation &sim, const NeighborList &list);
-
-    /** Width dispatch: packed-list widths take the SIMD kernel. */
-    template <typename P>
-    void dispatchWidth(Simulation &sim, const NeighborList &list);
 };
 
 } // namespace mdbench

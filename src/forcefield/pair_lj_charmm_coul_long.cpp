@@ -1,10 +1,9 @@
 #include "forcefield/pair_lj_charmm_coul_long.h"
 
-#include <array>
-#include <bit>
 #include <cmath>
 #include <type_traits>
 
+#include "forcefield/pair_kernel.h"
 #include "md/neighbor.h"
 #include "md/simulation.h"
 #include "obs/counters.h"
@@ -89,41 +88,17 @@ PairLJCharmmCoulLong::coeff(int typeA, int typeB) const
 void
 PairLJCharmmCoulLong::compute(Simulation &sim, const NeighborList &list)
 {
+    const auto run = [&]<bool kSingleType>() {
+        dispatchPairKernel(
+            list, [&] { computeImpl<kSingleType>(sim, list); },
+            [&]<typename P, int W>() {
+                computeSimdImpl<P, W, kSingleType>(sim, list);
+            });
+    };
     if (ntypes_ == 1)
-        dispatch<true>(sim, list);
+        run.operator()<true>();
     else
-        dispatch<false>(sim, list);
-}
-
-template <bool kSingleType>
-void
-PairLJCharmmCoulLong::dispatch(Simulation &sim, const NeighborList &list)
-{
-    // The tier recorded at packing time governs: a knob flip between
-    // build and compute must not mismatch the padded geometry.
-    switch (list.packTier) {
-      case Precision::Mixed:
-        return dispatchWidth<PrecisionMixed, kSingleType>(sim, list);
-      case Precision::Single:
-        return dispatchWidth<PrecisionSingle, kSingleType>(sim, list);
-      default:
-        return dispatchWidth<PrecisionDouble, kSingleType>(sim, list);
-    }
-}
-
-template <typename P, bool kSingleType>
-void
-PairLJCharmmCoulLong::dispatchWidth(Simulation &sim,
-                                    const NeighborList &list)
-{
-    switch (list.padWidth) {
-      case 1: return computeSimdImpl<P, 1, kSingleType>(sim, list);
-      case 2: return computeSimdImpl<P, 2, kSingleType>(sim, list);
-      case 4: return computeSimdImpl<P, 4, kSingleType>(sim, list);
-      case 8: return computeSimdImpl<P, 8, kSingleType>(sim, list);
-      case 16: return computeSimdImpl<P, 16, kSingleType>(sim, list);
-      default: return computeImpl<kSingleType>(sim, list);
-    }
+        run.operator()<false>();
 }
 
 template <bool kSingleType>
@@ -137,8 +112,6 @@ PairLJCharmmCoulLong::computeImpl(Simulation &sim, const NeighborList &list)
     if (!coeffsBuilt_)
         buildCoeffs();
     resetAccumulators();
-    ecoul_ = 0.0;
-    evdwl_ = 0.0;
 
     AtomStore &atoms = sim.atoms;
     const double qqr2e = sim.units.qqr2e;
@@ -153,18 +126,18 @@ PairLJCharmmCoulLong::computeImpl(Simulation &sim, const NeighborList &list)
     const std::size_t nlocal = atoms.nlocal();
     ThreadPool &pool = ThreadPool::global();
     const SliceRange slices(0, nlocal, forceKernelGrain(nlocal));
-    std::array<double, SliceRange::kMaxSlices> ecoulSlice{};
-    std::array<double, SliceRange::kMaxSlices> evdwlSlice{};
-    std::array<double, SliceRange::kMaxSlices> virialSlice{};
+    SlicePartials<double> ecoulSlice;
+    SlicePartials<double> evdwlSlice;
+    SlicePartials<double> virialSlice;
 
     const Vec3 *x = atoms.x.data();
     const int *type = atoms.type.data();
     const double *q = atoms.q.data();
     const Coeff *coeffs = coeffs_.data();
     const Coeff cSingle = coeff(1, 1);
-    // Every force write goes through the reduction scratch (see
-    // PairLJCut::compute); runAndReduce folds the per-slice partial
-    // sums into f in ascending slice order.
+    // Every force write goes through the reduction scratch;
+    // runAndReduce folds the per-slice partial sums into f in
+    // ascending slice order.
     fscratch_.runAndReduce(pool, slices, atoms.nall(), atoms.f.data(), [&](
         std::size_t sliceBegin, std::size_t sliceEnd, int s, int buffer) {
         auto fw = fscratch_.acc(buffer);
@@ -174,8 +147,7 @@ PairLJCharmmCoulLong::computeImpl(Simulation &sim, const NeighborList &list)
         for (std::size_t i = sliceBegin; i < sliceEnd; ++i) {
             const Vec3 xi = x[i];
             const double qi = q[i];
-            // One 2-D table row per i, not one lookup per pair (see
-            // PairLJCut::computeImpl).
+            // One 2-D table row per i, not one lookup per pair.
             const Coeff *row =
                 kSingleType ? nullptr
                             : coeffs + static_cast<std::size_t>(type[i]) *
@@ -235,11 +207,9 @@ PairLJCharmmCoulLong::computeImpl(Simulation &sim, const NeighborList &list)
         virialSlice[s] = virial;
     });
 
-    for (int s = 0; s < slices.count(); ++s) {
-        ecoul_ += ecoulSlice[s];
-        evdwl_ += evdwlSlice[s];
-        virial_ += virialSlice[s];
-    }
+    ecoul_ = ecoulSlice.fold(slices);
+    evdwl_ = evdwlSlice.fold(slices);
+    virial_ = virialSlice.fold(slices);
     energy_ = ecoul_ + evdwl_;
 }
 
@@ -249,7 +219,6 @@ PairLJCharmmCoulLong::computeSimdImpl(Simulation &sim,
                                       const NeighborList &list)
 {
     using real = typename P::real;
-    using acc = typename P::acc;
     constexpr bool kDoubleTier = std::is_same_v<real, double>;
 
     static_assert(sizeof(Coeff) == 4 * sizeof(double));
@@ -268,8 +237,6 @@ PairLJCharmmCoulLong::computeSimdImpl(Simulation &sim,
     if (!coeffsBuilt_)
         buildCoeffs();
     resetAccumulators();
-    ecoul_ = 0.0;
-    evdwl_ = 0.0;
 
     AtomStore &atoms = sim.atoms;
     const double qqr2e = sim.units.qqr2e;
@@ -284,9 +251,9 @@ PairLJCharmmCoulLong::computeSimdImpl(Simulation &sim,
     const std::size_t nlocal = atoms.nlocal();
     ThreadPool &pool = ThreadPool::global();
     const SliceRange slices(0, nlocal, forceKernelGrain(nlocal));
-    std::array<double, SliceRange::kMaxSlices> ecoulSlice{};
-    std::array<double, SliceRange::kMaxSlices> evdwlSlice{};
-    std::array<double, SliceRange::kMaxSlices> virialSlice{};
+    SlicePartials<double> ecoulSlice;
+    SlicePartials<double> evdwlSlice;
+    SlicePartials<double> virialSlice;
 
     using D = Simd<real, W>;
     using I = SimdIndex<W>;
@@ -308,16 +275,14 @@ PairLJCharmmCoulLong::computeSimdImpl(Simulation &sim,
     // loads instead of four hardware gathers per group — and float
     // tiers convert coordinates and charges exactly once per compute.
     const std::size_t nallPad = atoms.nall() + atoms.npad();
-    const real *xpackPtr = xpack<real>().stage(atoms.x.data(), q, nallPad);
+    const real *xpackPtr =
+        xpack_.get<real>().stage(atoms.x.data(), q, nallPad);
 
     fscratch_.runAndReduce(pool, slices, atoms.nall(), f, [&](
         std::size_t sliceBegin, std::size_t sliceEnd, int s, int buffer) {
         auto fw = fscratch_.acc(buffer);
-        // Everything the inner loop touches lives in lambda-locals, not
-        // reference captures: the force scatters store through double
-        // pointers, and values reached through the closure would have
-        // to be conservatively reloaded after every such store (see
-        // PairLJCut).
+        // Everything the inner loop touches lives in lambda-locals
+        // (the hot-loop rule of forcefield/pair_kernel.h).
         const real *const xpk = xpackPtr;
         const std::uint32_t *const pk = packed;
         const D cutAllSqV(static_cast<real>(cutAllSq));
@@ -338,16 +303,7 @@ PairLJCharmmCoulLong::computeSimdImpl(Simulation &sim,
         const D lj2S(static_cast<real>(cSingle.lj2));
         const D lj3S(static_cast<real>(cSingle.lj3));
         const D lj4S(static_cast<real>(cSingle.lj4));
-        // Energy/virial accumulation (see PairLJCut): the double tier
-        // keeps slice-long lane-striped accumulators — at W = 1 exactly
-        // the scalar kernel's running sums. Float tiers reset the lane
-        // stripes every row and flush the row sum into `acc` scalars.
-        D ecoulAcc(real(0));
-        D evdwlAcc(real(0));
-        D virialAcc(real(0));
-        acc ecoulRows = acc(0);
-        acc evdwlRows = acc(0);
-        acc virialRows = acc(0);
+        TierSums<P, W, 3> sums; // [0] ecoul, [1] evdwl, [2] virial
         for (std::size_t i = sliceBegin; i < sliceEnd; ++i) {
             const real *xiRec = xpk + 4 * i;
             // Charge in full precision from the source array (the pack
@@ -363,12 +319,6 @@ PairLJCharmmCoulLong::computeSimdImpl(Simulation &sim,
                                   static_cast<std::uint32_t>(ntypes_ + 1);
             const D xiX(xiRec[0]), xiY(xiRec[1]), xiZ(xiRec[2]);
             D fiX(real(0)), fiY(real(0)), fiZ(real(0));
-            D rowEcoul(real(0));
-            D rowEvdwl(real(0));
-            D rowVirial(real(0));
-            D &ecAcc = kDoubleTier ? ecoulAcc : rowEcoul;
-            D &evAcc = kDoubleTier ? evdwlAcc : rowEvdwl;
-            D &viAcc = kDoubleTier ? virialAcc : rowVirial;
             const auto [begin, end] = list.packedRange(i);
             for (std::uint32_t k = begin; k < end; k += W) {
                 D xjX, xjY, xjZ, qj;
@@ -405,14 +355,11 @@ PairLJCharmmCoulLong::computeSimdImpl(Simulation &sim,
                     real erfcArr[W] = {};
                     real expm2Arr[W] = {};
                     grij.storeu(grijArr);
-                    for (int rest = coulMask.bits(); rest;
-                         rest &= rest - 1) {
-                        const int l = std::countr_zero(
-                            static_cast<unsigned>(rest));
+                    forEachLane(coulMask.bits(), [&](int l) {
                         const real grijL = grijArr[l];
                         expm2Arr[l] = std::exp(-grijL * grijL);
                         erfcArr[l] = std::erfc(grijL);
-                    }
+                    });
                     const D expm2 = D::loadu(expm2Arr);
                     const D erfcV = D::loadu(erfcArr);
                     const D prefactor = qqr2eQiV * qj / r;
@@ -420,7 +367,7 @@ PairLJCharmmCoulLong::computeSimdImpl(Simulation &sim,
                         coulMask,
                         prefactor * (erfcV + kSqrtPiInv2V * grij * expm2),
                         zero);
-                    ecAcc +=
+                    sums[0] +=
                         D::select(coulMask, prefactor * erfcV, zero);
                 }
 
@@ -456,7 +403,7 @@ PairLJCharmmCoulLong::computeSimdImpl(Simulation &sim,
                     forcelj);
                 philj = D::select(switchMask, philj * switch1, philj);
                 forcelj = D::select(ljMask, forcelj, zero);
-                evAcc += D::select(ljMask, philj, zero);
+                sums[1] += D::select(ljMask, philj, zero);
 
                 const D fpair = (forcecoul + forcelj) * r2inv;
                 const D fpx = dx * fpair;
@@ -465,52 +412,20 @@ PairLJCharmmCoulLong::computeSimdImpl(Simulation &sim,
                 fiX = D::select(anyMask, fiX + fpx, fiX);
                 fiY = D::select(anyMask, fiY + fpy, fiY);
                 fiZ = D::select(anyMask, fiZ + fpz, fiZ);
-                // Newton scatter: pair terms spilled once, set-bit walk
-                // ascending = the scalar kernel's ascending-k order.
-                // Float-tier pair terms widen here, once per store.
-                alignas(64) real sx[W], sy[W], sz[W];
-                fpx.storeu(sx);
-                fpy.storeu(sy);
-                fpz.storeu(sz);
-                for (int rest = anyBits; rest; rest &= rest - 1) {
-                    const int l =
-                        std::countr_zero(static_cast<unsigned>(rest));
-                    Vec3 &fj = fw.at(pk[k + l]);
-                    fj.x -= sx[l];
-                    fj.y -= sy[l];
-                    fj.z -= sz[l];
-                }
-                viAcc +=
-                    D::select(anyMask, fpair * rsq, zero);
+                newtonScatter(fw, pk, k, anyBits, fpx, fpy, fpz);
+                sums[2] += D::select(anyMask, fpair * rsq, zero);
             }
-            // Row force sums widen into the double scratch arrays
-            // (float tiers: the once-per-atom widening).
-            Vec3 &fi = fw.at(i);
-            fi.x += fiX.sum();
-            fi.y += fiY.sum();
-            fi.z += fiZ.sum();
-            if constexpr (!kDoubleTier) {
-                ecoulRows += static_cast<acc>(rowEcoul.sum());
-                evdwlRows += static_cast<acc>(rowEvdwl.sum());
-                virialRows += static_cast<acc>(rowVirial.sum());
-            }
+            flushRowForce(fw.at(i), fiX, fiY, fiZ);
+            sums.endRow();
         }
-        if constexpr (kDoubleTier) {
-            ecoulSlice[s] = ecoulAcc.sum();
-            evdwlSlice[s] = evdwlAcc.sum();
-            virialSlice[s] = virialAcc.sum();
-        } else {
-            ecoulSlice[s] = static_cast<double>(ecoulRows);
-            evdwlSlice[s] = static_cast<double>(evdwlRows);
-            virialSlice[s] = static_cast<double>(virialRows);
-        }
+        ecoulSlice[s] = sums.total(0);
+        evdwlSlice[s] = sums.total(1);
+        virialSlice[s] = sums.total(2);
     });
 
-    for (int s = 0; s < slices.count(); ++s) {
-        ecoul_ += ecoulSlice[s];
-        evdwl_ += evdwlSlice[s];
-        virial_ += virialSlice[s];
-    }
+    ecoul_ = ecoulSlice.fold(slices);
+    evdwl_ = evdwlSlice.fold(slices);
+    virial_ = virialSlice.fold(slices);
     energy_ = ecoul_ + evdwl_;
 }
 

@@ -13,7 +13,6 @@
 #ifndef MDBENCH_FORCEFIELD_PAIR_LJ_CHARMM_COUL_LONG_H
 #define MDBENCH_FORCEFIELD_PAIR_LJ_CHARMM_COUL_LONG_H
 
-#include <type_traits>
 #include <vector>
 
 #include "md/styles.h"
@@ -92,18 +91,7 @@ class PairLJCharmmCoulLong : public PairStyle
      * hardware gathers (and, on float tiers, converts each coordinate
      * and charge once per compute instead of once per pair).
      */
-    XPack<double> xpackD_;
-    XPack<float> xpackF_;
-
-    template <typename T>
-    XPack<T> &
-    xpack()
-    {
-        if constexpr (std::is_same_v<T, double>)
-            return xpackD_;
-        else
-            return xpackF_;
-    }
+    XPackTiers xpack_;
 
     void buildCoeffs();
 
@@ -124,26 +112,12 @@ class PairLJCharmmCoulLong : public PairStyle
      * out-of-range lanes skip them exactly as the scalar branch does).
      * Mirrors computeImpl's operation order, so at W = 1 on a no-FMA
      * build the double-tier instantiation reproduces the scalar
-     * kernel's results.
-     *
-     * P is the precision policy (util/precision.h): per-pair
-     * arithmetic — including the per-lane erfc/exp calls, which
-     * resolve to the float libm overloads — runs in P::real; the
-     * double tier accumulates energies/virial in slice-long lane
-     * stripes (the bitwise-legacy order), float tiers flush per-row
-     * partial sums into P::acc scalars. Per-atom forces always land
-     * in the double scratch arrays, widened once per atom row.
+     * kernel's results. P is the precision policy (util/precision.h);
+     * per-pair arithmetic, including the per-lane erfc/exp calls
+     * (float libm overloads on float tiers), runs in P::real.
      */
     template <typename P, int W, bool kSingleType>
     void computeSimdImpl(Simulation &sim, const NeighborList &list);
-
-    /** Tier dispatch: the list's recorded packTier picks the policy. */
-    template <bool kSingleType>
-    void dispatch(Simulation &sim, const NeighborList &list);
-
-    /** Width dispatch: packed-list widths take the SIMD kernel. */
-    template <typename P, bool kSingleType>
-    void dispatchWidth(Simulation &sim, const NeighborList &list);
 };
 
 } // namespace mdbench

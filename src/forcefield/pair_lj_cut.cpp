@@ -1,10 +1,9 @@
 #include "forcefield/pair_lj_cut.h"
 
-#include <array>
-#include <bit>
 #include <cmath>
 #include <type_traits>
 
+#include "forcefield/pair_kernel.h"
 #include "md/neighbor.h"
 #include "md/simulation.h"
 #include "obs/counters.h"
@@ -112,62 +111,23 @@ PairLJCut::mix(MixRule rule)
 void
 PairLJCut::compute(Simulation &sim, const NeighborList &list)
 {
+    // The list flavor is a template parameter so the full-list SIMD loop
+    // carries no Newton-scatter code at all — compiled in, it inflates
+    // register pressure enough to spill the hoisted constants out of
+    // the hot loop.
+    const auto run = [&]<bool kSingleType, bool kHalf>() {
+        dispatchPairKernel(
+            list, [&] { computeImpl<kSingleType>(sim, list); },
+            [&]<typename P, int W>() {
+                computeSimdImpl<P, W, kSingleType, kHalf>(sim, list);
+            });
+    };
     if (ntypes_ == 1)
-        dispatch<true>(sim, list);
+        list.full ? run.operator()<true, false>()
+                  : run.operator()<true, true>();
     else
-        dispatch<false>(sim, list);
-}
-
-template <bool kSingleType>
-void
-PairLJCut::dispatch(Simulation &sim, const NeighborList &list)
-{
-    // The list records the precision tier its padded packing was built
-    // for (util/precision.h): float tiers run the same kernel
-    // instantiated over float lanes, at twice the lane count per ISA
-    // level. padWidth 0 (SIMD layer off) takes the scalar double
-    // oracle regardless of tier.
-    switch (list.packTier) {
-      case Precision::Mixed:
-        return dispatchWidth<PrecisionMixed, kSingleType>(sim, list);
-      case Precision::Single:
-        return dispatchWidth<PrecisionSingle, kSingleType>(sim, list);
-      default:
-        return dispatchWidth<PrecisionDouble, kSingleType>(sim, list);
-    }
-}
-
-template <typename P, bool kSingleType>
-void
-PairLJCut::dispatchWidth(Simulation &sim, const NeighborList &list)
-{
-    // The generic backend compiles every width on every build, so the
-    // packed path is exercised even by portable/sanitizer builds when a
-    // width is forced; padWidth 0 (SIMD layer off) takes the scalar
-    // oracle below. The list flavor is a template parameter so the
-    // full-list loop carries no Newton-scatter code at all — compiled
-    // in, it inflates register pressure enough to spill the hoisted
-    // constants out of the hot loop.
-    const bool half = !list.full;
-    switch (list.padWidth) {
-      case 1:
-        return half ? computeSimdImpl<P, 1, kSingleType, true>(sim, list)
-                    : computeSimdImpl<P, 1, kSingleType, false>(sim, list);
-      case 2:
-        return half ? computeSimdImpl<P, 2, kSingleType, true>(sim, list)
-                    : computeSimdImpl<P, 2, kSingleType, false>(sim, list);
-      case 4:
-        return half ? computeSimdImpl<P, 4, kSingleType, true>(sim, list)
-                    : computeSimdImpl<P, 4, kSingleType, false>(sim, list);
-      case 8:
-        return half ? computeSimdImpl<P, 8, kSingleType, true>(sim, list)
-                    : computeSimdImpl<P, 8, kSingleType, false>(sim, list);
-      case 16:
-        return half ? computeSimdImpl<P, 16, kSingleType, true>(sim, list)
-                    : computeSimdImpl<P, 16, kSingleType, false>(sim, list);
-      default:
-        return computeImpl<kSingleType>(sim, list);
-    }
+        list.full ? run.operator()<false, false>()
+                  : run.operator()<false, true>();
 }
 
 template <bool kSingleType>
@@ -189,8 +149,8 @@ PairLJCut::computeImpl(Simulation &sim, const NeighborList &list)
 
     ThreadPool &pool = ThreadPool::global();
     const SliceRange slices(0, nlocal, forceKernelGrain(nlocal));
-    std::array<double, SliceRange::kMaxSlices> energySlice{};
-    std::array<double, SliceRange::kMaxSlices> virialSlice{};
+    SlicePartials<double> energySlice;
+    SlicePartials<double> virialSlice;
 
     const Vec3 *x = atoms.x.data();
     const int *type = atoms.type.data();
@@ -255,10 +215,8 @@ PairLJCut::computeImpl(Simulation &sim, const NeighborList &list)
             kernel(begin, end, s, -1);
         });
     }
-    for (int s = 0; s < slices.count(); ++s) {
-        energy_ += energySlice[s];
-        virial_ += virialSlice[s];
-    }
+    energy_ = energySlice.fold(slices, energy_);
+    virial_ = virialSlice.fold(slices, virial_);
 }
 
 template <typename P, int W, bool kSingleType, bool kHalf>
@@ -266,7 +224,6 @@ void
 PairLJCut::computeSimdImpl(Simulation &sim, const NeighborList &list)
 {
     using real = typename P::real;
-    using acc = typename P::acc;
     constexpr bool kDoubleTier = std::is_same_v<real, double>;
 
     // Coeff gathers index the table as a flat element array: the struct
@@ -293,8 +250,8 @@ PairLJCut::computeSimdImpl(Simulation &sim, const NeighborList &list)
 
     ThreadPool &pool = ThreadPool::global();
     const SliceRange slices(0, nlocal, forceKernelGrain(nlocal));
-    std::array<double, SliceRange::kMaxSlices> energySlice{};
-    std::array<double, SliceRange::kMaxSlices> virialSlice{};
+    SlicePartials<double> energySlice;
+    SlicePartials<double> virialSlice;
 
     using D = Simd<real, W>;
     using I = SimdIndex<W>;
@@ -317,18 +274,16 @@ PairLJCut::computeSimdImpl(Simulation &sim, const NeighborList &list)
     // three hardware gathers per group — and float tiers convert each
     // coordinate exactly once per compute, not once per pair.
     const std::size_t nallPad = atoms.nall() + atoms.npad();
-    const real *xpackPtr = xpack<real>().stage(atoms.x.data(), nullptr,
-                                               nallPad);
+    const real *xpackPtr =
+        xpack_.get<real>().stage(atoms.x.data(), nullptr, nallPad);
 
     auto kernel = [&](std::size_t sliceBegin, std::size_t sliceEnd, int s,
                       int buffer) {
         ReduceScratch<Vec3>::Accumulator fw;
         if constexpr (kHalf)
             fw = fscratch_.acc(buffer);
-        // Everything the inner loop touches lives in lambda-locals, not
-        // reference captures: the force scatters store through double
-        // pointers, and values reached through the closure would have
-        // to be conservatively reloaded after every such store.
+        // Everything the inner loop touches lives in lambda-locals
+        // (the hot-loop rule of forcefield/pair_kernel.h).
         const real *const xpk = xpackPtr;
         const std::uint32_t *const pk = packed;
         const D cutSqV(static_cast<real>(cutSq));
@@ -337,17 +292,7 @@ PairLJCut::computeSimdImpl(Simulation &sim, const NeighborList &list)
         const D lj3S(static_cast<real>(cSingle.lj3));
         const D lj4S(static_cast<real>(cSingle.lj4));
         const D eshS(static_cast<real>(cSingle.eshift));
-        // Energy/virial accumulation (the tier's `acc` rule): the
-        // double tier keeps slice-long lane-striped accumulators
-        // reduced once per slice — at W = 1 exactly the scalar
-        // kernel's running sum, preserved bitwise. Float tiers reset
-        // the lane stripes every row and flush the row sum into an
-        // `acc` scalar (double for mixed, float for single), bounding
-        // float accumulation error at the row length.
-        D energyAcc(real(0));
-        D virialAcc(real(0));
-        acc energyRows = acc(0);
-        acc virialRows = acc(0);
+        TierSums<P, W, 2> sums; // [0] energy, [1] virial
         for (std::size_t i = sliceBegin; i < sliceEnd; ++i) {
             const real *xiRec = xpk + 4 * i;
             const std::uint32_t rowBase =
@@ -356,10 +301,6 @@ PairLJCut::computeSimdImpl(Simulation &sim, const NeighborList &list)
                                   static_cast<std::uint32_t>(ntypes_ + 1);
             const D xiX(xiRec[0]), xiY(xiRec[1]), xiZ(xiRec[2]);
             D fiX(real(0)), fiY(real(0)), fiZ(real(0));
-            D rowEnergy(real(0));
-            D rowVirial(real(0));
-            D &eAcc = kDoubleTier ? energyAcc : rowEnergy;
-            D &vAcc = kDoubleTier ? virialAcc : rowVirial;
             const auto [begin, end] = list.packedRange(i);
             for (std::uint32_t k = begin; k < end; k += W) {
                 D xjX, xjY, xjZ;
@@ -412,24 +353,7 @@ PairLJCut::computeSimdImpl(Simulation &sim, const NeighborList &list)
                     fiX += fpx;
                     fiY += fpy;
                     fiZ += fpz;
-                    // Newton scatter: the pair terms are spilled once and
-                    // the set-bit walk visits lanes ascending, matching
-                    // the scalar kernel's ascending-k order; masked lanes
-                    // (incl. the sentinel) are skipped exactly as the
-                    // scalar `continue` skips them. Float-tier pair
-                    // terms widen here, once per store.
-                    alignas(64) real sx[W], sy[W], sz[W];
-                    fpx.storeu(sx);
-                    fpy.storeu(sy);
-                    fpz.storeu(sz);
-                    for (int rest = active; rest; rest &= rest - 1) {
-                        const int l = std::countr_zero(
-                            static_cast<unsigned>(rest));
-                        Vec3 &fj = fw.at(pk[k + l]);
-                        fj.x -= sx[l];
-                        fj.y -= sy[l];
-                        fj.z -= sz[l];
-                    }
+                    newtonScatter(fw, pk, k, active, fpx, fpy, fpz);
                 } else {
                     // Same value as fiX += dx*forcelj (addition order is
                     // commutative bitwise), fused on the ISA backends.
@@ -442,39 +366,15 @@ PairLJCut::computeSimdImpl(Simulation &sim, const NeighborList &list)
                 // a power of two commutes exactly with every rounding
                 // step, so this is bitwise identical to scaling each
                 // pair term (and saves two multiplies per group).
-                eAcc += D::maskZero(
+                sums[0] += D::maskZero(
                     mask, D::fms(r6inv, D::fms(lj3, r6inv, lj4), esh));
-                vAcc = D::fma(forcelj, r2, vAcc);
+                sums[1] = D::fma(forcelj, r2, sums[1]);
             }
-            // Row force sums land in the double force arrays — for
-            // float tiers this is the once-per-atom widening that
-            // makes mixed "float arithmetic, double accumulation".
-            real rx, ry, rz;
-            sumXyz(fiX, fiY, fiZ, rx, ry, rz);
-            if constexpr (kHalf) {
-                Vec3 &fi = fw.at(i);
-                fi.x += rx;
-                fi.y += ry;
-                fi.z += rz;
-            } else {
-                f[i].x += rx;
-                f[i].y += ry;
-                f[i].z += rz;
-            }
-            if constexpr (!kDoubleTier) {
-                real re, rv;
-                sumPair(rowEnergy, rowVirial, re, rv);
-                energyRows += static_cast<acc>(re);
-                virialRows += static_cast<acc>(rv);
-            }
+            flushRowForce(kHalf ? fw.at(i) : f[i], fiX, fiY, fiZ);
+            sums.endRow();
         }
-        if constexpr (kDoubleTier) {
-            energySlice[s] = pairScale * energyAcc.sum();
-            virialSlice[s] = pairScale * virialAcc.sum();
-        } else {
-            energySlice[s] = pairScale * static_cast<double>(energyRows);
-            virialSlice[s] = pairScale * static_cast<double>(virialRows);
-        }
+        energySlice[s] = pairScale * sums.total(0);
+        virialSlice[s] = pairScale * sums.total(1);
     };
     if constexpr (kHalf) {
         fscratch_.runAndReduce(pool, slices, atoms.nall(), f, kernel);
@@ -483,10 +383,8 @@ PairLJCut::computeSimdImpl(Simulation &sim, const NeighborList &list)
             kernel(begin, end, s, -1);
         });
     }
-    for (int s = 0; s < slices.count(); ++s) {
-        energy_ += energySlice[s];
-        virial_ += virialSlice[s];
-    }
+    energy_ = energySlice.fold(slices, energy_);
+    virial_ = virialSlice.fold(slices, virial_);
 }
 
 } // namespace mdbench

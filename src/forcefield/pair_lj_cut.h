@@ -7,7 +7,6 @@
 #ifndef MDBENCH_FORCEFIELD_PAIR_LJ_CUT_H
 #define MDBENCH_FORCEFIELD_PAIR_LJ_CUT_H
 
-#include <type_traits>
 #include <vector>
 
 #include "md/styles.h"
@@ -78,15 +77,9 @@ class PairLJCut : public PairStyle
      * per-lane masked scatter for the j-side Newton updates. Mirrors
      * computeImpl's operation order exactly, so at W = 1 on a
      * no-FMA build the double-tier instantiation reproduces the scalar
-     * kernel's results.
-     *
-     * P is the precision policy (util/precision.h): per-pair
-     * arithmetic runs in P::real lanes; the double tier accumulates
-     * energy/virial in slice-long lane stripes (the bitwise-legacy
-     * order), float tiers flush per-row partial sums into P::acc
-     * scalars (double for mixed, float for single). Per-atom forces
-     * always land in the double AtomStore/scratch arrays — float
-     * tiers widen once per atom row.
+     * kernel's results. P is the precision policy (util/precision.h);
+     * the shared accumulation and flush steps live in
+     * forcefield/pair_kernel.h.
      *
      * kHalf bakes the list flavor in at compile time: the full-list
      * instantiation carries no Newton-scatter code (which would
@@ -95,14 +88,6 @@ class PairLJCut : public PairStyle
      */
     template <typename P, int W, bool kSingleType, bool kHalf>
     void computeSimdImpl(Simulation &sim, const NeighborList &list);
-
-    /** Tier dispatch: the list's recorded packTier picks the policy. */
-    template <bool kSingleType>
-    void dispatch(Simulation &sim, const NeighborList &list);
-
-    /** Width dispatch: packed-list widths take the SIMD kernel. */
-    template <typename P, bool kSingleType>
-    void dispatchWidth(Simulation &sim, const NeighborList &list);
 
     /** Rebuild the float coefficient mirror if coefficients changed. */
     void refreshFloatCoeffs();
@@ -129,18 +114,7 @@ class PairLJCut : public PairStyle
      * loadXyzw so the SIMD kernel loads j positions without hardware
      * gathers (and, on float tiers, without per-pair conversions).
      */
-    XPack<double> xpackD_;
-    XPack<float> xpackF_;
-
-    template <typename T>
-    XPack<T> &
-    xpack()
-    {
-        if constexpr (std::is_same_v<T, double>)
-            return xpackD_;
-        else
-            return xpackF_;
-    }
+    XPackTiers xpack_;
 };
 
 } // namespace mdbench

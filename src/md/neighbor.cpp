@@ -242,7 +242,7 @@ struct BuildCtx
     }
 };
 
-/** Per-build candidate and exclusion totals (from the pass run once). */
+/** Per-build candidate and exclusion totals. */
 struct BuildTally
 {
     std::size_t candidates = 0; ///< stencil slots examined
@@ -324,12 +324,10 @@ stencilRuns(const BuildCtx &c, const mdbench::Vec3 &xi)
  * end) and are masked off by the lane-index compare before they can
  * contribute.
  *
- * With Fill unset only the accepted count is computed (the threaded
- * two-pass build's first pass). The caller precomputes @p runs — once
- * per row per pass — and charges runs.total and @p excluded to the
- * counters from the pass that runs once.
+ * The caller precomputes @p runs and charges runs.total to the
+ * counters.
  */
-template <int W, bool Full, bool Fill, bool Special>
+template <int W, bool Full, bool Special>
 inline std::uint32_t
 fillRowSimdImpl(const BuildCtx &c, std::size_t i, const StencilRuns &runs,
                 std::uint32_t *dst, std::size_t &excluded)
@@ -382,13 +380,7 @@ fillRowSimdImpl(const BuildCtx &c, std::size_t i, const StencilRuns &runs,
                 }
             }
         }
-        if constexpr (Fill) {
-            n += static_cast<std::uint32_t>(
-                compressStore(dst + n, ids, bits));
-        } else {
-            n += static_cast<std::uint32_t>(
-                std::popcount(static_cast<unsigned>(bits)));
-        }
+        n += static_cast<std::uint32_t>(compressStore(dst + n, ids, bits));
     };
     constexpr int kFullMask = (1 << W) - 1;
     for (int run = 0; run < runs.count; ++run) {
@@ -410,92 +402,168 @@ fillRowSimdImpl(const BuildCtx &c, std::size_t i, const StencilRuns &runs,
  * instantiation that tests accepted lanes against them, so rows (and
  * systems) without exclusions run the plain predicate.
  */
-template <int W, bool Full, bool Fill>
+template <int W, bool Full>
 inline std::uint32_t
 fillRowSimd(const BuildCtx &c, std::size_t i, const StencilRuns &runs,
             std::uint32_t *dst, std::size_t &excluded)
 {
     const auto [special, specialEnd] = c.special(i);
     if (special != specialEnd)
-        return fillRowSimdImpl<W, Full, Fill, true>(c, i, runs, dst,
-                                                   excluded);
-    return fillRowSimdImpl<W, Full, Fill, false>(c, i, runs, dst, excluded);
+        return fillRowSimdImpl<W, Full, true>(c, i, runs, dst, excluded);
+    return fillRowSimdImpl<W, Full, false>(c, i, runs, dst, excluded);
 }
 
 /**
- * Vectorized CSR build over all owned atoms: serial single-pass append
- * (cursor fill with geometric headroom) or threaded two-pass
- * count/prefix/fill where each row lands in its exact [offsets[i],
- * offsets[i+1]) range — compressStore writes exactly its popcount, so
- * thread-owned rows can abut with no tail slop and the payload is
- * bitwise independent of the thread count.
+ * One-pass CSR fill over all owned atoms: every candidate is tested
+ * once. Row slices run on the pool. Slice s writes its rows into its own
+ * region of the list, sized from what the same rows held in the
+ * previous build (whose offsets the list still holds) plus 1/16 and 64
+ * slots of slack. From the first row that might not fit, it writes to a
+ * spill buffer instead; a single-threaded pool runs one slice, which
+ * grows the list in place. Each slice's region part and spill are then
+ * moved to where the slice starts in the final list: the slices that
+ * move up first, from the top down, then the rest from the bottom up,
+ * an order in which no move overwrites a slice not yet moved. The list
+ * is the concatenation of the rows in index order, bitwise independent
+ * of the slicing and the thread count, and it never needs a second copy
+ * of itself. A threaded build with no previous list counts its rows
+ * first, so its regions fit and peak memory stays at one list.
+ *
+ * @p fillRow(i, runs, dst, excluded) writes row i — at most runs.total
+ * entries — at dst and returns its length.
  */
-template <int W, bool Full>
+template <class FillRow>
 void
-buildRowsSimd(NeighborList &list, const BuildCtx &ctx, ThreadPool &pool,
-              std::size_t prevCount, BuildTally &tally)
+fillRows(NeighborList &list, const BuildCtx &ctx, ThreadPool &pool,
+         BuildTally &tally, const FillRow &fillRow)
 {
+    constexpr std::size_t kMax = SliceRange::kMaxSlices;
     const std::size_t nlocal = ctx.nlocal;
-    if (pool.size() == 1 || nlocal < 2 * kNeighborGrain) {
-        list.neighbors.resize(prevCount + prevCount / 16 + 64);
-        std::size_t cursor = 0;
-        for (std::size_t i = 0; i < nlocal; ++i) {
-            const StencilRuns runs = stencilRuns(ctx, ctx.x[i]);
-            tally.candidates += runs.total;
-            if (list.neighbors.size() < cursor + runs.total) {
-                list.neighbors.resize(std::max(2 * list.neighbors.size(),
-                                               cursor + runs.total));
+    const SliceRange slices(0, nlocal,
+                            pool.size() == 1 ? nlocal : kNeighborGrain);
+    const auto n = static_cast<std::size_t>(slices.count());
+    // Slice s fills [region[s], region[s + 1]) and ends up at
+    // [base[s], base[s + 1]); used[s] entries, fit[s] of them in its
+    // region and the rest in spill[s].
+    std::array<std::size_t, kMax + 1> region{};
+    std::array<std::size_t, kMax + 1> base{};
+    std::array<std::size_t, kMax> used{};
+    std::array<std::size_t, kMax> fit{};
+    std::array<std::vector<std::uint32_t>, kMax> spill;
+    std::array<BuildTally, kMax> sliceTally{};
+    // Entries rows [b, e) held in the previous build; rows past its end
+    // count as average rows.
+    const std::size_t prevRows =
+        list.offsets.empty() ? 0 : list.offsets.size() - 1;
+    const std::size_t prevCount = prevRows ? list.offsets[prevRows] : 0;
+    const auto prevHeld = [&](std::size_t b, std::size_t e) {
+        const std::size_t cb = std::min(b, prevRows);
+        const std::size_t ce = std::min(e, prevRows);
+        return list.offsets[ce] - list.offsets[cb] +
+               (e - b - (ce - cb)) * prevCount / prevRows;
+    };
+    if (prevCount == 0 && n > 1) {
+        // Counts plus room for the slice's largest row bound
+        // (runs.total), so no row spills on its bound alone.
+        pool.run(slices, [&](std::size_t begin, std::size_t end, int si) {
+            const auto s = static_cast<std::size_t>(si);
+            std::vector<std::uint32_t> row;
+            std::size_t excluded = 0;
+            for (std::size_t i = begin; i < end; ++i) {
+                const StencilRuns runs = stencilRuns(ctx, ctx.x[i]);
+                row.resize(std::max<std::size_t>(row.size(), runs.total));
+                used[s] += fillRow(i, runs, row.data(), excluded);
             }
-            cursor += fillRowSimd<W, Full, true>(
-                ctx, i, runs, list.neighbors.data() + cursor,
-                tally.excluded);
-            list.offsets[i + 1] = static_cast<std::uint32_t>(cursor);
-        }
-        list.neighbors.resize(cursor);
-        return;
+            used[s] += row.size();
+        });
     }
-    pool.parallelFor(0, nlocal, kNeighborGrain,
-                     [&](std::size_t begin, std::size_t end, int) {
-                         std::size_t dropped = 0; // charged by the fill
-                         for (std::size_t i = begin; i < end; ++i) {
-                             const StencilRuns runs =
-                                 stencilRuns(ctx, ctx.x[i]);
-                             list.offsets[i + 1] =
-                                 fillRowSimd<W, Full, false>(
-                                     ctx, i, runs, nullptr, dropped);
-                         }
-                     });
-    for (std::size_t i = 0; i < nlocal; ++i)
-        list.offsets[i + 1] += list.offsets[i];
-    list.neighbors.resize(list.offsets[nlocal]);
-    std::array<BuildTally, SliceRange::kMaxSlices> sliceTally{};
+    for (std::size_t s = 0; s < n; ++s) {
+        const int si = static_cast<int>(s);
+        const std::size_t held =
+            prevCount == 0 ? used[s]
+                           : prevHeld(slices.begin(si), slices.end(si));
+        region[s + 1] =
+            region[s] + held + (prevCount == 0 ? 0 : held / 16 + 64);
+    }
+    list.offsets.assign(nlocal + 1, 0);
+    list.neighbors.resize(region[n]);
     std::uint32_t *nbrs = list.neighbors.data();
-    const std::uint32_t *offs = list.offsets.data();
-    pool.parallelFor(0, nlocal, kNeighborGrain,
-                     [&](std::size_t begin, std::size_t end, int s) {
-                         BuildTally t;
-                         for (std::size_t i = begin; i < end; ++i) {
-                             const StencilRuns runs =
-                                 stencilRuns(ctx, ctx.x[i]);
-                             t.candidates += runs.total;
-                             fillRowSimd<W, Full, true>(
-                                 ctx, i, runs, nbrs + offs[i], t.excluded);
-                         }
-                         sliceTally[static_cast<std::size_t>(s)] = t;
-                     });
-    for (const BuildTally &t : sliceTally)
-        tally += t;
+    std::uint32_t *offsets = list.offsets.data();
+    pool.run(slices, [&](std::size_t begin, std::size_t end, int si) {
+        const auto s = static_cast<std::size_t>(si);
+        std::uint32_t *own = nbrs + region[s];
+        std::vector<std::uint32_t> &over = spill[s];
+        std::size_t room = region[s + 1] - region[s];
+        BuildTally t;
+        std::size_t cursor = 0;
+        for (std::size_t i = begin; i < end; ++i) {
+            const StencilRuns runs = stencilRuns(ctx, ctx.x[i]);
+            t.candidates += runs.total;
+            if (cursor + runs.total > room && n == 1) {
+                // The only slice grows the list itself.
+                list.neighbors.resize(
+                    std::max(2 * room, cursor + runs.total));
+                own = list.neighbors.data();
+                room = list.neighbors.size();
+            } else if (cursor + runs.total > room) {
+                // This row and every later one go to the spill buffer.
+                room = std::min(room, cursor);
+                const std::size_t need = cursor - room + runs.total;
+                if (over.size() < need)
+                    over.resize(std::max(2 * over.size(), need));
+            }
+            std::uint32_t *dst =
+                cursor < room ? own + cursor : over.data() + (cursor - room);
+            cursor += fillRow(i, runs, dst, t.excluded);
+            offsets[i + 1] = static_cast<std::uint32_t>(cursor);
+        }
+        used[s] = cursor;
+        fit[s] = std::min(room, cursor);
+        sliceTally[s] = t;
+    });
+    for (std::size_t s = 0; s < n; ++s) {
+        base[s + 1] = base[s] + used[s];
+        tally += sliceTally[s];
+    }
+    list.neighbors.resize(std::max(region[n], base[n]));
+    nbrs = list.neighbors.data();
+    const auto place = [&](std::size_t s) {
+        if (base[s] != region[s]) {
+            std::memmove(nbrs + base[s], nbrs + region[s],
+                         fit[s] * sizeof(std::uint32_t));
+        }
+        std::copy(spill[s].data(), spill[s].data() + (used[s] - fit[s]),
+                  nbrs + base[s] + fit[s]);
+        for (std::size_t i = slices.begin(static_cast<int>(s));
+             i < slices.end(static_cast<int>(s)); ++i)
+            offsets[i + 1] += static_cast<std::uint32_t>(base[s]);
+    };
+    for (std::size_t s = n; s-- > 0;) {
+        if (base[s] > region[s])
+            place(s);
+    }
+    for (std::size_t s = 0; s < n; ++s) {
+        if (base[s] <= region[s])
+            place(s);
+    }
+    list.neighbors.resize(base[n]);
 }
 
 /** Width × flavor dispatch for the vectorized build. */
 void
 dispatchBuildRows(int filterW, bool full, NeighborList &list,
                   const BuildCtx &ctx, ThreadPool &pool,
-                  std::size_t prevCount, BuildTally &tally)
+                  BuildTally &tally)
 {
     auto run = [&](auto widthTag, auto fullTag) {
-        buildRowsSimd<decltype(widthTag)::value, decltype(fullTag)::value>(
-            list, ctx, pool, prevCount, tally);
+        constexpr int W = decltype(widthTag)::value;
+        constexpr bool Full = decltype(fullTag)::value;
+        fillRows(list, ctx, pool, tally,
+                 [&](std::size_t i, const StencilRuns &runs,
+                     std::uint32_t *dst, std::size_t &excluded) {
+                     return fillRowSimd<W, Full>(ctx, i, runs, dst,
+                                                 excluded);
+                 });
     };
     auto width = [&](auto fullTag) {
         if (filterW == 8)
@@ -522,22 +590,17 @@ dispatchBuildRows(int filterW, bool full, NeighborList &list,
  */
 [[gnu::noinline]] void
 buildRowsScalar(NeighborList &list, const BuildCtx &c, ThreadPool &pool,
-                std::size_t prevCount, BuildTally &tally)
+                BuildTally &tally)
 {
     const mdbench::Vec3 *x = c.x;
     const std::size_t nlocal = c.nlocal;
     const bool full = list.full;
 
-    // Stencil walk shared by every fill strategy: emit(j) for each
-    // neighbor of i, in a traversal order that depends only on the
-    // binning (never on threading), so all paths build identical lists.
-    // @p t, when non-null, accumulates the candidate and exclusion
-    // totals (passed only by the pass that runs once).
-    auto visitNeighbors = [&](std::size_t i, auto &&emit, BuildTally *t) {
+    auto fillRow = [&](std::size_t i, const StencilRuns &runs,
+                       std::uint32_t *dst, std::size_t &excluded) {
         const mdbench::Vec3 xi = x[i];
-        const StencilRuns runs = stencilRuns(c, xi);
         const auto [special, specialEnd] = c.special(i);
-        std::size_t excluded = 0;
+        std::uint32_t n = 0;
         for (int run = 0; run < runs.count; ++run) {
             const std::uint32_t runEnd =
                 runs.hi[static_cast<std::size_t>(run)];
@@ -576,58 +639,12 @@ buildRowsScalar(NeighborList &list, const BuildCtx &c, ThreadPool &pool,
                     ++excluded;
                     continue;
                 }
-                emit(static_cast<std::uint32_t>(ju));
+                dst[n++] = static_cast<std::uint32_t>(ju);
             }
         }
-        if (t)
-            *t += {runs.total, excluded};
+        return n;
     };
-
-    if (pool.size() == 1 || nlocal < 2 * kNeighborGrain) {
-        // Serial single-pass fill. Sizing the payload from the previous
-        // build (plus slack for density fluctuations) makes the first
-        // fill after a rebuild allocation-free in steady state.
-        list.neighbors.clear();
-        list.neighbors.reserve(prevCount + prevCount / 16 + 64);
-        for (std::size_t i = 0; i < nlocal; ++i) {
-            visitNeighbors(i, [&](std::uint32_t ju) {
-                list.neighbors.push_back(ju);
-            }, &tally);
-            list.offsets[i + 1] =
-                static_cast<std::uint32_t>(list.neighbors.size());
-        }
-        return;
-    }
-    // Two-pass count-then-fill: after the exclusive prefix sum each
-    // thread writes the disjoint range [offsets[i], offsets[i+1]),
-    // so the fill needs no synchronization.
-    pool.parallelFor(0, nlocal, kNeighborGrain,
-                     [&](std::size_t begin, std::size_t end, int) {
-                         for (std::size_t i = begin; i < end; ++i) {
-                             std::uint32_t count = 0;
-                             visitNeighbors(i, [&](std::uint32_t) {
-                                 ++count;
-                             }, nullptr);
-                             list.offsets[i + 1] = count;
-                         }
-                     });
-    for (std::size_t i = 0; i < nlocal; ++i)
-        list.offsets[i + 1] += list.offsets[i];
-    list.neighbors.resize(list.offsets[nlocal]);
-    std::array<BuildTally, SliceRange::kMaxSlices> sliceTally{};
-    pool.parallelFor(0, nlocal, kNeighborGrain,
-                     [&](std::size_t begin, std::size_t end, int s) {
-                         BuildTally t;
-                         for (std::size_t i = begin; i < end; ++i) {
-                             std::uint32_t cursor = list.offsets[i];
-                             visitNeighbors(i, [&](std::uint32_t ju) {
-                                 list.neighbors[cursor++] = ju;
-                             }, &t);
-                         }
-                         sliceTally[static_cast<std::size_t>(s)] = t;
-                     });
-    for (const BuildTally &t : sliceTally)
-        tally += t;
+    fillRows(list, c, pool, tally, fillRow);
 }
 
 } // namespace
@@ -663,29 +680,11 @@ Neighbor::checkTrigger(const Simulation &sim) const
         return true;
     const double trigger = triggerDistance();
     const double triggerSq = trigger * trigger;
-
-    ThreadPool &pool = ThreadPool::global();
-    if (pool.size() == 1) {
-        // Serial fast path keeps the early exit.
-        for (std::size_t i = 0; i < atoms.nlocal(); ++i) {
-            if ((atoms.x[i] - lastBuildPos_[i]).normSq() > triggerSq)
-                return true;
-        }
-        return false;
-    }
-
-    // Parallel max-displacement reduction; the boolean outcome is
-    // independent of slicing.
-    const SliceRange slices(0, atoms.nlocal(), kNeighborGrain);
-    std::array<double, SliceRange::kMaxSlices> maxSq{};
-    pool.run(slices, [&](std::size_t begin, std::size_t end, int s) {
-        double m = 0.0;
-        for (std::size_t i = begin; i < end; ++i)
-            m = std::max(m, (atoms.x[i] - lastBuildPos_[i]).normSq());
-        maxSq[s] = m;
-    });
-    for (int s = 0; s < slices.count(); ++s) {
-        if (maxSq[s] > triggerSq)
+    // Serial, with an early exit. A pooled max-displacement reduction
+    // saves little even at 32k atoms, and its pool region every step
+    // costs more than the whole scan on small systems.
+    for (std::size_t i = 0; i < atoms.nlocal(); ++i) {
+        if ((atoms.x[i] - lastBuildPos_[i]).normSq() > triggerSq)
             return true;
     }
     return false;
@@ -728,7 +727,6 @@ Neighbor::buildImpl(Simulation &sim)
 
     list_.full = full;
     list_.buildCutoff = cut;
-    list_.offsets.assign(nlocal + 1, 0);
 
     // Raw pointers into the bin structures: the fill loops append to a
     // member vector, so indexing the members directly would force the
@@ -794,13 +792,11 @@ Neighbor::buildImpl(Simulation &sim)
         ctx.sx = sx;
         ctx.sy = sy;
         ctx.sz = sz;
-        dispatchBuildRows(filterW, full, list_, ctx, pool,
-                          prevNeighborCount_, tally);
+        dispatchBuildRows(filterW, full, list_, ctx, pool, tally);
     } else {
         TraceScope filterTrace("neigh", "build_filter");
-        buildRowsScalar(list_, ctx, pool, prevNeighborCount_, tally);
+        buildRowsScalar(list_, ctx, pool, tally);
     }
-    prevNeighborCount_ = list_.neighbors.size();
     counterAdd(Counter::NeighBuilds);
     counterAdd(Counter::NeighPairs, list_.neighbors.size());
     counterAdd(Counter::NeighBuildCandidates, tally.candidates);

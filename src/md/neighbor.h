@@ -259,9 +259,6 @@ class Neighbor
     int packedWidth_ = 0;
     Precision packedTier_ = Precision::Double;
 
-    /** Payload size of the previous build (sizes the serial reserve). */
-    std::size_t prevNeighborCount_ = 0;
-
     long buildsSinceSort_ = 0;
     long sortCount_ = 0;
     long buildCount_ = 0;

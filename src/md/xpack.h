@@ -20,6 +20,8 @@
 #define MDBENCH_MD_XPACK_H
 
 #include <cstddef>
+#include <cstdint>
+#include <tuple>
 #include <vector>
 
 #include "md/vec3.h"
@@ -91,6 +93,25 @@ class XPack
 
     std::vector<T> buf_;
     T *aligned_ = nullptr;
+};
+
+/**
+ * One staging buffer per tier element type: get<T>() is the buffer of
+ * the tier whose `real` is T, so a kernel keeps both and restages only
+ * the one its tier computes in.
+ */
+class XPackTiers
+{
+  public:
+    template <typename T>
+    XPack<T> &
+    get()
+    {
+        return std::get<XPack<T>>(packs_);
+    }
+
+  private:
+    std::tuple<XPack<double>, XPack<float>> packs_;
 };
 
 } // namespace mdbench

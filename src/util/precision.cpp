@@ -2,6 +2,7 @@
 
 #include <cstdlib>
 #include <cstring>
+#include <string>
 
 #include "util/error.h"
 
@@ -50,10 +51,13 @@ Precision
 defaultPrecisionTier()
 {
     const char *env = std::getenv("MDBENCH_PRECISION");
+    if (env == nullptr || *env == '\0')
+        return Precision::Double;
     Precision parsed = Precision::Double;
-    if (parsePrecision(env, parsed) && parsed != Precision::EngineDefault)
-        return parsed;
-    return Precision::Double;
+    if (!parsePrecision(env, parsed) || parsed == Precision::EngineDefault)
+        fatal("MDBENCH_PRECISION='" + std::string(env) +
+              "' is not a precision tier: use double, mixed or single");
+    return parsed;
 }
 
 Precision

@@ -43,8 +43,9 @@ bool parsePrecision(const char *text, Precision &out);
 
 /**
  * Default tier from `MDBENCH_PRECISION` (double | mixed | single).
- * Unset or unparseable means Precision::Double: the native engine
- * computes in full double unless explicitly asked otherwise.
+ * Unset or empty means Precision::Double: the native engine computes
+ * in full double unless explicitly asked otherwise. Any other value is
+ * a fatal() error.
  */
 Precision defaultPrecisionTier();
 

@@ -40,8 +40,9 @@
  * compiled width — double that for float lanes — and an explicit
  * `2`/`4`/`8`/`16` forces that width for both element types, through
  * the generic backend when no matching ISA backend exists) gated by a
- * runtime CPU capability check; `setSimdWidth()` overrides it
- * programmatically (benches, tests, ExperimentSpec).
+ * runtime CPU capability check; any other value is a fatal() error.
+ * `setSimdWidth()` overrides it programmatically (benches, tests,
+ * ExperimentSpec) and rejects unsupported widths the same way.
  */
 
 #ifndef MDBENCH_UTIL_SIMD_H
@@ -54,6 +55,9 @@
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <string>
+
+#include "util/error.h"
 
 #if !defined(MDBENCH_SIMD_FORCE_SCALAR)
 #if defined(__AVX512F__)
@@ -122,7 +126,7 @@ simdRuntimeSupported()
 #endif
 }
 
-/** Widths the pair kernels instantiate; others fall back to scalar. */
+/** Widths the pair kernels instantiate. */
 inline bool
 simdWidthSupported(int w)
 {
@@ -153,7 +157,10 @@ simdBackendName(int w, [[maybe_unused]] bool floatLanes = false)
 
 namespace detail {
 
-/** Resolve the MDBENCH_SIMD default against a native width. */
+/**
+ * Resolve the MDBENCH_SIMD default against a native width; fatal() on
+ * a value that names no width.
+ */
 inline int
 simdResolveEnvWidth(int native)
 {
@@ -166,9 +173,10 @@ simdResolveEnvWidth(int native)
         std::strcmp(env, "native") == 0)
         return native;
     const int requested = std::atoi(env);
-    if (simdWidthSupported(requested))
+    if (simdWidthSupported(requested) && std::to_string(requested) == env)
         return requested;
-    return native;
+    fatal("MDBENCH_SIMD='" + std::string(env) +
+          "' is not supported: use 0|off, 1|on|native, 2, 4, 8 or 16");
 }
 
 } // namespace detail
@@ -227,16 +235,17 @@ simdWidth()
 /**
  * Override the packed width: 0 disables the SIMD path, 1/2/4/8/16
  * force that width (through the generic backend when no ISA backend
- * matches), -1 restores the MDBENCH_SIMD environment default. Takes
- * effect at the next neighbor-list build.
+ * matches), -1 restores the MDBENCH_SIMD environment default; any
+ * other value is a fatal() error. Takes effect at the next
+ * neighbor-list build.
  */
 inline void
 setSimdWidth(int width)
 {
-    detail::gSimdWidthOverride.store(
-        width >= -1 && (width <= 0 || simdWidthSupported(width)) ? width
-                                                                 : -1,
-        std::memory_order_relaxed);
+    if (width < -1 || (width > 0 && !simdWidthSupported(width)))
+        fatal("setSimdWidth(" + std::to_string(width) +
+              ") is not supported: use -1, 0, 1, 2, 4, 8 or 16");
+    detail::gSimdWidthOverride.store(width, std::memory_order_relaxed);
 }
 
 // --------------------------------------------------------------- generic

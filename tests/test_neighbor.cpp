@@ -248,6 +248,60 @@ TEST(Neighbor, VectorizedBuildMatchesScalarOracleAtAllWidths)
     }
 }
 
+/**
+ * offsets+neighbors of three successive builds of one system at the
+ * given knobs: at cutoff 1.5, at 2.0 (the list more than doubles, so
+ * the threaded fill outgrows the regions sized from the first build),
+ * and at 1.5 again.
+ */
+std::vector<std::pair<std::vector<std::uint32_t>, std::vector<std::uint32_t>>>
+rebuildSequenceAt(int width, int threads, bool full)
+{
+    const int before = ThreadPool::threads();
+    setSimdWidth(width);
+    ThreadPool::setThreads(threads);
+    Simulation sim;
+    randomSystem(sim, 2000, 12.0, 21);
+    sim.neighbor.skin = 0.3;
+    sim.neighbor.full = full;
+    std::vector<
+        std::pair<std::vector<std::uint32_t>, std::vector<std::uint32_t>>>
+        lists;
+    for (const double cutoff : {1.5, 2.0, 1.5}) {
+        sim.neighbor.cutoff = cutoff;
+        sim.comm->exchange(sim);
+        sim.comm->borders(sim);
+        sim.neighbor.build(sim);
+        lists.emplace_back(sim.neighbor.list().offsets,
+                           sim.neighbor.list().neighbors);
+    }
+    ThreadPool::setThreads(before);
+    setSimdWidth(-1);
+    return lists;
+}
+
+TEST(Neighbor, ThreadedBuildMatchesSerialAcrossListGrowth)
+{
+    // The fill sizes each slice's region from the previous build and
+    // spills rows that do not fit; the list must still equal the serial
+    // scalar build's on the first build, after the list grows past the
+    // regions, and after it shrinks again.
+    for (const bool full : {false, true}) {
+        const auto reference = rebuildSequenceAt(0, 1, full);
+        for (const int width : {0, 1, 2, 4, 8}) {
+            SCOPED_TRACE(testing::Message()
+                         << "full=" << full << " width=" << width);
+            const auto threaded = rebuildSequenceAt(width, 4, full);
+            ASSERT_EQ(threaded.size(), reference.size());
+            for (std::size_t b = 0; b < reference.size(); ++b) {
+                SCOPED_TRACE(b);
+                EXPECT_EQ(threaded[b].first, reference[b].first);
+                EXPECT_EQ(threaded[b].second, reference[b].second);
+            }
+        }
+    }
+}
+
 TEST(Neighbor, ExclusionSystemListUnaffectedByWidth)
 {
     // Bonded systems drop their special partners inside the vectorized

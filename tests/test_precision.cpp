@@ -16,9 +16,11 @@
 
 #include "core/experiment.h"
 #include "core/suite.h"
+#include "env_guard.h"
 #include "md/analysis.h"
 #include "md/neighbor.h"
 #include "md/simulation.h"
+#include "util/error.h"
 #include "util/precision.h"
 #include "util/simd.h"
 #include "util/thread_pool.h"
@@ -75,6 +77,12 @@ builtEAM(Precision tier, int width)
     return builtAt([] { return buildEAM(4); }, tier, width);
 }
 
+std::unique_ptr<Simulation>
+builtCharmm(Precision tier, int width)
+{
+    return builtAt([] { return buildRhodoProxy(8); }, tier, width);
+}
+
 /** The tier's native vector width (float tiers double the lanes). */
 int
 nativeWidth(Precision tier)
@@ -113,6 +121,29 @@ TEST(PrecisionApi, OverrideAndRestore)
     EXPECT_EQ(precisionTier(), Precision::Mixed);
     setPrecisionTier(Precision::EngineDefault);
     EXPECT_EQ(precisionTier(), defaultPrecisionTier());
+}
+
+TEST(PrecisionApi, EnvironmentSelectsTheDefaultTier)
+{
+    const std::pair<const char *, Precision> cases[] = {
+        {"", Precision::Double},
+        {"double", Precision::Double},
+        {"mixed", Precision::Mixed},
+        {"single", Precision::Single}};
+    for (const auto &[text, tier] : cases) {
+        EnvGuard env("MDBENCH_PRECISION", text);
+        EXPECT_EQ(defaultPrecisionTier(), tier)
+            << "MDBENCH_PRECISION=" << text;
+    }
+}
+
+TEST(PrecisionApi, EnvironmentRejectsUnknownTier)
+{
+    for (const char *text : {"float", "half", "Double", "default"}) {
+        EnvGuard env("MDBENCH_PRECISION", text);
+        EXPECT_THROW(defaultPrecisionTier(), FatalError)
+            << "MDBENCH_PRECISION=" << text;
+    }
 }
 
 TEST(PrecisionApi, ExperimentSpecRestoresEngineDefault)
@@ -207,6 +238,13 @@ TEST(PrecisionForces, EamMatchesDoubleWithinFloatTolerance)
     expectFloatTiersMatchDouble(builtEAM);
 }
 
+TEST(PrecisionForces, CharmmMatchesDoubleWithinFloatTolerance)
+{
+    // Float-tier charmm runs the LJ switch and the Ewald prefactor in
+    // float, including the float libm erfc/exp overloads.
+    expectFloatTiersMatchDouble(builtCharmm);
+}
+
 TEST(PrecisionForces, DoubleTierIsUnchangedByTheKnob)
 {
     // Explicitly selecting the double tier must reproduce the
@@ -232,24 +270,26 @@ TEST(PrecisionDeterminism, ForcesAreThreadCountInvariantAtEveryTier)
     // agree bitwise, not just within tolerance.
     TierGuard guard;
     const int before = ThreadPool::threads();
-    for (Precision tier :
-         {Precision::Double, Precision::Mixed, Precision::Single}) {
-        ThreadPool::setThreads(1);
-        auto ref = builtLJ(tier, nativeWidth(tier));
-        ThreadPool::setThreads(3);
-        auto sim = builtLJ(tier, nativeWidth(tier));
-        ThreadPool::setThreads(before);
-        ASSERT_EQ(ref->atoms.nlocal(), sim->atoms.nlocal());
-        for (std::size_t i = 0; i < sim->atoms.nlocal(); ++i) {
-            EXPECT_EQ(ref->atoms.f[i].x, sim->atoms.f[i].x)
+    for (auto *built : {builtLJ, builtEAM, builtCharmm}) {
+        for (Precision tier :
+             {Precision::Double, Precision::Mixed, Precision::Single}) {
+            ThreadPool::setThreads(1);
+            auto ref = built(tier, nativeWidth(tier));
+            ThreadPool::setThreads(3);
+            auto sim = built(tier, nativeWidth(tier));
+            ThreadPool::setThreads(before);
+            ASSERT_EQ(ref->atoms.nlocal(), sim->atoms.nlocal());
+            for (std::size_t i = 0; i < sim->atoms.nlocal(); ++i) {
+                EXPECT_EQ(ref->atoms.f[i].x, sim->atoms.f[i].x)
+                    << precisionName(tier);
+                EXPECT_EQ(ref->atoms.f[i].y, sim->atoms.f[i].y);
+                EXPECT_EQ(ref->atoms.f[i].z, sim->atoms.f[i].z);
+            }
+            EXPECT_EQ(ref->pair->energy(), sim->pair->energy())
                 << precisionName(tier);
-            EXPECT_EQ(ref->atoms.f[i].y, sim->atoms.f[i].y);
-            EXPECT_EQ(ref->atoms.f[i].z, sim->atoms.f[i].z);
+            EXPECT_EQ(ref->pair->virial(), sim->pair->virial())
+                << precisionName(tier);
         }
-        EXPECT_EQ(ref->pair->energy(), sim->pair->energy())
-            << precisionName(tier);
-        EXPECT_EQ(ref->pair->virial(), sim->pair->virial())
-            << precisionName(tier);
     }
 }
 

@@ -19,9 +19,11 @@
 #include <vector>
 
 #include "core/suite.h"
+#include "env_guard.h"
 #include "md/neighbor.h"
 #include "md/simulation.h"
 #include "obs/counters.h"
+#include "util/error.h"
 #include "util/simd.h"
 #include "util/thread_pool.h"
 
@@ -356,7 +358,7 @@ TEST(PackedList, SimdFullListMatchesScalarFullList)
         sim->setup();
         return sim;
     };
-    for (int w : {1, 2, 4, 8}) {
+    for (int w : {1, 2, 4, 8, 16}) {
         const Comparison c = compareAgainstScalar(build, w);
         EXPECT_LT(c.maxForceDiff, 1e-10) << "width " << w;
         EXPECT_LT(c.energyDiff, 1e-8) << "width " << w;
@@ -368,7 +370,7 @@ TEST(PackedList, SimdFullListMatchesScalarFullList)
 TEST(Kernels, LjCutMatchesScalarAtEveryWidth)
 {
     WidthGuard guard;
-    for (int w : {1, 2, 4, 8}) {
+    for (int w : {1, 2, 4, 8, 16}) {
         const Comparison c = compareAgainstScalar(builtLJ, w);
         EXPECT_LT(c.maxForceDiff, 1e-10) << "width " << w;
         EXPECT_LT(c.energyDiff, 1e-8) << "width " << w;
@@ -378,7 +380,7 @@ TEST(Kernels, LjCutMatchesScalarAtEveryWidth)
 TEST(Kernels, EamMatchesScalarAtEveryWidth)
 {
     WidthGuard guard;
-    for (int w : {1, 2, 4, 8}) {
+    for (int w : {1, 2, 4, 8, 16}) {
         const Comparison c = compareAgainstScalar(builtEAM, w);
         EXPECT_LT(c.maxForceDiff, 1e-10) << "width " << w;
         EXPECT_LT(c.energyDiff, 1e-8) << "width " << w;
@@ -388,7 +390,7 @@ TEST(Kernels, EamMatchesScalarAtEveryWidth)
 TEST(Kernels, CharmmMatchesScalarAtEveryWidth)
 {
     WidthGuard guard;
-    for (int w : {1, 2, 4, 8}) {
+    for (int w : {1, 2, 4, 8, 16}) {
         const Comparison c = compareAgainstScalar(builtCharmm, w);
         EXPECT_LT(c.maxForceDiff, 1e-9) << "width " << w;
         EXPECT_LT(c.energyDiff, 1e-6) << "width " << w;
@@ -410,6 +412,21 @@ TEST(Kernels, WidthOneIsBitwiseScalarOnNoFmaBuilds)
         const Comparison c = compareAgainstScalar(build, 1);
         EXPECT_TRUE(c.forcesExact);
         EXPECT_EQ(c.energyDiff, 0.0);
+    }
+}
+
+TEST(Kernels, UnsupportedPackedWidthPanics)
+{
+    // A packing width no kernel instantiates is an internal bug; the
+    // dispatcher must not quietly run the scalar kernel instead.
+    WidthGuard guard;
+    setSimdWidth(4);
+    for (const Builder &build : {Builder(builtLJ), Builder(builtEAM),
+                                 Builder(builtCharmm)}) {
+        auto sim = build();
+        NeighborList list = sim->neighbor.list();
+        list.padWidth = 3;
+        EXPECT_THROW(sim->pair->compute(*sim, list), PanicError);
     }
 }
 
@@ -473,8 +490,39 @@ TEST(WidthApi, OverrideAndRestore)
     EXPECT_EQ(simdWidth(), 0);
     setSimdWidth(-1);
     EXPECT_EQ(simdWidth(), simdDefaultWidth());
-    setSimdWidth(3); // unsupported width falls back to the default
-    EXPECT_EQ(simdWidth(), simdDefaultWidth());
+}
+
+TEST(WidthApi, RejectsUnsupportedWidth)
+{
+    WidthGuard guard;
+    setSimdWidth(4);
+    for (int w : {3, 5, 32, -2})
+        EXPECT_THROW(setSimdWidth(w), FatalError) << "width " << w;
+    // A rejected request leaves the previous override in place.
+    EXPECT_EQ(simdWidth(), 4);
+}
+
+TEST(WidthApi, EnvironmentAcceptsWidthsAndSwitches)
+{
+    const int native = 8;
+    const std::pair<const char *, int> cases[] = {
+        {"", native},   {"0", 0}, {"off", 0}, {"1", native},
+        {"on", native}, {"native", native},   {"2", 2},
+        {"4", 4},       {"8", 8}, {"16", 16}};
+    for (const auto &[text, width] : cases) {
+        EnvGuard env("MDBENCH_SIMD", text);
+        EXPECT_EQ(detail::simdResolveEnvWidth(native), width)
+            << "MDBENCH_SIMD=" << text;
+    }
+}
+
+TEST(WidthApi, EnvironmentRejectsUnsupportedValues)
+{
+    for (const char *text : {"3", "32", "avx", "4x", "-1"}) {
+        EnvGuard env("MDBENCH_SIMD", text);
+        EXPECT_THROW(detail::simdResolveEnvWidth(8), FatalError)
+            << "MDBENCH_SIMD=" << text;
+    }
 }
 
 TEST(WidthApi, BackendNamesAreConsistent)

@@ -211,9 +211,9 @@ TEST(ThreadDeterminism, VectorizedNeighborBuildListsAreThreadInvariant)
     ThreadPool::setThreads(before);
 }
 
-// Bonded systems drop special partners inside both passes of the
-// threaded fill; their rows must not depend on the thread count either,
-// at the scalar oracle's width and at a vectorized one.
+// Bonded systems drop special partners inside the threaded fill; their
+// rows must not depend on the thread count either, at the scalar
+// oracle's width and at a vectorized one.
 TEST(ThreadDeterminism, BondedNeighborBuildListsAreThreadInvariant)
 {
     const int before = ThreadPool::threads();
