@@ -10,6 +10,7 @@
 #include "obs/trace.h"
 #include "util/error.h"
 #include "util/simd.h"
+#include "util/simd_math.h"
 
 namespace mdbench {
 
@@ -116,6 +117,9 @@ PairLJCharmmCoulLong::computeImpl(Simulation &sim, const NeighborList &list)
     AtomStore &atoms = sim.atoms;
     const double qqr2e = sim.units.qqr2e;
     const double g = sim.kspace ? sim.kspace->splittingParameter() : 0.0;
+    // Without a k-space solver Coulomb is the plain cutoff form: erfc
+    // is exactly 1 (A&S would give 0.999999999 at x = 0).
+    const bool ewald = g != 0.0;
     const double cutLJSq = ljOuter_ * ljOuter_;
     const double cutLJInnerSq = ljInner_ * ljInner_;
     const double cutCoulSq = coulCut_ * coulCut_;
@@ -166,8 +170,14 @@ PairLJCharmmCoulLong::computeImpl(Simulation &sim, const NeighborList &list)
                 if (rsq < cutCoulSq && qi != 0.0 && q[j] != 0.0) {
                     const double r = std::sqrt(rsq);
                     const double grij = g * r;
-                    const double expm2 = std::exp(-grij * grij);
-                    const double erfcVal = std::erfc(grij);
+                    // The SIMD kernels' erfc at W = 1 (util/simd_math.h).
+                    double erfcVal = 1.0;
+                    double expm2 = 0.0;
+                    if (ewald) {
+                        const auto e = erfcExpm2(Simd<double, 1>(grij));
+                        erfcVal = e.erfc.lane(0);
+                        expm2 = e.expm2.lane(0);
+                    }
                     const double prefactor = qqr2e * qi * q[j] / r;
                     forcecoul =
                         prefactor * (erfcVal + kSqrtPiInv2 * grij * expm2);
@@ -241,6 +251,7 @@ PairLJCharmmCoulLong::computeSimdImpl(Simulation &sim,
     AtomStore &atoms = sim.atoms;
     const double qqr2e = sim.units.qqr2e;
     const double g = sim.kspace ? sim.kspace->splittingParameter() : 0.0;
+    const bool ewald = g != 0.0; // as in computeImpl
     const double cutLJSq = ljOuter_ * ljOuter_;
     const double cutLJInnerSq = ljInner_ * ljInner_;
     const double cutCoulSq = coulCut_ * coulCut_;
@@ -296,6 +307,7 @@ PairLJCharmmCoulLong::computeSimdImpl(Simulation &sim,
         const D denomLJV(static_cast<real>(denomLJ));
         const D gV(static_cast<real>(g));
         const D kSqrtPiInv2V(static_cast<real>(kSqrtPiInv2));
+        const D one(real(1));
         const D two(real(2));
         const D twelve(real(12));
         const D zero(real(0));
@@ -338,37 +350,30 @@ PairLJCharmmCoulLong::computeSimdImpl(Simulation &sim,
                 // would be an exact zero, so skipping is bitwise free.
                 if (anyBits == 0)
                     continue;
-                const D r2inv = D(real(1)) / rsq;
+                const D r2inv = one / rsq;
 
                 D forcecoul = zero;
-                if (qiNonzero) {
-                    const M coulMask =
-                        (rsq < cutCoulSqV) & (qj != zero);
+                const M coulMask = (rsq < cutCoulSqV) & (qj != zero);
+                if (qiNonzero && coulMask.bits() != 0) {
                     const D r = D::sqrt(rsq);
                     const D grij = gV * r;
-                    // erfc/exp have no vector form: evaluate them per
-                    // active lane, ascending as the scalar loop does
-                    // (inactive lanes skip libm exactly as the scalar
-                    // branch does, and stay exact zeros). Float tiers
-                    // resolve to the float libm overloads.
-                    alignas(64) real grijArr[W];
-                    real erfcArr[W] = {};
-                    real expm2Arr[W] = {};
-                    grij.storeu(grijArr);
-                    forEachLane(coulMask.bits(), [&](int l) {
-                        const real grijL = grijArr[l];
-                        expm2Arr[l] = std::exp(-grijL * grijL);
-                        erfcArr[l] = std::erfc(grijL);
-                    });
-                    const D expm2 = D::loadu(expm2Arr);
-                    const D erfcV = D::loadu(erfcArr);
+                    // erfc and exp(-grij^2) over the whole group. Lanes
+                    // outside coulMask (the sentinel included) stay
+                    // finite, since expNonPositive clamps its argument
+                    // and returns exact zeros far out, and the masks
+                    // below drop them.
+                    D erfcV = one;
+                    D expm2 = zero;
+                    if (ewald) {
+                        const auto e = erfcExpm2(grij);
+                        erfcV = e.erfc;
+                        expm2 = e.expm2;
+                    }
                     const D prefactor = qqr2eQiV * qj / r;
-                    forcecoul = D::select(
+                    forcecoul = D::maskZero(
                         coulMask,
-                        prefactor * (erfcV + kSqrtPiInv2V * grij * expm2),
-                        zero);
-                    sums[0] +=
-                        D::select(coulMask, prefactor * erfcV, zero);
+                        prefactor * (erfcV + kSqrtPiInv2V * grij * expm2));
+                    sums[0] += D::maskZero(coulMask, prefactor * erfcV);
                 }
 
                 const M ljMask = rsq < cutLJSqV;

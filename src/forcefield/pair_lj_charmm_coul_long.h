@@ -105,16 +105,16 @@ class PairLJCharmmCoulLong : public PairStyle
     void computeImpl(Simulation &sim, const NeighborList &list);
 
     /**
-     * SIMD kernel over the padded packing (DESIGN.md §12-13). The LJ +
-     * switching arithmetic and the Ewald prefactor algebra are W-wide
-     * with masked-cutoff selects; erfc/exp have no vector form in libm,
-     * so those two calls run per active coulomb lane (sentinel and
-     * out-of-range lanes skip them exactly as the scalar branch does).
-     * Mirrors computeImpl's operation order, so at W = 1 on a no-FMA
-     * build the double-tier instantiation reproduces the scalar
-     * kernel's results. P is the precision policy (util/precision.h);
-     * per-pair arithmetic, including the per-lane erfc/exp calls
-     * (float libm overloads on float tiers), runs in P::real.
+     * SIMD kernel over the padded packing (DESIGN.md §12-13). All of
+     * the per-pair arithmetic is W-wide with masked-cutoff selects,
+     * including the Ewald erfc and exp(-grij^2): `erfcExpm2`
+     * (util/simd_math.h) evaluates both over the whole group, once per
+     * group with any lane inside the Coulomb cutoff. computeImpl calls
+     * the same helper at W = 1 and this kernel mirrors its operation
+     * order, so on a no-FMA build the double-tier W = 1 instantiation
+     * reproduces the scalar kernel's results bitwise. P is the
+     * precision policy (util/precision.h); per-pair arithmetic runs in
+     * P::real, and float tiers take the float exp polynomial.
      */
     template <typename P, int W, bool kSingleType>
     void computeSimdImpl(Simulation &sim, const NeighborList &list);

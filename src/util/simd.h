@@ -5,7 +5,8 @@
  * `Simd<T, W>` is a fixed-width value vector with the handful of
  * operations the force kernels need: broadcast, load/store, gather by
  * 32-bit index, arithmetic, compares returning `SimdMask`, blend
- * (select), and a *sequential* lane sum. Three backends share the same
+ * (select), round and ldexp (the 2^k scale of util/simd_math.h's exp),
+ * and a *sequential* lane sum. Three backends share the same
  * interface:
  *
  *  - a generic array backend (the primary template) that compiles for
@@ -633,6 +634,30 @@ struct Simd
         return r;
     }
 
+    /** Round to the nearest integer, ties to even (exp's 2^k split). */
+    static Simd
+    round(const Simd &a)
+    {
+        Simd r;
+        for (int l = 0; l < W; ++l)
+            r.v[l] = std::nearbyint(a.v[l]);
+        return r;
+    }
+
+    /**
+     * a * 2^k for integer-valued k with 2^k a normal number (k in
+     * [-1022, 1023] for double, [-126, 127] for float): one correctly
+     * rounded multiply, so every backend returns the same lanes.
+     */
+    static Simd
+    ldexp(const Simd &a, const Simd &k)
+    {
+        Simd r;
+        for (int l = 0; l < W; ++l)
+            r.v[l] = std::ldexp(a.v[l], static_cast<int>(k.v[l]));
+        return r;
+    }
+
     /** Sequential ascending-lane sum (fixed summation tree). */
     T
     sum() const
@@ -1119,6 +1144,28 @@ struct Simd<double, 4>
         return r;
     }
 
+    static Simd
+    round(const Simd &a)
+    {
+        Simd r;
+        r.v = _mm256_round_pd(a.v, _MM_FROUND_TO_NEAREST_INT |
+                                       _MM_FROUND_NO_EXC);
+        return r;
+    }
+
+    /** Multiply by 2^k built by shifting k + bias into the exponent. */
+    static Simd
+    ldexp(const Simd &a, const Simd &k)
+    {
+        const __m256i e = _mm256_slli_epi64(
+            _mm256_cvtepi32_epi64(_mm_add_epi32(_mm256_cvtpd_epi32(k.v),
+                                                _mm_set1_epi32(1023))),
+            52);
+        Simd r;
+        r.v = _mm256_mul_pd(a.v, _mm256_castsi256_pd(e));
+        return r;
+    }
+
     double
     sum() const
     {
@@ -1562,6 +1609,28 @@ struct Simd<float, 8>
         return r;
     }
 
+    static Simd
+    round(const Simd &a)
+    {
+        Simd r;
+        r.v = _mm256_round_ps(a.v, _MM_FROUND_TO_NEAREST_INT |
+                                       _MM_FROUND_NO_EXC);
+        return r;
+    }
+
+    /** Multiply by 2^k built by shifting k + bias into the exponent. */
+    static Simd
+    ldexp(const Simd &a, const Simd &k)
+    {
+        const __m256i e = _mm256_slli_epi32(
+            _mm256_add_epi32(_mm256_cvtps_epi32(k.v),
+                             _mm256_set1_epi32(127)),
+            23);
+        Simd r;
+        r.v = _mm256_mul_ps(a.v, _mm256_castsi256_ps(e));
+        return r;
+    }
+
     float
     sum() const
     {
@@ -1924,6 +1993,23 @@ struct Simd<double, 8>
         return r;
     }
 
+    static Simd
+    round(const Simd &a)
+    {
+        Simd r;
+        r.v = _mm512_roundscale_pd(a.v, _MM_FROUND_TO_NEAREST_INT |
+                                           _MM_FROUND_NO_EXC);
+        return r;
+    }
+
+    static Simd
+    ldexp(const Simd &a, const Simd &k)
+    {
+        Simd r;
+        r.v = _mm512_scalef_pd(a.v, k.v);
+        return r;
+    }
+
     double
     sum() const
     {
@@ -2279,6 +2365,23 @@ struct Simd<float, 16>
     {
         Simd r;
         r.v = _mm512_cvtepi32_ps(idx.v);
+        return r;
+    }
+
+    static Simd
+    round(const Simd &a)
+    {
+        Simd r;
+        r.v = _mm512_roundscale_ps(a.v, _MM_FROUND_TO_NEAREST_INT |
+                                           _MM_FROUND_NO_EXC);
+        return r;
+    }
+
+    static Simd
+    ldexp(const Simd &a, const Simd &k)
+    {
+        Simd r;
+        r.v = _mm512_scalef_ps(a.v, k.v);
         return r;
     }
 

@@ -1,8 +1,9 @@
 /**
  * @file
  * Long-range solver correctness: Ewald against the known NaCl Madelung
- * constant, PPPM against Ewald, and the error-threshold -> grid-size
- * planning that drives the paper's Section 7 sensitivity study.
+ * constant, PPPM against Ewald, the error-threshold -> grid-size
+ * planning that drives the paper's Section 7 sensitivity study, and the
+ * real-space half of the split in lj/charmm/coul/long.
  */
 
 #include <gtest/gtest.h>
@@ -17,6 +18,7 @@
 #include "md/fix_nve.h"
 #include "md/simulation.h"
 #include "util/rng.h"
+#include "util/simd.h"
 #include "util/thread_pool.h"
 
 namespace mdbench {
@@ -384,6 +386,168 @@ TEST(Pppm, EnergyStableUnderDynamics)
     sim.run(200);
     const double e1 = sim.kineticEnergy() + sim.potentialEnergy();
     EXPECT_NEAR(e1, e0, 0.03 * std::max(1.0, std::fabs(e0)));
+}
+
+// ------------------------------------------- lj/charmm/coul/long real space
+
+/** Restore the environment-default SIMD width when a test exits. */
+struct WidthGuard
+{
+    ~WidthGuard() { setSimdWidth(-1); }
+};
+
+/**
+ * A k-space style that only supplies the splitting parameter: it adds
+ * no force or energy, so the pair style's real-space erfc(g r)/r term
+ * is all the Coulomb there is.
+ */
+class SplittingOnly : public KspaceStyle
+{
+  public:
+    explicit SplittingOnly(double g) : g_(g) {}
+    std::string name() const override { return "splitting-only"; }
+    void setup(Simulation &) override {}
+    void compute(Simulation &) override {}
+    double splittingParameter() const override { return g_; }
+    double accuracy() const override { return 1e-5; }
+
+  private:
+    double g_;
+};
+
+/**
+ * Scalar kernel (width 0) and the compiled width (the generic W = 1
+ * kernel on portable builds).
+ */
+constexpr int kCharmmWidths[] = {0, kSimdCompiledWidth};
+
+TEST(PairCharmm, NoKspaceIsPlainCutoffCoulomb)
+{
+    // Without a k-space solver erfc is exactly 1; the A&S polynomial
+    // would give 0.999999999 at g r = 0, a 1e-9 relative error.
+    WidthGuard guard;
+    const double qi = 1.0;
+    const double qj = -0.5;
+    const double r = 1.7;
+    for (int width : kCharmmWidths) {
+        setSimdWidth(width);
+        Simulation sim;
+        sim.units = Units::real();
+        sim.box = Box({0, 0, 0}, {10, 10, 10});
+        sim.atoms.setNumTypes(1);
+        sim.atoms.q[sim.atoms.addAtom(1, 1, {4.0, 5.0, 5.0})] = qi;
+        sim.atoms.q[sim.atoms.addAtom(2, 1, {4.0 + r, 5.0, 5.0})] = qj;
+        auto pair =
+            std::make_unique<PairLJCharmmCoulLong>(1, 2.0, 2.5, 3.0);
+        pair->setCoeff(1, 0.0, 1.0);
+        sim.pair = std::move(pair);
+        sim.neighbor.skin = 0.3;
+        sim.setup();
+
+        const double qqr2e = sim.units.qqr2e;
+        const double force = qqr2e * qi * qj / (r * r);
+        const double energy = qqr2e * qi * qj / r;
+        EXPECT_NEAR(sim.atoms.f[0].x, -force, 1e-13 * std::fabs(force))
+            << "width " << width;
+        EXPECT_EQ(sim.atoms.f[0].y, 0.0);
+        EXPECT_EQ(sim.atoms.f[0].z, 0.0);
+        EXPECT_EQ(sim.atoms.f[1].x, -sim.atoms.f[0].x);
+        EXPECT_NEAR(sim.pair->energy(), energy,
+                    1e-13 * std::fabs(energy))
+            << "width " << width;
+    }
+}
+
+TEST(PairCharmm, RealSpaceForceIsMinusEnergyGradient)
+{
+    // Finite-difference check of the real-space Coulomb (g > 0) plus
+    // switched LJ. The erfc polynomial is not the exact antiderivative
+    // of its force term, so this bounds that inconsistency too.
+    WidthGuard guard;
+    const double length = 8.0;
+    const double ljInner = 2.0;
+    const double ljOuter = 2.5;
+    for (int width : kCharmmWidths) {
+        setSimdWidth(width);
+        Simulation sim;
+        sim.box = Box({0, 0, 0}, {length, length, length});
+        sim.atoms.setNumTypes(2);
+        Rng rng(21);
+        std::vector<Vec3> placed;
+        const auto minImage = [&](double d) {
+            return d - length * std::round(d / length);
+        };
+        while (placed.size() < 60) {
+            const Vec3 pos{rng.uniform(0, length), rng.uniform(0, length),
+                           rng.uniform(0, length)};
+            bool clear = true;
+            for (const Vec3 &other : placed) {
+                const Vec3 d{minImage(pos.x - other.x),
+                             minImage(pos.y - other.y),
+                             minImage(pos.z - other.z)};
+                clear = clear && d.normSq() > 0.9 * 0.9;
+            }
+            if (!clear)
+                continue;
+            const std::size_t idx = sim.atoms.addAtom(
+                static_cast<std::int64_t>(placed.size()) + 1,
+                placed.size() % 2 ? 2 : 1, pos);
+            sim.atoms.q[idx] = rng.uniform(-1.0, 1.0);
+            placed.push_back(pos);
+        }
+        // The switching region ljInner < r < ljOuter must be populated.
+        int switched = 0;
+        for (std::size_t a = 0; a < placed.size(); ++a)
+            for (std::size_t b = a + 1; b < placed.size(); ++b) {
+                const Vec3 d{minImage(placed[a].x - placed[b].x),
+                             minImage(placed[a].y - placed[b].y),
+                             minImage(placed[a].z - placed[b].z)};
+                const double rr = d.norm();
+                switched += rr > ljInner && rr < ljOuter;
+            }
+        ASSERT_GT(switched, 10);
+        auto pair = std::make_unique<PairLJCharmmCoulLong>(2, ljInner,
+                                                           ljOuter, 3.0);
+        pair->setCoeff(1, 0.3, 1.0);
+        pair->setCoeff(2, 0.2, 1.1);
+        sim.pair = std::move(pair);
+        sim.kspace = std::make_unique<SplittingOnly>(1.1);
+        sim.neighbor.skin = 0.4;
+        sim.setup();
+
+        auto energyAt = [&](std::size_t atom, int axis, double delta) {
+            Vec3 &pos = sim.atoms.x[atom];
+            double *coord = axis == 0 ? &pos.x : axis == 1 ? &pos.y : &pos.z;
+            const double saved = *coord;
+            *coord = saved + delta;
+            sim.reneighbor();
+            sim.computeForces();
+            const double energy = sim.pair->energy();
+            *coord = saved;
+            return energy;
+        };
+
+        sim.reneighbor();
+        sim.computeForces();
+        std::vector<Vec3> forces(sim.atoms.f.begin(),
+                                 sim.atoms.f.begin() + sim.atoms.nlocal());
+
+        const double h = 1e-6;
+        for (std::size_t atom : {0u, 7u, 23u, 59u}) {
+            for (int axis = 0; axis < 3; ++axis) {
+                const double numeric =
+                    -(energyAt(atom, axis, h) - energyAt(atom, axis, -h)) /
+                    (2.0 * h);
+                const double analytic = axis == 0   ? forces[atom].x
+                                        : axis == 1 ? forces[atom].y
+                                                    : forces[atom].z;
+                EXPECT_NEAR(numeric, analytic,
+                            1e-4 * std::max(1.0, std::fabs(analytic)))
+                    << "width " << width << " atom " << atom << " axis "
+                    << axis;
+            }
+        }
+    }
 }
 
 } // namespace

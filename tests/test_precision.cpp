@@ -241,7 +241,8 @@ TEST(PrecisionForces, EamMatchesDoubleWithinFloatTolerance)
 TEST(PrecisionForces, CharmmMatchesDoubleWithinFloatTolerance)
 {
     // Float-tier charmm runs the LJ switch and the Ewald prefactor in
-    // float, including the float libm erfc/exp overloads.
+    // float, including the float exp polynomial and erfc of
+    // util/simd_math.h.
     expectFloatTiersMatchDouble(builtCharmm);
 }
 

@@ -4,11 +4,12 @@
  * of the generic and compiled backends, the padded neighbor packing,
  * scalar-vs-SIMD kernel agreement at every width, thread-count
  * invariance of the vector kernels, the sort-interaction regression,
- * and the width-selection API.
+ * the width-selection API, and the exp/erfc of util/simd_math.h.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <cstdint>
@@ -25,6 +26,7 @@
 #include "obs/counters.h"
 #include "util/error.h"
 #include "util/simd.h"
+#include "util/simd_math.h"
 #include "util/thread_pool.h"
 
 namespace mdbench {
@@ -552,6 +554,168 @@ TEST(WidthApi, BackendNamesAreConsistent)
     }
     EXPECT_FALSE(simdWidthSupported(3));
     EXPECT_FALSE(simdWidthSupported(32));
+}
+
+// ------------------------------------------------------ simd_math.h
+
+/** fn.template operator()<W>() for every kernel width. */
+template <typename Fn>
+void
+forEachWidth(Fn &&fn)
+{
+    fn.template operator()<1>();
+    fn.template operator()<2>();
+    fn.template operator()<4>();
+    fn.template operator()<8>();
+    fn.template operator()<16>();
+}
+
+/** Lane values of @p f applied to @p xs in W-wide groups. */
+template <typename T, int W, typename Fn>
+std::vector<T>
+mapLanes(const std::vector<T> &xs, Fn &&f)
+{
+    std::vector<T> out(xs.size());
+    for (std::size_t i = 0; i + W <= xs.size(); i += W)
+        f(Simd<T, W>::loadu(xs.data() + i)).storeu(out.data() + i);
+    return out;
+}
+
+/** 960 points spanning [0, 6], a multiple of every width. */
+template <typename T>
+std::vector<T>
+samplesToSix()
+{
+    std::vector<T> xs(960);
+    for (std::size_t i = 0; i < xs.size(); ++i)
+        xs[i] = static_cast<T>(6.0 * i / (xs.size() - 1));
+    return xs;
+}
+
+/**
+ * Worst errors of expNonPositive(-x) and erfcExpm2(x) over [0, 6]
+ * against libm in double: exp relative, erfc absolute. The reference
+ * exponent is -(x*x) rounded in T, the argument the helper sees.
+ */
+template <typename T>
+void
+expectExpErfcWithin(double expRel, double erfcAbs)
+{
+    const std::vector<T> xs = samplesToSix<T>();
+    forEachWidth([&]<int W>() {
+        using D = Simd<T, W>;
+        const auto e = mapLanes<T, W>(
+            xs, [](const D &x) { return expNonPositive(D(T(0)) - x); });
+        const auto erfc = mapLanes<T, W>(
+            xs, [](const D &x) { return erfcExpm2(x).erfc; });
+        const auto expm2 = mapLanes<T, W>(
+            xs, [](const D &x) { return erfcExpm2(x).expm2; });
+        double worstExp = 0.0;
+        double worstErfc = 0.0;
+        for (std::size_t i = 0; i < xs.size(); ++i) {
+            const double x = xs[i];
+            const double ref = std::exp(-x);
+            const double refM2 = std::exp(-double(T(xs[i] * xs[i])));
+            worstExp = std::max({worstExp, std::abs(e[i] - ref) / ref,
+                                 std::abs(expm2[i] - refM2) / refM2});
+            worstErfc =
+                std::max(worstErfc, std::abs(erfc[i] - std::erfc(x)));
+        }
+        EXPECT_LE(worstExp, expRel) << "width " << W;
+        EXPECT_LE(worstErfc, erfcAbs) << "width " << W;
+    });
+}
+
+TEST(SimdMath, DoubleExpAndErfcMatchLibm)
+{
+    // exp: degree-12 Taylor after Cody–Waite reduction, a few ulp.
+    // erfc: the Abramowitz–Stegun 7.1.26 bound, 1.5e-7 absolute.
+    expectExpErfcWithin<double>(1e-15, 1.5e-7);
+}
+
+TEST(SimdMath, FloatExpAndErfcMatchLibm)
+{
+    // Degree-7 polynomial: a few float ulp. erfc adds float rounding to
+    // the A&S bound; near x = 0 the form amplifies the rounding of t
+    // by d(t P(t))/dt = 3.4, so the measured worst case is 5.4e-7.
+    expectExpErfcWithin<float>(5e-7, 6e-7);
+}
+
+template <typename T>
+void
+expectExactZeroAndSentinel()
+{
+    forEachWidth([]<int W>() {
+        using D = Simd<T, W>;
+        const D zero(T(0));
+        const D sentinel(T(1e6));
+        const auto atZero = erfcExpm2(zero);
+        const auto atSentinel = erfcExpm2(sentinel);
+        for (int l = 0; l < W; ++l) {
+            EXPECT_EQ(expNonPositive(zero).lane(l), T(1)) << "width " << W;
+            EXPECT_EQ(atZero.expm2.lane(l), T(1)) << "width " << W;
+            EXPECT_EQ(expNonPositive(zero - sentinel).lane(l), T(0));
+            EXPECT_EQ(atSentinel.erfc.lane(l), T(0)) << "width " << W;
+            EXPECT_EQ(atSentinel.expm2.lane(l), T(0)) << "width " << W;
+        }
+    });
+}
+
+TEST(SimdMath, ExpIsOneAtZeroAndSentinelsGiveZeros)
+{
+    expectExactZeroAndSentinel<double>();
+    expectExactZeroAndSentinel<float>();
+}
+
+/**
+ * round and ldexp of every width against Simd<T, 1>, which is the
+ * generic backend on every build: ties, signed zeros, and scales
+ * across the whole normal 2^k range, subnormal results included.
+ */
+template <typename T>
+void
+expectRoundLdexpMatchGeneric(int kMin, int kMax)
+{
+    using G = Simd<T, 1>;
+    std::vector<T> a, k, xs;
+    std::mt19937_64 rng(17);
+    std::uniform_real_distribution<double> mant(0.5, 2.0);
+    std::uniform_int_distribution<int> expo(kMin, kMax);
+    for (int i = 0; i < 256; ++i) {
+        a.push_back(static_cast<T>(i % 2 ? mant(rng) : -mant(rng)));
+        k.push_back(static_cast<T>(i < 4 ? (i % 2 ? kMin : kMax)
+                                         : expo(rng)));
+        xs.push_back(static_cast<T>((i - 128) * 0.25));
+    }
+    const T ties[] = {T(0.5), T(-0.5), T(1.5), T(2.5), T(-2.5), T(-0.0)};
+    std::copy(std::begin(ties), std::end(ties), xs.begin());
+    forEachWidth([&]<int W>() {
+        using D = Simd<T, W>;
+        const auto rounded = mapLanes<T, W>(
+            xs, [](const D &x) { return D::round(x); });
+        for (std::size_t i = 0; i < xs.size(); i += W) {
+            const D scaled =
+                D::ldexp(D::loadu(a.data() + i), D::loadu(k.data() + i));
+            for (int l = 0; l < W; ++l) {
+                const T g = G::ldexp(G(a[i + l]), G(k[i + l])).lane(0);
+                EXPECT_EQ(scaled.lane(l), g) << "width " << W;
+            }
+        }
+        for (std::size_t i = 0; i < xs.size(); ++i) {
+            const T g = G::round(G(xs[i])).lane(0);
+            EXPECT_EQ(rounded[i], g) << xs[i] << " width " << W;
+            EXPECT_EQ(std::signbit(rounded[i]), std::signbit(g));
+        }
+    });
+    EXPECT_EQ(G::round(G(T(2.5))).lane(0), T(2)); // ties to even
+    EXPECT_EQ(G::ldexp(G(T(0.75)), G(T(kMin))).lane(0),
+              std::ldexp(T(0.75), kMin)); // subnormal result
+}
+
+TEST(SimdMath, RoundAndLdexpMatchGenericBackend)
+{
+    expectRoundLdexpMatchGeneric<double>(-1022, 1023);
+    expectRoundLdexpMatchGeneric<float>(-126, 127);
 }
 
 } // namespace
