@@ -10,6 +10,14 @@ Box::Box(const Vec3 &lo, const Vec3 &hi) : lo_(lo), hi_(hi)
 {
     require(hi.x > lo.x && hi.y > lo.y && hi.z > lo.z,
             "box upper corner must exceed lower corner");
+    updateLengths();
+}
+
+void
+Box::updateLengths()
+{
+    len_ = hi_ - lo_;
+    invLen_ = {1.0 / len_.x, 1.0 / len_.y, 1.0 / len_.z};
 }
 
 void
@@ -39,20 +47,6 @@ Box::wrap(const Vec3 &pos) const
     return out;
 }
 
-Vec3
-Box::minimumImage(const Vec3 &delta) const
-{
-    Vec3 out = delta;
-    const Vec3 len = lengths();
-    if (periodic_[0])
-        out.x -= len.x * std::round(out.x / len.x);
-    if (periodic_[1])
-        out.y -= len.y * std::round(out.y / len.y);
-    if (periodic_[2])
-        out.z -= len.z * std::round(out.z / len.z);
-    return out;
-}
-
 void
 Box::dilate(double factor)
 {
@@ -60,6 +54,7 @@ Box::dilate(double factor)
     const Vec3 center = (lo_ + hi_) * 0.5;
     lo_ = center + (lo_ - center) * factor;
     hi_ = center + (hi_ - center) * factor;
+    updateLengths();
 }
 
 bool

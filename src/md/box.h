@@ -7,6 +7,7 @@
 #define MDBENCH_MD_BOX_H
 
 #include <array>
+#include <cmath>
 
 #include "md/vec3.h"
 
@@ -33,7 +34,7 @@ class Box
     const Vec3 &hi() const { return hi_; }
 
     /** Edge lengths. */
-    Vec3 lengths() const { return hi_ - lo_; }
+    Vec3 lengths() const { return len_; }
 
     /** Box volume. */
     double volume() const;
@@ -48,10 +49,31 @@ class Box
     Vec3 wrap(const Vec3 &pos) const;
 
     /**
-     * Minimum-image displacement @p a - @p b.
+     * Minimum-image displacement: @p delta shifted along each periodic
+     * axis by a whole number of edges, d - L * round(d / L).
      * Assumes each box edge exceeds twice the interaction range.
+     *
+     * Displacements inside half an edge, the common case, skip the
+     * divide: when q = d * (1/L) (cached reciprocal) has |q| < 0.49 the
+     * result is d - L * round(q), with round(q) written as the signed
+     * zero copysign(0, q) it equals there (no libm call). That is
+     * bitwise the divide form: q is within an ulp of d / L, so both
+     * quotients lie below 0.5 in magnitude, carry the sign of d, and
+     * round to the same signed zero. Anything else (including NaN and
+     * infinity) takes the divide form.
      */
-    Vec3 minimumImage(const Vec3 &delta) const;
+    Vec3
+    minimumImage(const Vec3 &delta) const
+    {
+        Vec3 out = delta;
+        if (periodic_[0])
+            out.x = imageAxis(out.x, len_.x, invLen_.x);
+        if (periodic_[1])
+            out.y = imageAxis(out.y, len_.y, invLen_.y);
+        if (periodic_[2])
+            out.z = imageAxis(out.z, len_.z, invLen_.z);
+        return out;
+    }
 
     /** Rescale the box isotropically about its center by @p factor. */
     void dilate(double factor);
@@ -60,8 +82,24 @@ class Box
     bool contains(const Vec3 &pos) const;
 
   private:
+    static double
+    imageAxis(double d, double len, double invLen)
+    {
+        const double q = d * invLen;
+        if (std::fabs(q) < 0.49)
+            return d - len * std::copysign(0.0, q);
+        return d - len * std::round(d / len);
+    }
+
+    /** Refresh the cached edge lengths and their reciprocals. */
+    void updateLengths();
+
     Vec3 lo_{0, 0, 0};
     Vec3 hi_{1, 1, 1};
+    // Derived from lo_/hi_ by updateLengths(); the constructor and
+    // dilate() are the only mutators of the corners.
+    Vec3 len_{1, 1, 1};
+    Vec3 invLen_{1, 1, 1};
     std::array<bool, 3> periodic_{true, true, true};
 };
 

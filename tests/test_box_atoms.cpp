@@ -6,6 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <vector>
+
 #include "md/box.h"
 #include "md/lattice.h"
 #include "md/simulation.h"
@@ -51,6 +56,48 @@ TEST(Box, VolumeAndDilate)
     EXPECT_DOUBLE_EQ(box.volume(), 24.0 * 8.0);
     // Center is preserved.
     EXPECT_DOUBLE_EQ((box.lo().x + box.hi().x) / 2.0, 1.0);
+}
+
+TEST(Box, MinimumImageMatchesDivisionFormBitwise)
+{
+    // minimumImage skips the divide for displacements inside half an
+    // edge; its bits must still be those of d - L * round(d / L).
+    Box box({-1.3, 0.7, 2.0}, {8.6, 4.1, 15.25});
+    Rng rng(17);
+    auto bits = [](double d) { return std::bit_cast<std::uint64_t>(d); };
+    for (const double factor : {1.0, 1.037, 0.93}) {
+        box.dilate(factor);
+        const Vec3 len = box.hi() - box.lo();
+        for (int mask = 0; mask < 8; ++mask) {
+            const bool px = mask & 1, py = mask & 2, pz = mask & 4;
+            box.setPeriodic(px, py, pz);
+            std::vector<Vec3> deltas;
+            for (const double s : {0.0, 0.49, 0.5, 1.0, 1.5}) {
+                for (const double sign : {1.0, -1.0})
+                    deltas.push_back(Vec3{len.x, len.y, len.z} * (s * sign));
+                const Vec3 edge = Vec3{len.x, len.y, len.z} * s;
+                deltas.push_back({std::nextafter(edge.x, 0.0),
+                                  std::nextafter(edge.y, 1e300),
+                                  -std::nextafter(edge.z, 0.0)});
+            }
+            for (int k = 0; k < 2000; ++k)
+                deltas.push_back({rng.uniform(-1.5, 1.5) * len.x,
+                                  rng.uniform(-1.5, 1.5) * len.y,
+                                  rng.uniform(-1.5, 1.5) * len.z});
+            auto reference = [](double d, double l, bool periodic) {
+                return periodic ? d - l * std::round(d / l) : d;
+            };
+            for (const Vec3 &d : deltas) {
+                SCOPED_TRACE(testing::Message()
+                             << "dilate " << factor << " mask " << mask
+                             << " d " << d.x << "," << d.y << "," << d.z);
+                const Vec3 out = box.minimumImage(d);
+                EXPECT_EQ(bits(out.x), bits(reference(d.x, len.x, px)));
+                EXPECT_EQ(bits(out.y), bits(reference(d.y, len.y, py)));
+                EXPECT_EQ(bits(out.z), bits(reference(d.z, len.z, pz)));
+            }
+        }
+    }
 }
 
 TEST(Box, InvalidCornersThrow)

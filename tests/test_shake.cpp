@@ -8,13 +8,17 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <vector>
 
 #include "forcefield/pair_lj_cut.h"
 #include "md/fix_nve.h"
 #include "md/fix_shake.h"
 #include "md/simulation.h"
 #include "md/velocity.h"
+#include "util/error.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace mdbench {
 namespace {
@@ -175,6 +179,101 @@ TEST(Shake, ResidualReportedBelowTolerance)
     sim.setup();
     sim.run(20);
     EXPECT_LT(shake.maxResidual(), 1e-8);
+}
+
+TEST(Shake, MalformedClusterFailsLoudly)
+{
+    EXPECT_THROW(FixShake(1e-8, 0), FatalError);
+
+    // Each corruption of the first constraint must stop setup() before
+    // any index is used.
+    const auto nan = std::numeric_limits<double>::quiet_NaN();
+    const std::vector<ShakeCluster::Constraint> malformed = {
+        {3, 1, kBondOH},  // i past the cluster's three atoms
+        {-1, 1, kBondOH}, // negative i
+        {0, 3, kBondOH},  // j past the cluster
+        {0, -2, kBondOH}, // negative j
+        {1, 1, kBondOH},  // an atom constrained to itself
+        {0, 1, 0.0},      // zero distance
+        {0, 1, -kBondOH}, // negative distance
+        {0, 1, nan},      // NaN distance
+    };
+    for (const auto &con : malformed) {
+        SCOPED_TRACE(testing::Message() << con.i << "," << con.j << ","
+                                        << con.distance);
+        Simulation sim = makeWaterBox(2, 3.2);
+        sim.topology.shakeClusters[3].constraints[1] = con;
+        sim.addFix<FixNVE>();
+        sim.addFix<FixShake>(1e-8);
+        EXPECT_THROW(sim.setup(), FatalError);
+    }
+}
+
+TEST(Shake, SolveIsBitwiseAtAnyThreadCount)
+{
+    // 216 clusters span several pool slices; 8 threads oversubscribe
+    // small runners so slices really interleave.
+    struct Result
+    {
+        std::vector<Vec3> x;
+        std::vector<Vec3> v;
+        double residual = 0.0;
+    };
+    auto runAt = [](int nthreads) {
+        ThreadPool::setThreads(nthreads);
+        Simulation sim = makeWaterBox(6, 3.2);
+        Rng rng(37);
+        createVelocities(sim, 0.6, rng);
+        sim.addFix<FixNVE>();
+        auto &shake = sim.addFix<FixShake>(1e-9);
+        sim.setup();
+        sim.run(60);
+        const std::size_t n = sim.atoms.nlocal();
+        return Result{{sim.atoms.x.begin(), sim.atoms.x.begin() + n},
+                      {sim.atoms.v.begin(), sim.atoms.v.begin() + n},
+                      shake.maxResidual()};
+    };
+    const int before = ThreadPool::threads();
+    const Result reference = runAt(1);
+    EXPECT_GT(reference.residual, 0.0);
+    for (int nthreads : {2, 4, 8}) {
+        SCOPED_TRACE(nthreads);
+        const Result run = runAt(nthreads);
+        EXPECT_EQ(run.residual, reference.residual);
+        ASSERT_EQ(run.x.size(), reference.x.size());
+        for (std::size_t i = 0; i < reference.x.size(); ++i) {
+            EXPECT_EQ(run.x[i].x, reference.x[i].x) << i;
+            EXPECT_EQ(run.x[i].y, reference.x[i].y) << i;
+            EXPECT_EQ(run.x[i].z, reference.x[i].z) << i;
+            EXPECT_EQ(run.v[i].x, reference.v[i].x) << i;
+            EXPECT_EQ(run.v[i].y, reference.v[i].y) << i;
+            EXPECT_EQ(run.v[i].z, reference.v[i].z) << i;
+        }
+    }
+    ThreadPool::setThreads(before);
+}
+
+TEST(Shake, IndicesFollowReneighborAndSort)
+{
+    // A tiny skin rebuilds the lists every few steps and every rebuild
+    // reorders the atoms, so the solver's resolved indices go stale
+    // constantly; using a stale index breaks the constraints at once.
+    Simulation sim = makeWaterBox(3, 3.2);
+    sim.neighbor.skin = 0.02;
+    sim.setSortEvery(1);
+    Rng rng(41);
+    createVelocities(sim, 0.6, rng);
+    sim.addFix<FixNVE>();
+    sim.addFix<FixShake>(1e-8);
+    sim.setup();
+    sim.run(200);
+    EXPECT_GE(sim.reneighborCount(), 20);
+    bool reordered = false;
+    for (std::size_t i = 0; i < sim.atoms.nlocal(); ++i)
+        reordered = reordered ||
+                    sim.atoms.tag[i] != static_cast<std::int64_t>(i) + 1;
+    EXPECT_TRUE(reordered);
+    EXPECT_LT(maxConstraintViolation(sim), 1e-4);
 }
 
 } // namespace

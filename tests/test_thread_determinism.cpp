@@ -30,6 +30,7 @@ struct RunResult
 {
     std::vector<Vec3> forces;
     std::vector<Vec3> positions;
+    std::vector<Vec3> velocities;
     double pairEnergy = 0.0;
     double pairVirial = 0.0;
     double potential = 0.0;
@@ -50,6 +51,8 @@ runAt(int nthreads, const std::function<std::unique_ptr<Simulation>()> &build,
                          sim->atoms.f.begin() + nlocal);
     result.positions.assign(sim->atoms.x.begin(),
                             sim->atoms.x.begin() + nlocal);
+    result.velocities.assign(sim->atoms.v.begin(),
+                             sim->atoms.v.begin() + nlocal);
     result.pairEnergy = sim->pair->energy();
     result.pairVirial = sim->pair->virial();
     result.potential = sim->potentialEnergy();
@@ -78,6 +81,11 @@ expectBitwiseReproducible(
             EXPECT_EQ(run.positions[i].x, reference.positions[i].x) << i;
             EXPECT_EQ(run.positions[i].y, reference.positions[i].y) << i;
             EXPECT_EQ(run.positions[i].z, reference.positions[i].z) << i;
+            // Velocities carry the last step's RATTLE projection, which
+            // no position or force check would see.
+            EXPECT_EQ(run.velocities[i].x, reference.velocities[i].x) << i;
+            EXPECT_EQ(run.velocities[i].y, reference.velocities[i].y) << i;
+            EXPECT_EQ(run.velocities[i].z, reference.velocities[i].z) << i;
         }
     }
     ThreadPool::setThreads(before);
