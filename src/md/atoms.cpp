@@ -1,8 +1,16 @@
 #include "md/atoms.h"
 
 #include "util/error.h"
+#include "util/thread_pool.h"
 
 namespace mdbench {
+
+namespace {
+
+/** Ghosts per slice of the bulk ghost fill. */
+constexpr std::size_t kGhostGrain = 2048;
+
+} // namespace
 
 void
 AtomStore::reserve(std::size_t n)
@@ -93,6 +101,51 @@ AtomStore::addGhost(std::size_t src, const Vec3 &shift)
         ghostOf[src] >= 0 ? ghostOf[src] : static_cast<std::int32_t>(src);
     ghostOf.push_back(owner);
     return x.size() - 1;
+}
+
+std::size_t
+AtomStore::addGhosts(std::span<const std::uint32_t> src,
+                     std::span<const std::array<std::int8_t, 3>> image,
+                     const Vec3 &period)
+{
+    ensure(src.size() == image.size(), "ghost sources and images differ");
+    ensure(npad_ == 0, "cannot add ghosts while the pad slot exists");
+    const std::size_t first = x.size();
+    const std::size_t n = first + src.size();
+    x.resize(n);
+    v.resize(n);
+    f.resize(n);
+    omega.resize(n);
+    torque.resize(n);
+    q.resize(n);
+    type.resize(n);
+    tag.resize(n);
+    molecule.resize(n);
+    ghostOf.resize(n);
+    ThreadPool::global().parallelFor(
+        0, src.size(), kGhostGrain,
+        [&](std::size_t begin, std::size_t end, int) {
+            for (std::size_t k = begin; k < end; ++k) {
+                const std::size_t from = src[k];
+                const std::size_t g = first + k;
+                if (from >= first)
+                    panic("ghost source out of range");
+                const Vec3 shift{image[k][0] * period.x,
+                                 image[k][1] * period.y,
+                                 image[k][2] * period.z};
+                x[g] = x[from] + shift;
+                v[g] = v[from];
+                omega[g] = omega[from];
+                q[g] = q[from];
+                type[g] = type[from];
+                tag[g] = tag[from];
+                molecule[g] = molecule[from];
+                ghostOf[g] = ghostOf[from] >= 0
+                                 ? ghostOf[from]
+                                 : static_cast<std::int32_t>(from);
+            }
+        });
+    return first;
 }
 
 std::size_t

@@ -15,7 +15,9 @@
 #ifndef MDBENCH_MD_ATOMS_H
 #define MDBENCH_MD_ATOMS_H
 
+#include <array>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "md/vec3.h"
@@ -81,6 +83,18 @@ class AtomStore
      * @return index of the ghost.
      */
     std::size_t addGhost(std::size_t src, const Vec3 &shift);
+
+    /**
+     * Append @p src.size() periodic images in one step: ghost k copies
+     * atom src[k] displaced by image[k] * @p period per axis (image
+     * codes in {-1, 0, +1}). Bitwise the store the same addGhost calls,
+     * in order, would build; every per-atom array is resized once and
+     * the copies are filled over the thread pool.
+     * @return index of the first new ghost.
+     */
+    std::size_t addGhosts(std::span<const std::uint32_t> src,
+                          std::span<const std::array<std::int8_t, 3>> image,
+                          const Vec3 &period);
 
     /**
      * Append a ghost copied from another store (cross-rank halo).

@@ -33,20 +33,6 @@ Box::volume() const
     return len.x * len.y * len.z;
 }
 
-Vec3
-Box::wrap(const Vec3 &pos) const
-{
-    Vec3 out = pos;
-    const Vec3 len = lengths();
-    if (periodic_[0])
-        out.x -= len.x * std::floor((out.x - lo_.x) / len.x);
-    if (periodic_[1])
-        out.y -= len.y * std::floor((out.y - lo_.y) / len.y);
-    if (periodic_[2])
-        out.z -= len.z * std::floor((out.z - lo_.z) / len.z);
-    return out;
-}
-
 void
 Box::dilate(double factor)
 {

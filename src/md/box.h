@@ -43,10 +43,29 @@ class Box
     bool periodic(int axis) const { return periodic_[axis]; }
 
     /**
-     * Wrap @p pos into the primary cell along periodic axes.
-     * Non-periodic axes are left untouched.
+     * Wrap @p pos into the primary cell along periodic axes:
+     * x - L * floor((x - lo) / L). Non-periodic axes are left untouched.
+     *
+     * Coordinates already inside the cell, the common case, skip the
+     * divide: when q = (x - lo) * (1/L) (cached reciprocal) lies in
+     * (0, 0.99) the result is x itself. That is bitwise the divide form:
+     * q is within an ulp of (x - lo) / L, so that quotient lies in
+     * (0, 1), its floor is +0, and x - L * (+0) is x (also for x = ±0).
+     * Everything else takes the divide form: q >= 0.99, NaN, infinity,
+     * and x - lo <= 0, where x = -0 with lo = +0 must come out as +0.
      */
-    Vec3 wrap(const Vec3 &pos) const;
+    Vec3
+    wrap(const Vec3 &pos) const
+    {
+        Vec3 out = pos;
+        if (periodic_[0])
+            out.x = wrapAxis(out.x, lo_.x, len_.x, invLen_.x);
+        if (periodic_[1])
+            out.y = wrapAxis(out.y, lo_.y, len_.y, invLen_.y);
+        if (periodic_[2])
+            out.z = wrapAxis(out.z, lo_.z, len_.z, invLen_.z);
+        return out;
+    }
 
     /**
      * Minimum-image displacement: @p delta shifted along each periodic
@@ -82,6 +101,15 @@ class Box
     bool contains(const Vec3 &pos) const;
 
   private:
+    static double
+    wrapAxis(double x, double lo, double len, double invLen)
+    {
+        const double q = (x - lo) * invLen;
+        if (q > 0.0 && q < 0.99)
+            return x;
+        return x - len * std::floor((x - lo) / len);
+    }
+
     static double
     imageAxis(double d, double len, double invLen)
     {

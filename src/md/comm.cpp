@@ -1,9 +1,13 @@
 #include "md/comm.h"
 
+#include <algorithm>
+#include <array>
+
 #include "md/simulation.h"
 #include "obs/counters.h"
 #include "obs/trace.h"
 #include "util/error.h"
+#include "util/thread_pool.h"
 
 namespace mdbench {
 
@@ -14,7 +18,8 @@ SerialComm::exchange(Simulation &sim)
     counterAdd(Counter::CommExchanges);
     AtomStore &atoms = sim.atoms;
     atoms.clearGhosts();
-    ghosts_.clear();
+    owner_.clear();
+    image_.clear();
     for (std::size_t i = 0; i < atoms.nlocal(); ++i)
         atoms.x[i] = sim.box.wrap(atoms.x[i]);
 }
@@ -34,14 +39,13 @@ SerialComm::borders(Simulation &sim)
             "box too small for the communication cutoff (needs > 2x)");
 
     atoms.clearGhosts();
-    ghosts_.clear();
 
-    const std::size_t nlocal = atoms.nlocal();
-    for (std::size_t i = 0; i < nlocal; ++i) {
-        const Vec3 &pos = atoms.x[i];
-        // Determine which periodic images of atom i fall within the ghost
-        // shell of the primary box: image code -1 shifts by +L (the atom
-        // near the low face appears beyond the high face) and vice versa.
+    // Calls emit(code) for each periodic image of an atom at @p pos that
+    // falls within the ghost shell of the primary box, in the serial
+    // order: per axis the image code runs 0, then +1 (the atom near the
+    // low face appears beyond the high face, shifted by +L), then -1,
+    // x outermost; the all-zero code (the atom itself) is skipped.
+    const auto forEachImage = [&](const Vec3 &pos, auto &&emit) {
         std::int8_t codes[3][3];
         int counts[3];
         const double loDist[3] = {pos.x - box.lo().x, pos.y - box.lo().y,
@@ -61,20 +65,46 @@ SerialComm::borders(Simulation &sim)
         for (int a = 0; a < counts[0]; ++a) {
             for (int b = 0; b < counts[1]; ++b) {
                 for (int c = 0; c < counts[2]; ++c) {
-                    if (!codes[0][a] && !codes[1][b] && !codes[2][c])
-                        continue;
-                    const Vec3 shift{codes[0][a] * len.x,
-                                     codes[1][b] * len.y,
-                                     codes[2][c] * len.z};
-                    atoms.addGhost(i, shift);
-                    ghosts_.push_back({static_cast<std::uint32_t>(i),
-                                       {codes[0][a], codes[1][b],
-                                        codes[2][c]}});
+                    if (codes[0][a] || codes[1][b] || codes[2][c])
+                        emit(Image{codes[0][a], codes[1][b], codes[2][c]});
                 }
             }
         }
-    }
-    counterAdd(Counter::CommGhostAtoms, ghosts_.size());
+    };
+
+    // Each slice of the owned atoms counts its ghosts, then writes them
+    // from its prefix offset: the slices land in order, so the ghosts
+    // come out in the serial order (by owner, then image) at any
+    // slicing.
+    const std::size_t nlocal = atoms.nlocal();
+    const SliceRange slices(
+        0, nlocal,
+        std::max<std::size_t>(1024,
+                              (nlocal + kBorderSlices - 1) / kBorderSlices));
+    ThreadPool &pool = ThreadPool::global();
+    std::array<std::size_t, kBorderSlices + 1> sliceStart{};
+    pool.run(slices, [&](std::size_t begin, std::size_t end, int s) {
+        std::size_t count = 0;
+        for (std::size_t i = begin; i < end; ++i)
+            forEachImage(atoms.x[i], [&](const Image &) { ++count; });
+        sliceStart[static_cast<std::size_t>(s) + 1] = count;
+    });
+    for (int s = 0; s < slices.count(); ++s)
+        sliceStart[s + 1] += sliceStart[s];
+    owner_.resize(sliceStart[static_cast<std::size_t>(slices.count())]);
+    image_.resize(owner_.size());
+    pool.run(slices, [&](std::size_t begin, std::size_t end, int s) {
+        std::size_t g = sliceStart[static_cast<std::size_t>(s)];
+        for (std::size_t i = begin; i < end; ++i) {
+            forEachImage(atoms.x[i], [&](const Image &image) {
+                owner_[g] = static_cast<std::uint32_t>(i);
+                image_[g] = image;
+                ++g;
+            });
+        }
+    });
+    atoms.addGhosts(owner_, image_, len);
+    counterAdd(Counter::CommGhostAtoms, owner_.size());
 }
 
 void
@@ -84,13 +114,13 @@ SerialComm::forwardPositions(Simulation &sim)
     AtomStore &atoms = sim.atoms;
     const Vec3 len = sim.box.lengths();
     const std::size_t nlocal = atoms.nlocal();
-    ensure(atoms.nghost() == ghosts_.size(), "ghost bookkeeping out of sync");
-    for (std::size_t g = 0; g < ghosts_.size(); ++g) {
-        const GhostRecord &rec = ghosts_[g];
-        const Vec3 shift{rec.image[0] * len.x, rec.image[1] * len.y,
-                         rec.image[2] * len.z};
-        atoms.x[nlocal + g] = atoms.x[rec.owner] + shift;
-        atoms.v[nlocal + g] = atoms.v[rec.owner];
+    ensure(atoms.nghost() == owner_.size(), "ghost bookkeeping out of sync");
+    for (std::size_t g = 0; g < owner_.size(); ++g) {
+        const Image &image = image_[g];
+        const Vec3 shift{image[0] * len.x, image[1] * len.y,
+                         image[2] * len.z};
+        atoms.x[nlocal + g] = atoms.x[owner_[g]] + shift;
+        atoms.v[nlocal + g] = atoms.v[owner_[g]];
     }
 }
 
@@ -100,9 +130,9 @@ SerialComm::reverseForces(Simulation &sim)
     TraceScope trace("comm", "reverse_forces");
     AtomStore &atoms = sim.atoms;
     const std::size_t nlocal = atoms.nlocal();
-    for (std::size_t g = 0; g < ghosts_.size(); ++g) {
-        atoms.f[ghosts_[g].owner] += atoms.f[nlocal + g];
-        atoms.torque[ghosts_[g].owner] += atoms.torque[nlocal + g];
+    for (std::size_t g = 0; g < owner_.size(); ++g) {
+        atoms.f[owner_[g]] += atoms.f[nlocal + g];
+        atoms.torque[owner_[g]] += atoms.torque[nlocal + g];
         atoms.f[nlocal + g] = {};
         atoms.torque[nlocal + g] = {};
     }
@@ -112,20 +142,20 @@ void
 SerialComm::forwardScalar(Simulation &sim, std::vector<double> &values)
 {
     const std::size_t nlocal = sim.atoms.nlocal();
-    ensure(values.size() >= nlocal + ghosts_.size(),
+    ensure(values.size() >= nlocal + owner_.size(),
            "scalar array smaller than atom count");
-    for (std::size_t g = 0; g < ghosts_.size(); ++g)
-        values[nlocal + g] = values[ghosts_[g].owner];
+    for (std::size_t g = 0; g < owner_.size(); ++g)
+        values[nlocal + g] = values[owner_[g]];
 }
 
 void
 SerialComm::reverseScalar(Simulation &sim, std::vector<double> &values)
 {
     const std::size_t nlocal = sim.atoms.nlocal();
-    ensure(values.size() >= nlocal + ghosts_.size(),
+    ensure(values.size() >= nlocal + owner_.size(),
            "scalar array smaller than atom count");
-    for (std::size_t g = 0; g < ghosts_.size(); ++g) {
-        values[ghosts_[g].owner] += values[nlocal + g];
+    for (std::size_t g = 0; g < owner_.size(); ++g) {
+        values[owner_[g]] += values[nlocal + g];
         values[nlocal + g] = 0.0;
     }
 }

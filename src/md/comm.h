@@ -85,13 +85,16 @@ class SerialComm : public CommLayer
     void reverseScalar(Simulation &sim, std::vector<double> &values) override;
 
   private:
-    /** Owner index and image code of each ghost, parallel to ghost range. */
-    struct GhostRecord
-    {
-        std::uint32_t owner;
-        std::array<std::int8_t, 3> image;
-    };
-    std::vector<GhostRecord> ghosts_;
+    /** Image code of a ghost along each axis, in {-1, 0, +1}. */
+    using Image = std::array<std::int8_t, 3>;
+
+    /** Upper bound on the slices borders() collects ghosts over. */
+    static constexpr std::size_t kBorderSlices = 16;
+
+    // Owner index and image code of each ghost, parallel to the ghost
+    // range.
+    std::vector<std::uint32_t> owner_;
+    std::vector<Image> image_;
 };
 
 } // namespace mdbench

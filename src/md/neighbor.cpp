@@ -34,7 +34,8 @@ constexpr std::size_t kSimdPad = 16;
 /**
  * Bins are half the build cutoff wide, so every pair within the cutoff
  * lies at most two bins apart on each axis: the stencil is the 5×5×5
- * block of bins around the atom's own.
+ * block of bins around the atom's own (full lists), or its dz >= 0
+ * upper half (half lists, see upperHalf).
  */
 constexpr int kStencilReach = 2;
 
@@ -210,10 +211,32 @@ countingSortBinsParallel(const BinGrid &grid, const mdbench::Vec3 *x,
     });
 }
 
+/**
+ * Half-list ownership: true when @p xj lies in the upper half-space of
+ * @p xi — greater z, then greater y, then greater x — with @p jAfterI
+ * (j > i) deciding exactly equal coordinates. Exactly one side of every
+ * local pair passes, and so does exactly one of the two mirrored
+ * copies of a pair across a periodic boundary. A ghost id always
+ * exceeds every owned id, so a ghost at i's exact position is kept.
+ * The == compares treat ±0.0 as equal, like the vector masks.
+ */
+inline bool
+upperHalf(const mdbench::Vec3 &xj, const mdbench::Vec3 &xi, bool jAfterI)
+{
+    if (xj.z != xi.z)
+        return xj.z > xi.z;
+    if (xj.y != xi.y)
+        return xj.y > xi.y;
+    if (xj.x != xi.x)
+        return xj.x > xi.x;
+    return jAfterI;
+}
+
 /** Everything the row fills read, hoisted once per build. */
 struct BuildCtx
 {
     const BinGrid &grid;
+    bool full; ///< full list: walk the whole stencil, skip only i
     const std::uint32_t *binStart; ///< CSR bin offsets
     const std::uint32_t *binAtoms; ///< bin-ordered atom ids (+ pad)
     const mdbench::Vec3 *x;        ///< positions in atom order
@@ -261,10 +284,12 @@ struct BuildTally
  * The stencil of atom @p i as contiguous binAtoms runs. flatten() is
  * x-fastest, so the dx = -2..2 bins of every (dy, dz) row are one dense
  * range of bin ids and therefore one dense range of bin-ordered slots:
- * at most 25 runs instead of 125 bins. Runs are clamped to the grid, so
- * an axis with fewer than five bins visits each bin once. Walking a run
- * ascending visits exactly the bins the scalar oracle visits, in its
- * order.
+ * at most 25 runs instead of 125 bins. A half list walks only the
+ * dz >= 0 rows, 15 runs: cellOf is monotone in z, so no atom in i's
+ * upper half-space (upperHalf) sits in a lower z-bin. Runs are clamped
+ * to the grid, so an axis with fewer than five bins visits each bin
+ * once. Walking a run ascending visits exactly the bins the scalar
+ * oracle visits, in its order.
  */
 struct StencilRuns
 {
@@ -282,7 +307,7 @@ stencilRuns(const BuildCtx &c, const mdbench::Vec3 &xi)
     const int x0 = std::max(bi[0] - kStencilReach, 0);
     const int x1 = std::min(bi[0] + kStencilReach, nb[0] - 1);
     StencilRuns runs;
-    for (int dz = -kStencilReach; dz <= kStencilReach; ++dz) {
+    for (int dz = c.full ? -kStencilReach : 0; dz <= kStencilReach; ++dz) {
         const int bz = bi[2] + dz;
         if (bz < 0 || bz >= nb[2])
             continue;
@@ -309,8 +334,8 @@ stencilRuns(const BuildCtx &c, const mdbench::Vec3 &xi)
  * Fully vectorized CSR row fill for atom @p i: every stencil candidate
  * is tested in a W-wide chunk of the bin-ordered staging — contiguous
  * transpose loads, no gathers — and the whole inclusion predicate
- * (distance, half-list index order, ghost coordinate tie-break) is
- * evaluated as lane masks. With Special set (row i has special
+ * (distance, then the half-list upperHalf ownership rule) is evaluated
+ * as lane masks. With Special set (row i has special
  * partners), the accepted lanes whose tag is one of them are dropped
  * before the append and counted into @p excluded. Accepted lanes
  * append through compressStore in ascending lane order, which is
@@ -340,7 +365,6 @@ fillRowSimdImpl(const BuildCtx &c, std::size_t i, const StencilRuns &runs,
     const D xiV(xi.x), yiV(xi.y), ziV(xi.z);
     const D cutSqV(c.cutSq);
     const std::uint32_t i32 = static_cast<std::uint32_t>(i);
-    const std::uint32_t nlocal32 = static_cast<std::uint32_t>(c.nlocal);
     const auto [special, specialEnd] = c.special(i);
     std::uint32_t n = 0;
     const auto chunk = [&](std::uint32_t at, int laneMask) {
@@ -358,16 +382,16 @@ fillRowSimdImpl(const BuildCtx &c, std::size_t i, const StencilRuns &runs,
             // Full list: every in-range candidate except i itself.
             inc = M::fromIndexEQ(ids, i32).andnot(dist);
         } else {
-            // Half list: local pairs once by index order, ghost pairs
-            // once by the z/y/x coordinate tie-break (mirrors the
-            // scalar walk lane for lane, including the ±0.0-safe
-            // equal compares).
-            const M isLocal = M::fromIndexLT(ids, nlocal32);
+            // Half list: upperHalf lane for lane, the index order
+            // deciding only exactly equal coordinates (which also drops
+            // i itself).
             const M idGT = M::fromIndexGT(ids, i32);
-            const M tb = (zj > ziV) |
-                         ((zj == ziV) &
-                          ((yj > yiV) | ((yj == yiV) & (xj >= xiV))));
-            inc = dist & ((isLocal & idGT) | isLocal.andnot(tb));
+            const M upper =
+                (zj > ziV) |
+                ((zj == ziV) &
+                 ((yj > yiV) |
+                  ((yj == yiV) & ((xj > xiV) | ((xj == xiV) & idGT)))));
+            inc = dist & upper;
         }
         int bits = inc.bits() & laneMask;
         if constexpr (Special) {
@@ -500,9 +524,20 @@ fillRows(NeighborList &list, const BuildCtx &ctx, ThreadPool &pool,
             const StencilRuns runs = stencilRuns(ctx, ctx.x[i]);
             t.candidates += runs.total;
             if (cursor + runs.total > room && n == 1) {
-                // The only slice grows the list itself.
-                list.neighbors.resize(
-                    std::max(2 * room, cursor + runs.total));
+                // The only slice grows the list itself, to what the
+                // rows filled so far project for all rows plus 1/16 (at
+                // least by an eighth), and reserves exactly that: a
+                // doubling step would leave the peak footprint up to
+                // twice the list.
+                const std::size_t need = cursor + runs.total;
+                const std::size_t projected =
+                    i == 0 ? 0
+                           : cursor * (nlocal + nlocal / 16) / i +
+                                 runs.total;
+                const std::size_t grown =
+                    std::max({need, room + room / 8, projected});
+                list.neighbors.reserve(grown);
+                list.neighbors.resize(grown);
                 own = list.neighbors.data();
                 room = list.neighbors.size();
             } else if (cursor + runs.total > room) {
@@ -593,8 +628,7 @@ buildRowsScalar(NeighborList &list, const BuildCtx &c, ThreadPool &pool,
                 BuildTally &tally)
 {
     const mdbench::Vec3 *x = c.x;
-    const std::size_t nlocal = c.nlocal;
-    const bool full = list.full;
+    const bool full = c.full;
 
     auto fillRow = [&](std::size_t i, const StencilRuns &runs,
                        std::uint32_t *dst, std::size_t &excluded) {
@@ -609,30 +643,15 @@ buildRowsScalar(NeighborList &list, const BuildCtx &c, ThreadPool &pool,
                 const std::size_t ju = c.binAtoms[idx];
                 if (ju == i)
                     continue;
-                // Half-list inclusion rule (Newton on): local pairs once
-                // by index order (rejected before the position load);
-                // pairs with ghosts once by a coordinate tie-break, so
-                // that of the two mirrored boundary pairs exactly one
-                // side stores it.
-                if (!full && ju < nlocal && ju < i)
-                    continue;
-                // One load serves both the distance check and the ghost
-                // tie-break; the distance test goes first because it
-                // rejects most candidates with one predictable branch.
+                // One load serves both the distance check and the
+                // half-list ownership rule (Newton on); the distance
+                // test goes first because it rejects most candidates
+                // with one predictable branch.
                 const mdbench::Vec3 xj = x[ju];
                 if ((xj - xi).normSq() >= c.cutSq)
                     continue;
-                if (!full && ju >= nlocal) {
-                    if (xj.z != xi.z) {
-                        if (xj.z < xi.z)
-                            continue;
-                    } else if (xj.y != xi.y) {
-                        if (xj.y < xi.y)
-                            continue;
-                    } else if (xj.x < xi.x) {
-                        continue;
-                    }
-                }
+                if (!full && !upperHalf(xj, xi, ju > i))
+                    continue;
                 if (special != specialEnd &&
                     std::find(special, specialEnd, c.tag[ju]) !=
                         specialEnd) {
@@ -731,7 +750,7 @@ Neighbor::buildImpl(Simulation &sim)
     // Raw pointers into the bin structures: the fill loops append to a
     // member vector, so indexing the members directly would force the
     // compiler to re-load their data pointers every iteration.
-    BuildCtx ctx{grid, binStart_.data(), binAtoms_.data(), x,
+    BuildCtx ctx{grid, full, binStart_.data(), binAtoms_.data(), x,
                  atoms.tag.data(), nlocal, cutSq};
 
     // Resolve the special lists once per build into a CSR over the

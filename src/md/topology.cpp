@@ -1,30 +1,34 @@
 #include "md/topology.h"
 
 #include <algorithm>
+#include <string>
 #include <utility>
 
 #include "md/atoms.h"
+#include "util/error.h"
 
 namespace mdbench {
 
 void
 Topology::buildTagMap(const AtomStore &atoms)
 {
-    tagMap_.clear();
-    tagMap_.reserve(atoms.nall());
-    // Insert ghosts first so that owned atoms overwrite them: lookups then
+    const std::size_t nall = atoms.nall();
+    std::int64_t maxTag = 0;
+    for (std::size_t i = 0; i < nall; ++i) {
+        const std::int64_t tag = atoms.tag[i];
+        if (tag <= 0)
+            fatal("atom tags must be positive, got " + std::to_string(tag));
+        maxTag = std::max(maxTag, tag);
+    }
+    tagMap_.assign(static_cast<std::size_t>(maxTag) + 1, -1);
+    // Write ghosts first so that owned atoms overwrite them: lookups then
     // prefer the owned copy, which is the one integrated.
-    for (std::size_t i = atoms.nlocal(); i < atoms.nall(); ++i)
-        tagMap_[atoms.tag[i]] = static_cast<std::int64_t>(i);
+    for (std::size_t i = atoms.nlocal(); i < nall; ++i)
+        tagMap_[static_cast<std::size_t>(atoms.tag[i])] =
+            static_cast<std::int32_t>(i);
     for (std::size_t i = 0; i < atoms.nlocal(); ++i)
-        tagMap_[atoms.tag[i]] = static_cast<std::int64_t>(i);
-}
-
-std::int64_t
-Topology::indexOf(std::int64_t tag) const
-{
-    const auto it = tagMap_.find(tag);
-    return it == tagMap_.end() ? -1 : it->second;
+        tagMap_[static_cast<std::size_t>(atoms.tag[i])] =
+            static_cast<std::int32_t>(i);
 }
 
 void

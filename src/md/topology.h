@@ -11,7 +11,6 @@
 
 #include <cstdint>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 namespace mdbench {
@@ -85,20 +84,29 @@ class Topology
     /** True when the (tagA, tagB) pair is excluded from pair interactions. */
     bool excluded(std::int64_t tagA, std::int64_t tagB) const;
 
-    /** Rebuild the tag -> index map from @p atoms (owned + ghosts). */
+    /**
+     * Rebuild the tag -> index map from @p atoms (owned + ghosts): a
+     * dense array indexed by tag, sized to the largest tag + 1 (LAMMPS
+     * `atom_modify map array`). Tags must be positive; every suite
+     * builder numbers its atoms 1..N, so the array stays N + 1 long.
+     */
     void buildTagMap(const AtomStore &atoms);
 
     /**
      * Resolve @p tag to a local index, preferring owned atoms.
      * @return index, or -1 when the tag is not present.
      */
-    std::int64_t indexOf(std::int64_t tag) const;
-
-    /** Number of map entries (owned + ghost tags). */
-    std::size_t mappedAtoms() const { return tagMap_.size(); }
+    std::int64_t
+    indexOf(std::int64_t tag) const
+    {
+        if (tag < 0 || static_cast<std::uint64_t>(tag) >= tagMap_.size())
+            return -1;
+        return tagMap_[static_cast<std::size_t>(tag)];
+    }
 
   private:
-    std::unordered_map<std::int64_t, std::int64_t> tagMap_;
+    /** Local index of each tag, -1 where the tag is absent. */
+    std::vector<std::int32_t> tagMap_;
 
     // Special lists as a CSR keyed by tag: specialKeys_ holds the
     // ascending tags that have partners, row k of specialPartners_

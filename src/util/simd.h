@@ -368,16 +368,6 @@ struct SimdMask
     // tie-breaks in one vector predicate). Indices are atom ids and
     // always < 2^31, so the ISA backends may compare signed.
 
-    /** Lane l set when idx[l] < s. */
-    static SimdMask
-    fromIndexLT(const SimdIndex<W> &idx, std::uint32_t s)
-    {
-        SimdMask r;
-        for (int l = 0; l < W; ++l)
-            r.m[l] = idx.lane(l) < s;
-        return r;
-    }
-
     /** Lane l set when idx[l] > s. */
     static SimdMask
     fromIndexGT(const SimdIndex<W> &idx, std::uint32_t s)
@@ -926,16 +916,6 @@ struct SimdMask<double, 4>
     // signed epi32 compares agree with the generic unsigned rule).
 
     static SimdMask
-    fromIndexLT(const SimdIndex<4> &idx, std::uint32_t s)
-    {
-        const __m128i cmp =
-            _mm_cmplt_epi32(idx.v, _mm_set1_epi32(static_cast<int>(s)));
-        SimdMask r;
-        r.m = _mm256_castsi256_pd(_mm256_cvtepi32_epi64(cmp));
-        return r;
-    }
-
-    static SimdMask
     fromIndexGT(const SimdIndex<4> &idx, std::uint32_t s)
     {
         const __m128i cmp =
@@ -1393,15 +1373,6 @@ struct SimdMask<float, 8>
 
     // Index-domain compares (ids < 2^31, so signed epi32 compare is safe).
     static SimdMask
-    fromIndexLT(const SimdIndex<8> &idx, std::uint32_t s)
-    {
-        SimdMask r;
-        r.m = _mm256_castsi256_ps(_mm256_cmpgt_epi32(
-            _mm256_set1_epi32(static_cast<int>(s)), idx.v));
-        return r;
-    }
-
-    static SimdMask
     fromIndexGT(const SimdIndex<8> &idx, std::uint32_t s)
     {
         SimdMask r;
@@ -1778,15 +1749,6 @@ struct SimdMask<double, 8>
     // Index-domain compares, widened to 64-bit so the 8 id lanes line
     // up with the 8 double lanes.
     static SimdMask
-    fromIndexLT(const SimdIndex<8> &idx, std::uint32_t s)
-    {
-        SimdMask r;
-        r.m = _mm512_cmp_epu64_mask(_mm512_cvtepu32_epi64(idx.v),
-                                    _mm512_set1_epi64(s), _MM_CMPINT_LT);
-        return r;
-    }
-
-    static SimdMask
     fromIndexGT(const SimdIndex<8> &idx, std::uint32_t s)
     {
         SimdMask r;
@@ -2151,15 +2113,6 @@ struct SimdMask<float, 16>
     }
 
     // Index-domain compares (lane counts already match at 32 bits).
-    static SimdMask
-    fromIndexLT(const SimdIndex<16> &idx, std::uint32_t s)
-    {
-        SimdMask r;
-        r.m = _mm512_cmp_epu32_mask(
-            idx.v, _mm512_set1_epi32(static_cast<int>(s)), _MM_CMPINT_LT);
-        return r;
-    }
-
     static SimdMask
     fromIndexGT(const SimdIndex<16> &idx, std::uint32_t s)
     {

@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include "forcefield/pair_lj_cut.h"
 #include "md/lattice.h"
@@ -16,6 +18,7 @@
 #include "util/error.h"
 #include "md/velocity.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace mdbench {
 namespace {
@@ -137,6 +140,124 @@ TEST(SerialComm, SmallBoxRejected)
     sim.neighbor.skin = 0.3;
     sim.comm->exchange(sim);
     EXPECT_THROW(sim.comm->borders(sim), FatalError);
+}
+
+/**
+ * @p n random atoms with distinct charges, molecule ids, types and
+ * velocities in a box of the given edges, ghosted by SerialComm at the
+ * given pool size.
+ */
+Simulation
+pooledBorders(int threads, const Vec3 &edges, bool periodicZ, double cut,
+              int n)
+{
+    const int before = ThreadPool::threads();
+    ThreadPool::setThreads(threads);
+    Simulation sim;
+    sim.box = Box({-1.0, 0.5, 2.0}, Vec3{-1.0, 0.5, 2.0} + edges);
+    sim.box.setPeriodic(true, true, periodicZ);
+    sim.atoms.setNumTypes(3);
+    Rng rng(71);
+    for (int i = 0; i < n; ++i) {
+        const Vec3 p{rng.uniform(sim.box.lo().x, sim.box.hi().x),
+                     rng.uniform(sim.box.lo().y, sim.box.hi().y),
+                     rng.uniform(sim.box.lo().z, sim.box.hi().z)};
+        const std::size_t idx = sim.atoms.addAtom(i + 1, 1 + i % 3, p);
+        sim.atoms.q[idx] = rng.uniform(-1.0, 1.0);
+        sim.atoms.molecule[idx] = 1 + i / 7;
+        sim.atoms.v[idx] = {rng.uniform(-1, 1), rng.uniform(-1, 1),
+                            rng.uniform(-1, 1)};
+    }
+    sim.neighbor.cutoff = cut - 0.3;
+    sim.neighbor.skin = 0.3;
+    sim.comm->exchange(sim);
+    sim.comm->borders(sim);
+    ThreadPool::setThreads(before);
+    return sim;
+}
+
+/**
+ * The ghosts serial addGhost calls make: for each owned atom in
+ * order, its images within @p cut of a face, the image code of each
+ * axis running 0, +1 (near the low face), -1 (near the high face) with
+ * x outermost.
+ */
+AtomStore
+serialBorders(const Simulation &sim, double cut)
+{
+    AtomStore ref = sim.atoms;
+    ref.clearGhosts();
+    const Box &box = sim.box;
+    const Vec3 len = box.lengths();
+    for (std::size_t i = 0; i < ref.nlocal(); ++i) {
+        const Vec3 pos = ref.x[i];
+        const double p[3] = {pos.x, pos.y, pos.z};
+        const double lo[3] = {box.lo().x, box.lo().y, box.lo().z};
+        const double hi[3] = {box.hi().x, box.hi().y, box.hi().z};
+        std::vector<int> codes[3];
+        for (int axis = 0; axis < 3; ++axis) {
+            codes[axis] = {0};
+            if (box.periodic(axis) && p[axis] - lo[axis] < cut)
+                codes[axis].push_back(1);
+            if (box.periodic(axis) && hi[axis] - p[axis] < cut)
+                codes[axis].push_back(-1);
+        }
+        for (const int a : codes[0])
+            for (const int b : codes[1])
+                for (const int c : codes[2])
+                    if (a != 0 || b != 0 || c != 0)
+                        ref.addGhost(i, {a * len.x, b * len.y, c * len.z});
+    }
+    return ref;
+}
+
+template <class T>
+bool
+sameBits(const std::vector<T> &a, const std::vector<T> &b)
+{
+    return a.size() == b.size() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0;
+}
+
+TEST(SerialComm, PooledBordersMatchSerialOrder)
+{
+    // borders() collects ghosts over pool slices and fills them with one
+    // bulk append; the ghost arrays must be bitwise those of the serial
+    // addGhost loop, in the same order, at every pool size. Cases: a
+    // fully periodic box, a non-periodic z axis, and a box just over
+    // twice the comm cutoff (most atoms have several images).
+    struct Case
+    {
+        Vec3 edges;
+        bool periodicZ;
+        double cut;
+    };
+    for (const Case &c : {Case{{11.0, 9.5, 12.5}, true, 2.2},
+                          Case{{11.0, 9.5, 12.5}, false, 2.2},
+                          Case{{8.02, 8.4, 9.0}, true, 4.0}}) {
+        SCOPED_TRACE(testing::Message() << "z periodic " << c.periodicZ
+                                        << " cut " << c.cut);
+        const Simulation base = pooledBorders(1, c.edges, c.periodicZ,
+                                              c.cut, 6000);
+        const AtomStore ref = serialBorders(base, c.cut);
+        ASSERT_GT(ref.nghost(), 0u);
+        for (const int threads : {1, 2, 4, 8}) {
+            SCOPED_TRACE(threads);
+            const Simulation sim = pooledBorders(threads, c.edges,
+                                                 c.periodicZ, c.cut, 6000);
+            const AtomStore &atoms = sim.atoms;
+            ASSERT_EQ(atoms.nlocal(), ref.nlocal());
+            ASSERT_EQ(atoms.nghost(), ref.nghost());
+            EXPECT_TRUE(sameBits(atoms.x, ref.x));
+            EXPECT_TRUE(sameBits(atoms.v, ref.v));
+            EXPECT_TRUE(sameBits(atoms.tag, ref.tag));
+            EXPECT_TRUE(sameBits(atoms.type, ref.type));
+            EXPECT_TRUE(sameBits(atoms.q, ref.q));
+            EXPECT_TRUE(sameBits(atoms.molecule, ref.molecule));
+            EXPECT_TRUE(sameBits(atoms.ghostOf, ref.ghostOf));
+            EXPECT_TRUE(sameBits(atoms.f, ref.f));
+        }
+    }
 }
 
 TEST(Units, LjIsAllOnes)

@@ -476,6 +476,155 @@ TEST(Neighbor, BinGridEdgeCasesMatchBruteForce)
     }
 }
 
+/**
+ * A half-list build of the system @p make fills at the given knobs;
+ * @p addGhosts, when set, appends extra ghosts after borders().
+ */
+std::unique_ptr<Simulation>
+halfBuildAt(const std::function<void(Simulation &)> &make, int width,
+            int threads,
+            const std::function<void(AtomStore &)> &addGhosts = {})
+{
+    const int before = ThreadPool::threads();
+    setSimdWidth(width);
+    ThreadPool::setThreads(threads);
+    auto sim = std::make_unique<Simulation>();
+    make(*sim);
+    sim->neighbor.skin = 0.0;
+    sim->comm->exchange(*sim);
+    sim->comm->borders(*sim);
+    if (addGhosts)
+        addGhosts(sim->atoms);
+    sim->neighbor.build(*sim);
+    ThreadPool::setThreads(before);
+    setSimdWidth(-1);
+    return sim;
+}
+
+/**
+ * The half list of @p make at widths {0, 2, 4, 8} × threads {1, 4}
+ * holds each minimum-image pair exactly once, in rows bitwise equal to
+ * the width-0 serial oracle's.
+ */
+void
+expectHalfListOwnsEachPairOnce(const std::function<void(Simulation &)> &make)
+{
+    const auto oracle = halfBuildAt(make, 0, 1);
+    const NeighborList &ref = oracle->neighbor.list();
+    const TagPairs brute = bruteForcePairs(*oracle, oracle->neighbor.cutoff);
+    ASSERT_FALSE(brute.empty());
+    for (const int width : {0, 2, 4, 8}) {
+        for (const int threads : {1, 4}) {
+            SCOPED_TRACE(testing::Message()
+                         << "width=" << width << " threads=" << threads);
+            const auto sim = halfBuildAt(make, width, threads);
+            EXPECT_EQ(halfListPairs(*sim), brute);
+            EXPECT_EQ(sim->neighbor.list().offsets, ref.offsets);
+            EXPECT_EQ(sim->neighbor.list().neighbors, ref.neighbors);
+        }
+    }
+}
+
+TEST(Neighbor, HalfStencilOwnershipEdgeCases)
+{
+    // Half lists keep a pair in the row of the atom lower in z, then y,
+    // then x, and walk only the dz >= 0 stencil rows. Ties on one or
+    // more coordinates must still store every pair exactly once.
+
+    // Atoms at identical coordinates, sharing z, and sharing z and y,
+    // including across periodic faces (equal-coordinate ghosts).
+    expectHalfListOwnsEachPairOnce([](Simulation &sim) {
+        randomSystem(sim, 300, 8.0, 61);
+        Rng rng(62);
+        for (int k = 0; k < 300; k += 3) {
+            const Vec3 p = sim.atoms.x[static_cast<std::size_t>(k)];
+            const std::int64_t tag =
+                static_cast<std::int64_t>(sim.atoms.nlocal()) + 1;
+            sim.atoms.addAtom(tag, 1, p);
+            sim.atoms.addAtom(tag + 1, 1, {rng.uniform(0, 8.0), p.y, p.z});
+            sim.atoms.addAtom(tag + 2, 1,
+                              {rng.uniform(0, 8.0), rng.uniform(0, 8.0), p.z});
+        }
+        sim.neighbor.cutoff = 1.5;
+    });
+
+    // Atoms exactly on bin edges: a simple-cubic lattice at the bin
+    // width (cut / 2), every row and plane of which shares y and z.
+    expectHalfListOwnsEachPairOnce([](Simulation &sim) {
+        sim.box = Box({0, 0, 0}, {5.0, 5.0, 5.0});
+        sim.atoms.setNumTypes(1);
+        std::int64_t tag = 1;
+        for (int z = 0; z < 10; ++z)
+            for (int y = 0; y < 10; ++y)
+                for (int x = 0; x < 10; ++x)
+                    sim.atoms.addAtom(tag++, 1, {0.5 * x, 0.5 * y, 0.5 * z});
+        sim.neighbor.cutoff = 1.0;
+    });
+
+    // Thin slabs with fewer than five z-bins: a slab inside a periodic
+    // box (two z-bins), and a box with a non-periodic z axis four bins
+    // thick, a quarter of its atoms on one z plane.
+    expectHalfListOwnsEachPairOnce([](Simulation &sim) {
+        sim.box = Box({0, 0, 0}, {9.0, 9.0, 9.0});
+        sim.atoms.setNumTypes(1);
+        Rng rng(63);
+        for (int i = 0; i < 700; ++i)
+            sim.atoms.addAtom(i + 1, 1,
+                              {rng.uniform(0, 9.0), rng.uniform(0, 9.0),
+                               rng.uniform(3.5, 5.4)});
+        sim.neighbor.cutoff = 1.5;
+    });
+    expectHalfListOwnsEachPairOnce([](Simulation &sim) {
+        sim.box = Box({0, 0, 0}, {10.0, 10.0, 3.0});
+        sim.box.setPeriodic(true, true, false);
+        sim.atoms.setNumTypes(1);
+        Rng rng(64);
+        for (int i = 0; i < 700; ++i) {
+            const double z = i % 4 == 0 ? 1.5 : rng.uniform(0, 3.0);
+            sim.atoms.addAtom(i + 1, 1,
+                              {rng.uniform(0, 10.0), rng.uniform(0, 10.0), z});
+        }
+        sim.neighbor.cutoff = 1.5;
+    });
+
+    // A local and a ghost atom at identical coordinates: the ghost
+    // (whose id exceeds every owned id) is kept in the local row, once.
+    // Owned atoms 0 and 1 coincide at (5, 5, 5), atom 2 sits above them
+    // in z; ghost 3 is placed on (5, 5, 5) and ghost 4 below it.
+    for (const int width : {0, 2, 4, 8}) {
+        for (const int threads : {1, 4}) {
+            SCOPED_TRACE(testing::Message()
+                         << "width=" << width << " threads=" << threads);
+            const auto sim = halfBuildAt(
+                [](Simulation &s) {
+                    s.box = Box({0, 0, 0}, {10.0, 10.0, 10.0});
+                    s.atoms.setNumTypes(1);
+                    s.atoms.addAtom(1, 1, {5.0, 5.0, 5.0});
+                    s.atoms.addAtom(2, 1, {5.0, 5.0, 5.0});
+                    s.atoms.addAtom(3, 1, {5.0, 5.0, 5.5});
+                    s.neighbor.cutoff = 1.5;
+                },
+                width, threads,
+                [](AtomStore &atoms) {
+                    ASSERT_EQ(atoms.nghost(), 0u);
+                    atoms.addGhost(2, {0.0, 0.0, -0.5});
+                    atoms.addGhost(2, {0.0, 0.0, -1.0});
+                });
+            const NeighborList &list = sim->neighbor.list();
+            auto row = [&](std::size_t i) {
+                std::vector<std::uint32_t> r(
+                    list.neighbors.begin() + list.offsets[i],
+                    list.neighbors.begin() + list.offsets[i + 1]);
+                std::sort(r.begin(), r.end());
+                return r;
+            };
+            EXPECT_EQ(row(0), (std::vector<std::uint32_t>{1, 2, 3}));
+            EXPECT_EQ(row(1), (std::vector<std::uint32_t>{2, 3}));
+            EXPECT_EQ(row(2), (std::vector<std::uint32_t>{}));
+        }
+    }
+}
+
 TEST(Neighbor, PackingRefreshesOnWidthChange)
 {
     // Regression: changing the SIMD width between builds must not let
