@@ -2,7 +2,7 @@
  * @file
  * Native precision-tier study (DESIGN.md §13): sweeps the three
  * compute tiers (double / mixed / single) over the vectorized pair
- * kernels at the scalar width and each compiled native SIMD width,
+ * kernels at width 0 (SIMD off) and each compiled native SIMD width,
  * reporting Mpairs/s and the speedup against the double tier at its
  * own native width — the paper's Section 8 question ("what does
  * dropping precision buy?") asked of the native engine instead of the
@@ -137,8 +137,9 @@ runAccuracy(Precision tier, int cells, long steps)
 {
     setPrecisionTier(tier);
     // Pin the tier's native width for the whole run (rebuilds repack):
-    // the engine default resolves to the plain scalar double kernels on
-    // a generic build, which would hide the float tiers entirely.
+    // the engine default resolves to width 0 on a generic build, which
+    // runs the double kernels at every tier and would hide the float
+    // tiers entirely.
     setSimdWidth(tier == Precision::Double ? kSimdCompiledWidth
                                            : kSimdCompiledFloatWidth);
     auto sim = buildLJ(cells);
@@ -197,7 +198,7 @@ main(int argc, char **argv)
     const std::vector<Precision> tiers = {
         Precision::Double, Precision::Mixed, Precision::Single};
 
-    // Scalar plus each compiled native width (double lanes and float
+    // Width 0 plus each compiled native width (double lanes and float
     // lanes differ on any real ISA; deduplicate for the generic build).
     std::vector<int> widths = {0, kSimdCompiledWidth};
     if (kSimdCompiledFloatWidth != kSimdCompiledWidth)

@@ -1,13 +1,14 @@
 /**
  * @file
  * Throughput of the SIMD pair-kernel compute layer (DESIGN.md §12):
- * sweeps the packed vector width (0 = scalar oracle, 1/2/4/8 = SIMD
- * kernels, ISA backend where one matches) over the lj/cut, EAM, and
- * lj/charmm/coul/long force fields and reports Mpairs/s plus the
- * speedup against the scalar kernel on the same system. lj/cut runs
- * both list flavors, so the half-vs-full vectorization question (Newton
- * scatter + fewer stored pairs vs scatter-free gather loop) is a table
- * column rather than a rebuild.
+ * sweeps the packed vector width (0 = SIMD off: the double W = 1
+ * kernel over the plain neighbor rows, reported as backend "scalar";
+ * 1/2/4/8 = the padded packings, ISA backend where one matches) over
+ * the lj/cut, EAM, and lj/charmm/coul/long force fields and reports
+ * Mpairs/s plus `vs_scalar`, the speedup against the width-0 row on
+ * the same system. lj/cut runs both list flavors, so the half-vs-full
+ * vectorization question (Newton scatter + fewer stored pairs vs
+ * scatter-free gather loop) is a table column rather than a rebuild.
  *
  * Usage: bench_native_simd_kernels [--quick] [shared flags]
  * `--quick` shrinks systems and the timing target to smoke-test size.
@@ -123,18 +124,18 @@ main(int argc, char **argv)
     Table table({"kernel", "list", "atoms", "pairs", "width", "backend",
                  "mpairs_per_s", "vs_scalar"});
     for (const Config &config : configs) {
-        double scalarRate = 0.0;
+        double widthZeroRate = 0.0;
         for (int width : {0, 1, 2, 4, 8}) {
             const Cell cell = runCell(config, width, target);
             if (width == 0)
-                scalarRate = cell.mpairsPerSecond;
+                widthZeroRate = cell.mpairsPerSecond;
             table.addRow(
                 {config.kernel, config.fullList ? "full" : "half",
                  std::to_string(cell.natoms), std::to_string(cell.pairs),
                  std::to_string(width), simdBackendName(width),
                  formatDouble(cell.mpairsPerSecond, 2),
-                 formatDouble(scalarRate > 0.0
-                                  ? cell.mpairsPerSecond / scalarRate
+                 formatDouble(widthZeroRate > 0.0
+                                  ? cell.mpairsPerSecond / widthZeroRate
                                   : 0.0,
                               3)});
         }

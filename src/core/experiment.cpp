@@ -48,6 +48,48 @@ configureRankFor(Simulation &sim, BenchmarkId id,
                         reference->box.periodic(2));
 }
 
+/**
+ * The shared-memory thread count, SIMD width and precision tier of one
+ * native experiment: applies the spec's values and, on scope exit,
+ * puts back the caller's (the raw overrides, not the resolved values),
+ * also when the run throws, so experiments in a sweep do not leak
+ * configuration into each other or into the caller.
+ */
+class ExperimentKnobs
+{
+  public:
+    explicit ExperimentKnobs(const ExperimentSpec &spec)
+    {
+        if (spec.threads > 0)
+            ThreadPool::setThreads(spec.threads);
+        if (spec.simdWidth >= 0)
+            setSimdWidth(spec.simdWidth);
+        if (spec.precision != Precision::EngineDefault)
+            setPrecisionTier(spec.precision);
+    }
+
+  private:
+    // Saved before the constructor body runs, and as a member restored
+    // even when that body throws.
+    struct Saved
+    {
+        int threads = ThreadPool::threads();
+        int simdWidth = simdWidthOverride();
+        Precision tier = precisionTierOverride();
+
+        Saved() = default;
+        Saved(const Saved &) = delete;
+        Saved &operator=(const Saved &) = delete;
+
+        ~Saved()
+        {
+            setPrecisionTier(tier);
+            setSimdWidth(simdWidth);
+            ThreadPool::setThreads(threads);
+        }
+    } saved_;
+};
+
 ExperimentRecord
 runNativeSerial(const ExperimentSpec &spec)
 {
@@ -58,28 +100,12 @@ runNativeSerial(const ExperimentSpec &spec)
     if (spec.sortEvery >= 0)
         sim->setSortEvery(spec.sortEvery);
 
-    // Apply the requested shared-memory thread count, SIMD width, and
-    // precision tier for the duration of this experiment, restoring
-    // them afterwards so experiments in a sweep do not leak
-    // configuration into each other.
-    const int previousThreads = ThreadPool::threads();
-    if (spec.threads > 0)
-        ThreadPool::setThreads(spec.threads);
-    if (spec.simdWidth >= 0)
-        setSimdWidth(spec.simdWidth);
-    if (spec.precision != Precision::EngineDefault)
-        setPrecisionTier(spec.precision);
+    const ExperimentKnobs knobs(spec);
     sim->setup();
 
     WallTimer wall;
     sim->run(spec.steps);
     const double elapsed = wall.seconds();
-    if (spec.precision != Precision::EngineDefault)
-        setPrecisionTier(Precision::EngineDefault);
-    if (spec.simdWidth >= 0)
-        setSimdWidth(-1);
-    if (spec.threads > 0)
-        ThreadPool::setThreads(previousThreads);
 
     ExperimentRecord record;
     record.spec = spec;
@@ -115,23 +141,11 @@ runNativeRanked(const ExperimentSpec &spec)
     if (spec.rankExec >= 0)
         ranked.setExecution(spec.rankExec != 0 ? RankExecution::Concurrent
                                                : RankExecution::Sequential);
-    const int previousThreads = ThreadPool::threads();
-    if (spec.threads > 0)
-        ThreadPool::setThreads(spec.threads);
-    if (spec.simdWidth >= 0)
-        setSimdWidth(spec.simdWidth);
-    if (spec.precision != Precision::EngineDefault)
-        setPrecisionTier(spec.precision);
+    const ExperimentKnobs knobs(spec);
     ranked.setup();
     WallTimer wall;
     ranked.run(spec.steps);
     const double elapsed = wall.seconds();
-    if (spec.precision != Precision::EngineDefault)
-        setPrecisionTier(Precision::EngineDefault);
-    if (spec.simdWidth >= 0)
-        setSimdWidth(-1);
-    if (spec.threads > 0)
-        ThreadPool::setThreads(previousThreads);
 
     ExperimentRecord record;
     record.spec = spec;

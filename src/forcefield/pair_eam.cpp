@@ -85,112 +85,9 @@ PairEAM::PairEAM(EamTables tables) : tables_(std::move(tables))
 void
 PairEAM::compute(Simulation &sim, const NeighborList &list)
 {
-    dispatchPairKernel(
-        list, [&] { computeImpl(sim, list); },
-        [&]<typename P, int W>() { computeSimdImpl<P, W>(sim, list); });
-}
-
-void
-PairEAM::computeImpl(Simulation &sim, const NeighborList &list)
-{
-    ensure(!list.full, "eam requires a half neighbor list");
-    TraceScope trace("pair", "eam");
-    counterAdd(Counter::PairComputes);
-    counterAdd(Counter::PairInteractions, list.pairCount());
-    resetAccumulators();
-    AtomStore &atoms = sim.atoms;
-    const std::size_t nlocal = atoms.nlocal();
-    const std::size_t nall = atoms.nall();
-    const double cutSq = tables_.cutoff * tables_.cutoff;
-
-    ThreadPool &pool = ThreadPool::global();
-    const SliceRange slices(0, nlocal, forceKernelGrain(nlocal));
-    SlicePartials<double> embedSlice;
-    SlicePartials<double> energySlice;
-    SlicePartials<double> virialSlice;
-
-    // Pass 1: host electron densities. Both sides of every pair go
-    // through the reduction scratch; runAndReduce folds the per-slice
-    // partial sums into rhoBar_ in ascending slice order.
-    rhoBar_.assign(nall, 0.0);
-    const Vec3 *x = atoms.x.data();
-    rhoScratch_.runAndReduce(pool, slices, nall, rhoBar_.data(), [&](
-        std::size_t sliceBegin, std::size_t sliceEnd, int, int buffer) {
-        auto rho = rhoScratch_.acc(buffer);
-        for (std::size_t i = sliceBegin; i < sliceEnd; ++i) {
-            const Vec3 xi = x[i];
-            double rhoI = 0.0;
-            const auto [begin, end] = list.range(i);
-            for (std::uint32_t k = begin; k < end; ++k) {
-                const std::uint32_t j = list.neighbors[k];
-                const double r2 = (xi - x[j]).normSq();
-                if (r2 >= cutSq)
-                    continue;
-                const double contribution =
-                    tables_.rho.value(std::sqrt(r2));
-                rhoI += contribution;
-                rho.at(j) += contribution;
-            }
-            rho.at(i) += rhoI;
-        }
+    dispatchPairKernel(list, [&]<typename P, int W>() {
+        computeSimdImpl<P, W>(sim, list);
     });
-    sim.comm->reverseScalar(sim, rhoBar_);
-
-    // Embedding energies and derivatives for owned atoms, then share the
-    // derivatives with ghosts for the force pass. Purely per-atom.
-    fp_.assign(nall, 0.0);
-    pool.run(slices, [&](std::size_t sliceBegin, std::size_t sliceEnd,
-                         int s) {
-        double embedEnergy = 0.0;
-        for (std::size_t i = sliceBegin; i < sliceEnd; ++i) {
-            double value;
-            double deriv;
-            tables_.embed.eval(rhoBar_[i], value, deriv);
-            embedEnergy += value;
-            fp_[i] = deriv;
-        }
-        embedSlice[s] = embedEnergy;
-    });
-    energy_ = embedSlice.fold(slices, energy_);
-    sim.comm->forwardScalar(sim, fp_);
-
-    // Pass 2: forces from pair term + density-mediated embedding term.
-    const double *fp = fp_.data();
-    fscratch_.runAndReduce(pool, slices, nall, atoms.f.data(), [&](
-        std::size_t sliceBegin, std::size_t sliceEnd, int s, int buffer) {
-        auto fw = fscratch_.acc(buffer);
-        double energy = 0.0;
-        double virial = 0.0;
-        for (std::size_t i = sliceBegin; i < sliceEnd; ++i) {
-            const Vec3 xi = x[i];
-            Vec3 fi{};
-            const auto [begin, end] = list.range(i);
-            for (std::uint32_t k = begin; k < end; ++k) {
-                const std::uint32_t j = list.neighbors[k];
-                const Vec3 delta = xi - x[j];
-                const double r2 = delta.normSq();
-                if (r2 >= cutSq)
-                    continue;
-                const double r = std::sqrt(r2);
-                double phiV;
-                double phiD;
-                tables_.phi.eval(r, phiV, phiD);
-                const double rhoD = tables_.rho.derivative(r);
-                // -dE/dr along the pair axis.
-                const double fScalar = -((fp[i] + fp[j]) * rhoD + phiD);
-                const Vec3 fvec = delta * (fScalar / r);
-                fi += fvec;
-                fw.at(j) -= fvec;
-                energy += phiV;
-                virial += fScalar * r;
-            }
-            fw.at(i) += fi;
-        }
-        energySlice[s] = energy;
-        virialSlice[s] = virial;
-    });
-    energy_ = energySlice.fold(slices, energy_);
-    virial_ = virialSlice.fold(slices, virial_);
 }
 
 template <typename P, int W>
@@ -204,7 +101,6 @@ PairEAM::computeSimdImpl(Simulation &sim, const NeighborList &list)
 
     ensure(!list.full, "eam requires a half neighbor list");
     TraceScope trace("pair", "eam");
-    TraceScope simdTrace("pair", "simd");
     counterAdd(Counter::PairComputes);
     counterAdd(Counter::PairInteractions, list.pairCount());
     // Both radial passes traverse the packed list, so the SIMD lane
@@ -228,7 +124,7 @@ PairEAM::computeSimdImpl(Simulation &sim, const NeighborList &list)
     using M = SimdMask<real, W>;
     using SpView = CubicSpline::ViewT<real>;
 
-    const std::uint32_t *packed = list.packedNeighbors.data();
+    const NeighborList::Rows rows = list.rows();
     // Spline views in the tier's `real`: float tiers gather the
     // once-cast coefficient mirrors (spline.h viewF). The embedding
     // table is only evaluated by the double-tier W-wide pass; float
@@ -260,9 +156,8 @@ PairEAM::computeSimdImpl(Simulation &sim, const NeighborList &list)
 
     // Pass 1: host electron densities, W pairs at a time. The masked
     // contribution is an exact zero for rejected and sentinel lanes, so
-    // the lane-striped row accumulator matches the scalar rhoI at W = 1
-    // and the per-lane scatter skips exactly the lanes the scalar
-    // `continue` skips. Densities always accumulate in the double
+    // they add nothing to the row sum and the per-lane scatter skips
+    // them. Densities always accumulate in the double
     // scratch: the row sum and the per-lane scatters widen float-tier
     // contributions at the store.
     rhoBar_.assign(nall, 0.0);
@@ -271,7 +166,8 @@ PairEAM::computeSimdImpl(Simulation &sim, const NeighborList &list)
         auto rho = rhoScratch_.acc(buffer);
         // Lambda-locals (the hot-loop rule of forcefield/pair_kernel.h).
         const real *const xpk = xpackPtr;
-        const std::uint32_t *const pk = packed;
+        const std::uint32_t *const pk = rows.neighbors;
+        const std::uint32_t *const po = rows.offsets;
         const SpView rhoSp = rhoTab;
         const D cutSqL(static_cast<real>(cutSq));
         const D zeroL(real(0));
@@ -279,14 +175,14 @@ PairEAM::computeSimdImpl(Simulation &sim, const NeighborList &list)
             const real *xiRec = xpk + 4 * i;
             const D xiX(xiRec[0]), xiY(xiRec[1]), xiZ(xiRec[2]);
             D rhoI(real(0));
-            const auto [begin, end] = list.packedRange(i);
+            const std::uint32_t begin = po[i], end = po[i + 1];
             for (std::uint32_t k = begin; k < end; k += W) {
                 D xjX, xjY, xjZ, xjW;
                 loadXyzw(xpk, pk + k, xjX, xjY, xjZ, xjW);
                 const D dx = xiX - xjX;
                 const D dy = xiY - xjY;
                 const D dz = xiZ - xjZ;
-                // fma association matches the scalar sum bitwise on the
+                // fma association matches Vec3::normSq bitwise on the
                 // generic backend (addition order is commutative).
                 const D r2 = D::fma(dz, dz, D::fma(dy, dy, dx * dx));
                 const M mask = r2 < cutSqL;
@@ -364,7 +260,8 @@ PairEAM::computeSimdImpl(Simulation &sim, const NeighborList &list)
         std::size_t sliceBegin, std::size_t sliceEnd, int s, int buffer) {
         auto fw = fscratch_.acc(buffer);
         const real *const xpk = xpackPtr;
-        const std::uint32_t *const pk = packed;
+        const std::uint32_t *const pk = rows.neighbors;
+        const std::uint32_t *const po = rows.offsets;
         const SpView rhoSp = rhoTab;
         const SpView phiSp = phiTab;
         const D cutSqL(static_cast<real>(cutSq));
@@ -376,7 +273,7 @@ PairEAM::computeSimdImpl(Simulation &sim, const NeighborList &list)
             const D xiX(xiRec[0]), xiY(xiRec[1]), xiZ(xiRec[2]);
             const D fpI(xiRec[3]);
             D fiX(real(0)), fiY(real(0)), fiZ(real(0));
-            const auto [begin, end] = list.packedRange(i);
+            const std::uint32_t begin = po[i], end = po[i + 1];
             for (std::uint32_t k = begin; k < end; k += W) {
                 D xjX, xjY, xjZ, fpJ;
                 loadXyzw(xpk, pk + k, xjX, xjY, xjZ, fpJ);
@@ -393,8 +290,8 @@ PairEAM::computeSimdImpl(Simulation &sim, const NeighborList &list)
                 evalSplineSimd<real, W>(phiSp, r, phiV, phiD);
                 D rhoV, rhoD;
                 evalSplineSimd<real, W>(rhoSp, r, rhoV, rhoD);
-                // -x as (-1.0) * x: bitwise identical to the scalar
-                // unary minus for every finite value including zeros.
+                // -x as (-1.0) * x: bitwise identical to a unary
+                // minus for every finite value including zeros.
                 const D fScalar = D::select(
                     mask, minusOneL * ((fpI + fpJ) * rhoD + phiD), zeroL);
                 const D fOverR = fScalar / r;

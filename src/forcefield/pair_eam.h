@@ -84,16 +84,12 @@ class PairEAM : public PairStyle
      */
     XPackTiers xpack_;
 
-    /** The scalar two-pass kernel (the oracle for the SIMD path). */
-    void computeImpl(Simulation &sim, const NeighborList &list);
-
     /**
-     * SIMD two-pass kernel over the padded packing (DESIGN.md §12-13):
-     * both radial passes gather-evaluate the cubic-spline tables W
-     * lanes at a time. fp_ is oversized by the pad slot so sentinel
-     * gathers stay in bounds. Mirrors computeImpl's operation order,
-     * so at W = 1 on a no-FMA build the double-tier instantiation
-     * reproduces the scalar kernel's results.
+     * The two-pass kernel over list.rows() (DESIGN.md §12-13): both
+     * radial passes gather-evaluate the cubic-spline tables W lanes at
+     * a time. fp_ is oversized by the pad slot so sentinel gathers stay
+     * in bounds. Width 0 runs the double-tier W = 1 instantiation over
+     * the plain rows.
      *
      * P is the precision policy (util/precision.h): the radial passes
      * — the O(N * neighbors) work — run in P::real lanes over the

@@ -23,6 +23,7 @@
 
 #include "md/neighbor.h"
 #include "md/vec3.h"
+#include "obs/trace.h"
 #include "util/error.h"
 #include "util/precision.h"
 #include "util/simd.h"
@@ -31,28 +32,30 @@
 namespace mdbench {
 
 /**
- * Run the kernel @p list was packed for. padWidth 0 (SIMD layer off)
- * calls @p scalar(), the double oracle, at every tier. Packed widths
- * call `simd.template operator()<P, W>()` with P the policy of the
- * list's recorded packTier — not the live global, so a knob flip
- * between build and compute cannot mismatch the padded geometry — and
- * W = padWidth. The generic backend compiles every width on every
- * build, so forced widths run on portable and sanitizer builds too.
+ * Run the kernel @p list was packed for: `kernel.template
+ * operator()<P, W>()`, one templated body per style. padWidth 0 (SIMD
+ * layer off) runs <PrecisionDouble, 1> over the plain rows at every
+ * tier. Packed widths run W = padWidth with P the policy of the list's
+ * recorded packTier — not the live global, so a knob flip between
+ * build and compute cannot mismatch the padded geometry — under a
+ * `pair`/`simd` trace scope. The generic backend compiles every width
+ * on every build, so forced widths run on portable and sanitizer
+ * builds too.
  */
-template <typename ScalarFn, typename SimdFn>
+template <typename KernelFn>
 void
-dispatchPairKernel(const NeighborList &list, ScalarFn &&scalar,
-                   SimdFn &&simd)
+dispatchPairKernel(const NeighborList &list, KernelFn &&kernel)
 {
     if (list.padWidth == 0)
-        return scalar();
+        return kernel.template operator()<PrecisionDouble, 1>();
+    TraceScope simdTrace("pair", "simd");
     const auto width = [&]<typename P>() {
         switch (list.padWidth) {
-          case 1: return simd.template operator()<P, 1>();
-          case 2: return simd.template operator()<P, 2>();
-          case 4: return simd.template operator()<P, 4>();
-          case 8: return simd.template operator()<P, 8>();
-          case 16: return simd.template operator()<P, 16>();
+          case 1: return kernel.template operator()<P, 1>();
+          case 2: return kernel.template operator()<P, 2>();
+          case 4: return kernel.template operator()<P, 4>();
+          case 8: return kernel.template operator()<P, 8>();
+          case 16: return kernel.template operator()<P, 16>();
           default:
             panic("no pair kernel for packed width " +
                   std::to_string(list.padWidth));
@@ -74,8 +77,7 @@ dispatchPairKernel(const NeighborList &list, ScalarFn &&scalar,
  * after every neighbor row; total(q) is the slice's sum.
  *
  * - Double tier: slice-long lane stripes, summed once per slice. At
- *   W = 1 this is exactly the scalar kernel's running sum, preserved
- *   bitwise.
+ *   W = 1 (and so at width 0) this is one plain running sum.
  * - Float tiers: per-row stripes, flushed at each row end into P::acc
  *   scalars (double for mixed, float for single), which bounds float
  *   accumulation error at the row length.
@@ -126,8 +128,9 @@ class TierSums
 };
 
 /**
- * Call fn(l) for every set bit l of @p bits in ascending lane order —
- * the scalar kernels' ascending-k order.
+ * Call fn(l) for every set bit l of @p bits in ascending lane order,
+ * which is the row's ascending neighbor order, so the order of j-side
+ * updates does not depend on W.
  */
 template <typename Fn>
 inline void
@@ -141,8 +144,8 @@ forEachLane(int bits, Fn &&fn)
  * Newton scatter of the W-wide group at packed slot @p k: subtract lane
  * l's pair force from fw.at(pk[k + l]) for every lane of @p active,
  * ascending. The pair terms are spilled once; masked lanes (including
- * the sentinel) are skipped exactly as the scalar `continue` skips
- * them. Float-tier terms widen at the store. The group is passed as
+ * the sentinel) get no store at all, so a rejected pair touches no
+ * force. Float-tier terms widen at the store. The group is passed as
  * base + slot, not as one pointer: the kernel keeps both live anyway,
  * and a third register spills the group counter out of the hot loop.
  */

@@ -90,137 +90,14 @@ void
 PairLJCharmmCoulLong::compute(Simulation &sim, const NeighborList &list)
 {
     const auto run = [&]<bool kSingleType>() {
-        dispatchPairKernel(
-            list, [&] { computeImpl<kSingleType>(sim, list); },
-            [&]<typename P, int W>() {
-                computeSimdImpl<P, W, kSingleType>(sim, list);
-            });
+        dispatchPairKernel(list, [&]<typename P, int W>() {
+            computeSimdImpl<P, W, kSingleType>(sim, list);
+        });
     };
     if (ntypes_ == 1)
         run.operator()<true>();
     else
         run.operator()<false>();
-}
-
-template <bool kSingleType>
-void
-PairLJCharmmCoulLong::computeImpl(Simulation &sim, const NeighborList &list)
-{
-    ensure(!list.full, "lj/charmm/coul/long requires a half list");
-    TraceScope trace("pair", "lj/charmm/coul/long");
-    counterAdd(Counter::PairComputes);
-    counterAdd(Counter::PairInteractions, list.pairCount());
-    if (!coeffsBuilt_)
-        buildCoeffs();
-    resetAccumulators();
-
-    AtomStore &atoms = sim.atoms;
-    const double qqr2e = sim.units.qqr2e;
-    const double g = sim.kspace ? sim.kspace->splittingParameter() : 0.0;
-    // Without a k-space solver Coulomb is the plain cutoff form: erfc
-    // is exactly 1 (A&S would give 0.999999999 at x = 0).
-    const bool ewald = g != 0.0;
-    const double cutLJSq = ljOuter_ * ljOuter_;
-    const double cutLJInnerSq = ljInner_ * ljInner_;
-    const double cutCoulSq = coulCut_ * coulCut_;
-    const double cutAllSq = std::max(cutLJSq, cutCoulSq);
-    const double switchWidth = cutLJSq - cutLJInnerSq;
-    const double denomLJ = switchWidth * switchWidth * switchWidth;
-
-    const std::size_t nlocal = atoms.nlocal();
-    ThreadPool &pool = ThreadPool::global();
-    const SliceRange slices(0, nlocal, forceKernelGrain(nlocal));
-    SlicePartials<double> ecoulSlice;
-    SlicePartials<double> evdwlSlice;
-    SlicePartials<double> virialSlice;
-
-    const Vec3 *x = atoms.x.data();
-    const int *type = atoms.type.data();
-    const double *q = atoms.q.data();
-    const Coeff *coeffs = coeffs_.data();
-    const Coeff cSingle = coeff(1, 1);
-    // Every force write goes through the reduction scratch;
-    // runAndReduce folds the per-slice partial sums into f in
-    // ascending slice order.
-    fscratch_.runAndReduce(pool, slices, atoms.nall(), atoms.f.data(), [&](
-        std::size_t sliceBegin, std::size_t sliceEnd, int s, int buffer) {
-        auto fw = fscratch_.acc(buffer);
-        double ecoul = 0.0;
-        double evdwl = 0.0;
-        double virial = 0.0;
-        for (std::size_t i = sliceBegin; i < sliceEnd; ++i) {
-            const Vec3 xi = x[i];
-            const double qi = q[i];
-            // One 2-D table row per i, not one lookup per pair.
-            const Coeff *row =
-                kSingleType ? nullptr
-                            : coeffs + static_cast<std::size_t>(type[i]) *
-                                           (ntypes_ + 1);
-            Vec3 fi{};
-            const auto [begin, end] = list.range(i);
-            for (std::uint32_t k = begin; k < end; ++k) {
-                const std::uint32_t j = list.neighbors[k];
-                const Vec3 delta = xi - x[j];
-                const double rsq = delta.normSq();
-                if (rsq >= cutAllSq)
-                    continue;
-                const double r2inv = 1.0 / rsq;
-
-                double forcecoul = 0.0;
-                if (rsq < cutCoulSq && qi != 0.0 && q[j] != 0.0) {
-                    const double r = std::sqrt(rsq);
-                    const double grij = g * r;
-                    // The SIMD kernels' erfc at W = 1 (util/simd_math.h).
-                    double erfcVal = 1.0;
-                    double expm2 = 0.0;
-                    if (ewald) {
-                        const auto e = erfcExpm2(Simd<double, 1>(grij));
-                        erfcVal = e.erfc.lane(0);
-                        expm2 = e.expm2.lane(0);
-                    }
-                    const double prefactor = qqr2e * qi * q[j] / r;
-                    forcecoul =
-                        prefactor * (erfcVal + kSqrtPiInv2 * grij * expm2);
-                    ecoul += prefactor * erfcVal;
-                }
-
-                double forcelj = 0.0;
-                if (rsq < cutLJSq) {
-                    const Coeff &c = kSingleType ? cSingle : row[type[j]];
-                    const double r6inv = r2inv * r2inv * r2inv;
-                    forcelj = r6inv * (c.lj1 * r6inv - c.lj2);
-                    double philj = r6inv * (c.lj3 * r6inv - c.lj4);
-                    if (rsq > cutLJInnerSq) {
-                        const double rsw = cutLJSq - rsq;
-                        const double switch1 =
-                            rsw * rsw * (cutLJSq + 2.0 * rsq -
-                                         3.0 * cutLJInnerSq) / denomLJ;
-                        const double switch2 = 12.0 * rsq * rsw *
-                                               (rsq - cutLJInnerSq) /
-                                               denomLJ;
-                        forcelj = forcelj * switch1 + philj * switch2;
-                        philj *= switch1;
-                    }
-                    evdwl += philj;
-                }
-
-                const double fpair = (forcecoul + forcelj) * r2inv;
-                const Vec3 fvec = delta * fpair;
-                fi += fvec;
-                fw.at(j) -= fvec;
-                virial += fpair * rsq;
-            }
-            fw.at(i) += fi;
-        }
-        ecoulSlice[s] = ecoul;
-        evdwlSlice[s] = evdwl;
-        virialSlice[s] = virial;
-    });
-
-    ecoul_ = ecoulSlice.fold(slices);
-    evdwl_ = evdwlSlice.fold(slices);
-    virial_ = virialSlice.fold(slices);
-    energy_ = ecoul_ + evdwl_;
 }
 
 template <typename P, int W, bool kSingleType>
@@ -238,7 +115,6 @@ PairLJCharmmCoulLong::computeSimdImpl(Simulation &sim,
 
     ensure(!list.full, "lj/charmm/coul/long requires a half list");
     TraceScope trace("pair", "lj/charmm/coul/long");
-    TraceScope simdTrace("pair", "simd");
     counterAdd(Counter::PairComputes);
     counterAdd(Counter::PairInteractions, list.pairCount());
     countSimdLaneUse(list);
@@ -251,7 +127,9 @@ PairLJCharmmCoulLong::computeSimdImpl(Simulation &sim,
     AtomStore &atoms = sim.atoms;
     const double qqr2e = sim.units.qqr2e;
     const double g = sim.kspace ? sim.kspace->splittingParameter() : 0.0;
-    const bool ewald = g != 0.0; // as in computeImpl
+    // Without a k-space solver Coulomb is the plain cutoff form: erfc
+    // is exactly 1 (A&S would give 0.999999999 at x = 0).
+    const bool ewald = g != 0.0;
     const double cutLJSq = ljOuter_ * ljOuter_;
     const double cutLJInnerSq = ljInner_ * ljInner_;
     const double cutCoulSq = coulCut_ * coulCut_;
@@ -278,7 +156,7 @@ PairLJCharmmCoulLong::computeSimdImpl(Simulation &sim,
     else
         coeffBase = coeffsF_.data();
     const Coeff cSingle = coeff(1, 1);
-    const std::uint32_t *packed = list.packedNeighbors.data();
+    const NeighborList::Rows rows = list.rows();
     Vec3 *f = atoms.f.data();
 
     // Stage positions + charge as 4-element [x, y, z, q] records in the
@@ -295,14 +173,14 @@ PairLJCharmmCoulLong::computeSimdImpl(Simulation &sim,
         // Everything the inner loop touches lives in lambda-locals
         // (the hot-loop rule of forcefield/pair_kernel.h).
         const real *const xpk = xpackPtr;
-        const std::uint32_t *const pk = packed;
+        const std::uint32_t *const pk = rows.neighbors;
+        const std::uint32_t *const po = rows.offsets;
         const D cutAllSqV(static_cast<real>(cutAllSq));
         const D cutLJSqV(static_cast<real>(cutLJSq));
         const D cutLJInnerSqV(static_cast<real>(cutLJInnerSq));
         const D cutCoulSqV(static_cast<real>(cutCoulSq));
-        // 3 * cutLJInnerSq and the switch-branch constants, formed with
-        // the same products the scalar expressions contain (then cast
-        // once on float tiers).
+        // 3 * cutLJInnerSq and the switch-branch constants, formed in
+        // double (then cast once on float tiers).
         const D threeInnerV(static_cast<real>(3.0 * cutLJInnerSq));
         const D denomLJV(static_cast<real>(denomLJ));
         const D gV(static_cast<real>(g));
@@ -320,8 +198,8 @@ PairLJCharmmCoulLong::computeSimdImpl(Simulation &sim,
             const real *xiRec = xpk + 4 * i;
             // Charge in full precision from the source array (the pack
             // record's w narrows on float tiers): (qqr2e * qi) is the
-            // exact prefix product of the scalar left-associated
-            // prefactor, cast once.
+            // prefix product of the left-associated prefactor
+            // qqr2e * qi * qj / r, cast once.
             const double qi = q[i];
             const bool qiNonzero = qi != 0.0;
             const D qqr2eQiV(static_cast<real>(qqr2e * qi));
@@ -331,19 +209,19 @@ PairLJCharmmCoulLong::computeSimdImpl(Simulation &sim,
                                   static_cast<std::uint32_t>(ntypes_ + 1);
             const D xiX(xiRec[0]), xiY(xiRec[1]), xiZ(xiRec[2]);
             D fiX(real(0)), fiY(real(0)), fiZ(real(0));
-            const auto [begin, end] = list.packedRange(i);
+            const std::uint32_t begin = po[i], end = po[i + 1];
             for (std::uint32_t k = begin; k < end; k += W) {
                 D xjX, xjY, xjZ, qj;
                 loadXyzw(xpk, pk + k, xjX, xjY, xjZ, qj);
                 const D dx = xiX - xjX;
                 const D dy = xiY - xjY;
                 const D dz = xiZ - xjZ;
-                // fma association matches the scalar sum bitwise on the
+                // fma association matches Vec3::normSq bitwise on the
                 // generic backend (addition order is commutative).
                 const D rsq = D::fma(dz, dz, D::fma(dy, dy, dx * dx));
-                // Scalar `continue`s past cutAllSq; every term below is
-                // masked through this (or a tighter) cutoff mask, so
-                // those lanes and the sentinel contribute exact zeros.
+                // Every term below is masked through this (or a
+                // tighter) cutoff mask, so lanes past cutAllSq and the
+                // sentinel contribute exact zeros.
                 const M anyMask = rsq < cutAllSqV;
                 const int anyBits = anyMask.bits();
                 // All lanes rejected (or pure padding): every term below

@@ -96,25 +96,17 @@ class PairLJCharmmCoulLong : public PairStyle
     void buildCoeffs();
 
     /**
-     * The kernel proper. kSingleType hoists the single LJ coefficient
-     * set out of both loops and skips the per-pair type lookup; the
-     * multi-type path uses one table-row pointer per i. Arithmetic is
-     * identical on both paths.
-     */
-    template <bool kSingleType>
-    void computeImpl(Simulation &sim, const NeighborList &list);
-
-    /**
-     * SIMD kernel over the padded packing (DESIGN.md §12-13). All of
-     * the per-pair arithmetic is W-wide with masked-cutoff selects,
+     * The kernel over list.rows() (DESIGN.md §12-13). All of the
+     * per-pair arithmetic is W-wide with masked-cutoff selects,
      * including the Ewald erfc and exp(-grij^2): `erfcExpm2`
      * (util/simd_math.h) evaluates both over the whole group, once per
-     * group with any lane inside the Coulomb cutoff. computeImpl calls
-     * the same helper at W = 1 and this kernel mirrors its operation
-     * order, so on a no-FMA build the double-tier W = 1 instantiation
-     * reproduces the scalar kernel's results bitwise. P is the
+     * group with any lane inside the Coulomb cutoff. Width 0 runs the
+     * double-tier W = 1 instantiation over the plain rows. P is the
      * precision policy (util/precision.h); per-pair arithmetic runs in
      * P::real, and float tiers take the float exp polynomial.
+     * kSingleType hoists the single LJ coefficient set out of both
+     * loops and skips the per-pair type gathers; arithmetic is
+     * identical on both paths.
      */
     template <typename P, int W, bool kSingleType>
     void computeSimdImpl(Simulation &sim, const NeighborList &list);

@@ -116,11 +116,9 @@ PairLJCut::compute(Simulation &sim, const NeighborList &list)
     // register pressure enough to spill the hoisted constants out of
     // the hot loop.
     const auto run = [&]<bool kSingleType, bool kHalf>() {
-        dispatchPairKernel(
-            list, [&] { computeImpl<kSingleType>(sim, list); },
-            [&]<typename P, int W>() {
-                computeSimdImpl<P, W, kSingleType, kHalf>(sim, list);
-            });
+        dispatchPairKernel(list, [&]<typename P, int W>() {
+            computeSimdImpl<P, W, kSingleType, kHalf>(sim, list);
+        });
     };
     if (ntypes_ == 1)
         list.full ? run.operator()<true, false>()
@@ -128,95 +126,6 @@ PairLJCut::compute(Simulation &sim, const NeighborList &list)
     else
         list.full ? run.operator()<false, false>()
                   : run.operator()<false, true>();
-}
-
-template <bool kSingleType>
-void
-PairLJCut::computeImpl(Simulation &sim, const NeighborList &list)
-{
-    TraceScope trace("pair", "lj/cut");
-    counterAdd(Counter::PairComputes);
-    counterAdd(Counter::PairInteractions, list.pairCount());
-    resetAccumulators();
-    AtomStore &atoms = sim.atoms;
-    const double cutSq = cutoff_ * cutoff_;
-    const std::size_t nlocal = atoms.nlocal();
-    // Full lists visit each pair twice; halve shared accumulators and
-    // skip the j-side force update (f[i] is then the only force write,
-    // so no reduction scratch is needed).
-    const bool half = !list.full;
-    const double pairScale = half ? 1.0 : 0.5;
-
-    ThreadPool &pool = ThreadPool::global();
-    const SliceRange slices(0, nlocal, forceKernelGrain(nlocal));
-    SlicePartials<double> energySlice;
-    SlicePartials<double> virialSlice;
-
-    const Vec3 *x = atoms.x.data();
-    const int *type = atoms.type.data();
-    const Coeff *coeffs = coeffs_.data();
-    const Coeff cSingle = coeff(1, 1);
-    Vec3 *f = atoms.f.data();
-    // For half lists every force write — the i-side row sums as well as
-    // the j-side pair terms — goes through the reduction scratch, so
-    // each f entry receives exactly the per-slice partial sums that
-    // runAndReduce folds in ascending slice order. buffer is -1 on the
-    // full-list path, where f[i] is the only write and needs no
-    // scratch.
-    auto kernel = [&](std::size_t sliceBegin, std::size_t sliceEnd, int s,
-                      int buffer) {
-        ReduceScratch<Vec3>::Accumulator fw;
-        if (half)
-            fw = fscratch_.acc(buffer);
-        double energy = 0.0;
-        double virial = 0.0;
-        for (std::size_t i = sliceBegin; i < sliceEnd; ++i) {
-            const Vec3 xi = x[i];
-            // One 2-D table row per i, not one lookup per pair: the
-            // row base replaces the per-pair ti * (ntypes + 1) index
-            // arithmetic with a plain type[j] offset.
-            const Coeff *row =
-                kSingleType ? nullptr
-                            : coeffs + static_cast<std::size_t>(type[i]) *
-                                           (ntypes_ + 1);
-            Vec3 fi{};
-            const auto [begin, end] = list.range(i);
-            for (std::uint32_t k = begin; k < end; ++k) {
-                const std::uint32_t j = list.neighbors[k];
-                const Vec3 delta = xi - x[j];
-                const double r2 = delta.normSq();
-                if (r2 >= cutSq)
-                    continue;
-                const Coeff &c = kSingleType ? cSingle : row[type[j]];
-                const double r2inv = 1.0 / r2;
-                const double r6inv = r2inv * r2inv * r2inv;
-                const double forcelj =
-                    r6inv * (c.lj1 * r6inv - c.lj2) * r2inv;
-                const Vec3 fpair = delta * forcelj;
-                fi += fpair;
-                if (half)
-                    fw.at(j) -= fpair;
-                energy += pairScale *
-                          (r6inv * (c.lj3 * r6inv - c.lj4) - c.eshift);
-                virial += pairScale * forcelj * r2;
-            }
-            if (half)
-                fw.at(i) += fi;
-            else
-                f[i] += fi;
-        }
-        energySlice[s] = energy;
-        virialSlice[s] = virial;
-    };
-    if (half) {
-        fscratch_.runAndReduce(pool, slices, atoms.nall(), f, kernel);
-    } else {
-        pool.run(slices, [&](std::size_t begin, std::size_t end, int s) {
-            kernel(begin, end, s, -1);
-        });
-    }
-    energy_ = energySlice.fold(slices, energy_);
-    virial_ = virialSlice.fold(slices, virial_);
 }
 
 template <typename P, int W, bool kSingleType, bool kHalf>
@@ -235,7 +144,6 @@ PairLJCut::computeSimdImpl(Simulation &sim, const NeighborList &list)
         sizeof(Coeff) / sizeof(double);
 
     TraceScope trace("pair", "lj/cut");
-    TraceScope simdTrace("pair", "simd");
     counterAdd(Counter::PairComputes);
     counterAdd(Counter::PairInteractions, list.pairCount());
     countSimdLaneUse(list);
@@ -266,7 +174,7 @@ PairLJCut::computeSimdImpl(Simulation &sim, const NeighborList &list)
         coeffBase = coeffsF_.data();
     }
     const Coeff cSingle = coeff(1, 1);
-    const std::uint32_t *packed = list.packedNeighbors.data();
+    const NeighborList::Rows rows = list.rows();
     Vec3 *f = atoms.f.data();
 
     // Stage positions as 4-element records in the tier's `real` type
@@ -285,7 +193,8 @@ PairLJCut::computeSimdImpl(Simulation &sim, const NeighborList &list)
         // Everything the inner loop touches lives in lambda-locals
         // (the hot-loop rule of forcefield/pair_kernel.h).
         const real *const xpk = xpackPtr;
-        const std::uint32_t *const pk = packed;
+        const std::uint32_t *const pk = rows.neighbors;
+        const std::uint32_t *const po = rows.offsets;
         const D cutSqV(static_cast<real>(cutSq));
         const D lj1S(static_cast<real>(cSingle.lj1));
         const D lj2S(static_cast<real>(cSingle.lj2));
@@ -301,7 +210,7 @@ PairLJCut::computeSimdImpl(Simulation &sim, const NeighborList &list)
                                   static_cast<std::uint32_t>(ntypes_ + 1);
             const D xiX(xiRec[0]), xiY(xiRec[1]), xiZ(xiRec[2]);
             D fiX(real(0)), fiY(real(0)), fiZ(real(0));
-            const auto [begin, end] = list.packedRange(i);
+            const std::uint32_t begin = po[i], end = po[i + 1];
             for (std::uint32_t k = begin; k < end; k += W) {
                 D xjX, xjY, xjZ;
                 loadXyz(xpk, pk + k, xjX, xjY, xjZ);

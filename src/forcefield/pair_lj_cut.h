@@ -62,24 +62,18 @@ class PairLJCut : public PairStyle
     void precompute(Coeff &c) const;
 
     /**
-     * The kernel proper. kSingleType skips the per-pair type lookup
-     * entirely (one Coeff hoisted out of both loops) — all five paper
-     * workloads have 1-2 types, and LJ/Chain/EAM/Chute have one. The
-     * arithmetic is identical on both paths, so results are bitwise
-     * independent of which one runs.
-     */
-    template <bool kSingleType>
-    void computeImpl(Simulation &sim, const NeighborList &list);
-
-    /**
-     * SIMD kernel over the padded packing (DESIGN.md §12-13): W-wide
-     * gather / masked-cutoff select / multiply-accumulate groups with a
-     * per-lane masked scatter for the j-side Newton updates. Mirrors
-     * computeImpl's operation order exactly, so at W = 1 on a
-     * no-FMA build the double-tier instantiation reproduces the scalar
-     * kernel's results. P is the precision policy (util/precision.h);
-     * the shared accumulation and flush steps live in
-     * forcefield/pair_kernel.h.
+     * The kernel: W-wide gather / masked-cutoff select /
+     * multiply-accumulate groups over list.rows() (DESIGN.md §12-13)
+     * with a per-lane masked scatter for the j-side Newton updates.
+     * Width 0 runs the double-tier W = 1 instantiation over the plain
+     * rows. P is the precision policy (util/precision.h); the shared
+     * accumulation and flush steps live in forcefield/pair_kernel.h.
+     *
+     * kSingleType skips the per-pair type lookup entirely (one Coeff
+     * hoisted out of both loops) — all five paper workloads have 1-2
+     * types, and LJ/Chain/EAM/Chute have one. The arithmetic is
+     * identical on both paths, so results are bitwise independent of
+     * which one runs.
      *
      * kHalf bakes the list flavor in at compile time: the full-list
      * instantiation carries no Newton-scatter code (which would

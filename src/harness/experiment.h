@@ -61,7 +61,8 @@ struct ExperimentSpec
 
     /**
      * SIMD vector width for native modes (-1 = engine default from
-     * MDBENCH_SIMD, 0 = scalar kernels, otherwise the packing width;
+     * MDBENCH_SIMD, 0 = SIMD off: the double W = 1 kernels over the
+     * plain neighbor rows, otherwise the packing width;
      * see setSimdWidth in util/simd.h). Takes effect at the run's
      * first neighbor build.
      */

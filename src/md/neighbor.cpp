@@ -671,6 +671,8 @@ buildRowsScalar(NeighborList &list, const BuildCtx &c, ThreadPool &pool,
 void
 countSimdLaneUse(const NeighborList &list, int traversals)
 {
+    if (list.padWidth == 0)
+        return;
     const std::size_t t = static_cast<std::size_t>(traversals);
     counterAdd(Counter::PairSimdLanesActive, t * list.pairCount());
     counterAdd(Counter::PairSimdPaddingWaste, t * list.paddedSlots);

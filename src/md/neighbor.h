@@ -42,7 +42,8 @@ struct NeighborList
     // inert atom placed far outside every cutoff so the kernels'
     // distance masks zero the padding lanes. Built only when the SIMD
     // layer is active (padWidth >= 1); the plain list above always
-    // remains valid and is the scalar oracle.
+    // remains valid, and with the layer off (padWidth 0) the W = 1
+    // double kernel runs over it directly (see rows()).
     std::vector<std::uint32_t> packedOffsets;   ///< size nlocal + 1
     std::vector<std::uint32_t> packedNeighbors; ///< rows padded to padWidth
     int padWidth = 0;              ///< packing vector width (0 = disabled)
@@ -65,11 +66,25 @@ struct NeighborList
         return {offsets[i], offsets[i + 1]};
     }
 
-    /** Padded neighbors of @p i (length a multiple of padWidth). */
-    std::pair<std::uint32_t, std::uint32_t>
-    packedRange(std::size_t i) const
+    /** Raw CSR rows: row i is neighbors[offsets[i] .. offsets[i + 1]). */
+    struct Rows
     {
-        return {packedOffsets[i], packedOffsets[i + 1]};
+        const std::uint32_t *offsets = nullptr;
+        const std::uint32_t *neighbors = nullptr;
+    };
+
+    /**
+     * The rows the pair kernels traverse: the padded packing when one
+     * was built (padWidth >= 1), else the plain list. A W = 1 row needs
+     * no padding, so the plain rows are exactly the width-1 packing and
+     * width 0 runs the W = 1 kernel over them without a copy.
+     */
+    Rows
+    rows() const
+    {
+        if (padWidth >= 1)
+            return {packedOffsets.data(), packedNeighbors.data()};
+        return {offsets.data(), neighbors.data()};
     }
 
     /** True when the padded packing was built at width @p w. */
@@ -90,7 +105,8 @@ struct NeighborList
  * uniform: charged per kernel *invocation* — once per list traversal,
  * twice for EAM's two radial passes — never per list build, which
  * keeps manifest lane-utilization ratios comparable across sortEvery
- * and rebuild-interval settings.
+ * and rebuild-interval settings. Charges nothing for the plain rows
+ * (padWidth 0): with the SIMD layer off there are no lanes to count.
  */
 void countSimdLaneUse(const NeighborList &list, int traversals = 1);
 

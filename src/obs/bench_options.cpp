@@ -100,7 +100,7 @@ benchOptionsUsage()
            "(mdbench-manifest-v1)\n"
            "  --log-level L     silent|warn|inform|debug or 0-3 "
            "(overrides MDBENCH_LOG_LEVEL)\n"
-           "  --no-simd         run scalar pair kernels "
+           "  --no-simd         SIMD off: double W = 1 pair kernels "
            "(overrides MDBENCH_SIMD)\n"
            "  --precision TIER  double|mixed|single|default native "
            "compute tier (overrides MDBENCH_PRECISION)\n";

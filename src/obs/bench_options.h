@@ -26,7 +26,7 @@ struct BenchOptions
     std::string logLevel;     ///< --log-level LEVEL (empty = unchanged)
     std::string precision;    ///< --precision TIER (empty = unchanged)
     bool help = false;        ///< --help seen
-    bool noSimd = false;      ///< --no-simd seen (scalar pair kernels)
+    bool noSimd = false;      ///< --no-simd seen (SIMD width 0)
 };
 
 /**

@@ -74,4 +74,10 @@ setPrecisionTier(Precision precision)
     overrideTier = precision;
 }
 
+Precision
+precisionTierOverride()
+{
+    return overrideTier;
+}
+
 } // namespace mdbench

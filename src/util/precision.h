@@ -5,7 +5,7 @@
  * Three tiers (the paper's Section 8 study, made real):
  *
  *  - double: all arithmetic and accumulation in double. The seed
- *    behavior; bitwise-stable against the scalar oracle kernels.
+ *    behavior, and the tier width 0 (SIMD off) always runs.
  *  - mixed:  float coordinates/charges and per-pair force arithmetic,
  *    double accumulation of per-atom forces, energies and virials
  *    (the Trott et al. production design, arXiv 1009.4330).
@@ -58,6 +58,9 @@ Precision precisionTier();
  * override and fall back to the environment default.
  */
 void setPrecisionTier(Precision precision);
+
+/** The raw setPrecisionTier() override: EngineDefault when none is set. */
+Precision precisionTierOverride();
 
 /**
  * Kernel precision policies. `real` is the type of per-pair

@@ -10,8 +10,9 @@
  * interface:
  *
  *  - a generic array backend (the primary template) that compiles for
- *    any T and W with plain scalar loops — the scalar-fallback oracle
- *    and the body every sanitizer build exercises,
+ *    any T and W with plain scalar loops — at W = 1 the reference
+ *    every other width is checked against, and the body every
+ *    sanitizer build exercises,
  *  - an AVX2 backend for `Simd<double, 4>` (`__m256d` + `__m128i`
  *    indices) and `Simd<float, 8>` (`__m256` + `__m256i` indices),
  *    selected when the translation unit is compiled with
@@ -31,15 +32,17 @@
  * values; only the order in which a *kernel* folds lanes together
  * distinguishes widths. `sum()` is defined as the ascending-lane
  * sequential sum for the same reason. A kernel instantiated at W = 1
- * therefore performs exactly the scalar instruction sequence.
+ * therefore computes each expression as written, one scalar operation
+ * per wrapper op; width 0 runs exactly that instantiation.
  *
  * Width configuration: `simdWidthFor(floatLanes)` is the packed
- * neighbor-list width the engine should use — 0 disables the SIMD path
- * entirely (scalar loops, no padded packing); `simdWidth()` is the
- * double-lane width. The default comes from the `MDBENCH_SIMD`
- * environment variable (`0`/`off` = disabled, `1`/`on`/unset = native
- * compiled width — double that for float lanes — and an explicit
- * `2`/`4`/`8`/`16` forces that width for both element types, through
+ * neighbor-list width the engine should use — 0 disables the SIMD
+ * layer (the double W = 1 kernels over the plain rows, no padded
+ * packing); `simdWidth()` is the double-lane width. The default comes
+ * from the `MDBENCH_SIMD` environment variable (`0`/`off` = disabled,
+ * `1`/`on`/unset = native compiled width — double that for float
+ * lanes — and an explicit `2`/`4`/`8`/`16` forces that width for both
+ * element types, through
  * the generic backend when no matching ISA backend exists) gated by a
  * runtime CPU capability check; any other value is a fatal() error.
  * `setSimdWidth()` overrides it programmatically (benches, tests,
@@ -111,9 +114,9 @@ simdIsaName()
 /**
  * True when the executing CPU supports the compiled ISA backend. A
  * binary built with `-march` flags for a newer CPU than the host would
- * fault inside the intrinsic paths; this check routes such runs to the
- * scalar loops instead (the generic backend compiles to plain scalar
- * code and needs no check).
+ * fault inside the intrinsic paths; this check routes such runs to
+ * width 0 instead (the generic backend compiles to plain scalar code
+ * and needs no check).
  */
 inline bool
 simdRuntimeSupported()
@@ -138,7 +141,8 @@ simdWidthSupported(int w)
  * Backend that executes width @p w in this translation unit: the ISA
  * specialization when one matches (which depends on whether the tier
  * computes in float or double lanes), otherwise the generic (unrolled
- * scalar) template; 0 is the plain scalar kernels.
+ * scalar) template; 0 ("scalar") is the SIMD-off W = 1 double kernel
+ * over the plain rows.
  */
 inline const char *
 simdBackendName(int w, [[maybe_unused]] bool floatLanes = false)
@@ -209,18 +213,25 @@ namespace detail {
 inline std::atomic<int> gSimdWidthOverride{-1};
 } // namespace detail
 
+/** The raw setSimdWidth() override: -1 when none is set. */
+inline int
+simdWidthOverride()
+{
+    return detail::gSimdWidthOverride.load(std::memory_order_relaxed);
+}
+
 /**
  * Packed neighbor-list width the engine should use right now for the
- * given lane element type: 0 = SIMD path disabled (plain scalar
- * kernels, no padded packing). An explicit override (setSimdWidth or
- * a numeric MDBENCH_SIMD) forces that lane count for both element
- * types; the native default doubles the lane count for float tiers.
+ * given lane element type: 0 = SIMD layer off (W = 1 double kernels
+ * over the plain rows, no padded packing). An explicit override
+ * (setSimdWidth or a numeric MDBENCH_SIMD) forces that lane count for
+ * both element types; the native default doubles the lane count for
+ * float tiers.
  */
 inline int
 simdWidthFor(bool floatLanes)
 {
-    const int override_ =
-        detail::gSimdWidthOverride.load(std::memory_order_relaxed);
+    const int override_ = simdWidthOverride();
     if (override_ >= 0)
         return override_;
     return floatLanes ? simdDefaultFloatWidth() : simdDefaultWidth();
@@ -234,7 +245,7 @@ simdWidth()
 }
 
 /**
- * Override the packed width: 0 disables the SIMD path, 1/2/4/8/16
+ * Override the packed width: 0 disables the SIMD layer, 1/2/4/8/16
  * force that width (through the generic backend when no ISA backend
  * matches), -1 restores the MDBENCH_SIMD environment default; any
  * other value is a fatal() error. Takes effect at the next

@@ -25,11 +25,11 @@ TEST(CrossValidation, LjPairShareNativeVsModel)
     native.benchmark = BenchmarkId::LJ;
     native.natoms = 4000;
     native.steps = 120;
-    // Pin the scalar pair kernels: the model's task ratios are
-    // calibrated against them. On ISA builds the SIMD path speeds up
-    // Pair but not the neighbor build (unlike the INTEL package the
-    // model replays, which vectorizes both), so the share comparison
-    // below only holds at the scalar operating point.
+    // Pin width 0 (SIMD off, the W = 1 pair kernels): the model's task
+    // ratios are calibrated against unvectorized pair kernels. On ISA
+    // builds the SIMD path speeds up Pair but not the neighbor build
+    // (unlike the INTEL package the model replays, which vectorizes
+    // both), so the share comparison below only holds at width 0.
     native.simdWidth = 0;
     const auto nativeRecord = runExperiment(native);
 

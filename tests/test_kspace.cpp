@@ -416,8 +416,8 @@ class SplittingOnly : public KspaceStyle
 };
 
 /**
- * Scalar kernel (width 0) and the compiled width (the generic W = 1
- * kernel on portable builds).
+ * Width 0 (the W = 1 kernel over the plain rows) and the compiled width
+ * (W = 1 over the packed rows on portable builds).
  */
 constexpr int kCharmmWidths[] = {0, kSimdCompiledWidth};
 

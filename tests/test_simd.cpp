@@ -2,7 +2,8 @@
  * @file
  * The portable SIMD compute layer (DESIGN.md §12): wrapper-op semantics
  * of the generic and compiled backends, the padded neighbor packing,
- * scalar-vs-SIMD kernel agreement at every width, thread-count
+ * kernel agreement with the width-0 reference at every width, the
+ * width-0 rows against the width-1 packing, thread-count
  * invariance of the vector kernels, the sort-interaction regression,
  * the width-selection API, and the exp/erfc of util/simd_math.h.
  */
@@ -17,6 +18,7 @@
 #include <memory>
 #include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/suite.h"
@@ -86,16 +88,29 @@ builtCharmm()
     return sim;
 }
 
+std::unique_ptr<Simulation>
+builtLJFull()
+{
+    auto sim = buildLJ(4);
+    jitter(*sim);
+    sim->thermoEvery = 0;
+    sim->neighbor.full = true;
+    sim->setup();
+    return sim;
+}
+
 struct Comparison
 {
     double maxForceDiff = 0.0;
-    bool forcesExact = true;
-    double energyDiff = 0.0; ///< relative to the scalar reference
+    double energyDiff = 0.0; ///< relative to the width-0 reference
 };
 
-/** Forces/energy of a width-@p w setup against the scalar kernels. */
+/**
+ * Forces/energy of a width-@p w setup against width 0, the SIMD-off
+ * reference: the double W = 1 kernel over the plain neighbor rows.
+ */
 Comparison
-compareAgainstScalar(const Builder &build, int w)
+compareAgainstWidthOneReference(const Builder &build, int w)
 {
     setSimdWidth(0);
     auto ref = build();
@@ -109,8 +124,6 @@ compareAgainstScalar(const Builder &build, int w)
         c.maxForceDiff =
             std::max({c.maxForceDiff, std::abs(a.x - b.x),
                       std::abs(a.y - b.y), std::abs(a.z - b.z)});
-        if (a.x != b.x || a.y != b.y || a.z != b.z)
-            c.forcesExact = false;
     }
     const double refEnergy = ref->potentialEnergy();
     c.energyDiff = std::abs(sim->potentialEnergy() - refEnergy) /
@@ -288,9 +301,13 @@ TEST(PackedList, RowsPaddedWithSentinelToWidthMultiple)
     EXPECT_EQ(sim->atoms.npad(), 1u);
     EXPECT_EQ(list.sentinel, static_cast<std::uint32_t>(sim->atoms.nall()));
 
+    // The kernels traverse the padded rows.
+    const NeighborList::Rows rows = list.rows();
+    ASSERT_EQ(rows.offsets, list.packedOffsets.data());
+    ASSERT_EQ(rows.neighbors, list.packedNeighbors.data());
     std::size_t padSeen = 0;
     for (std::size_t i = 0; i < sim->atoms.nlocal(); ++i) {
-        const auto [pb, pe] = list.packedRange(i);
+        const std::uint32_t pb = rows.offsets[i], pe = rows.offsets[i + 1];
         const auto [b, e] = list.range(i);
         ASSERT_EQ((pe - pb) % 4, 0u);
         ASSERT_GE(pe - pb, e - b);
@@ -315,6 +332,10 @@ TEST(PackedList, DisabledAtWidthZero)
     EXPECT_EQ(list.padWidth, 0);
     EXPECT_FALSE(list.packedFor(1));
     EXPECT_EQ(list.paddedSlots, 0u);
+    // The kernels traverse the plain rows: no packed copy exists.
+    EXPECT_TRUE(list.packedNeighbors.empty());
+    EXPECT_EQ(list.rows().offsets, list.offsets.data());
+    EXPECT_EQ(list.rows().neighbors, list.neighbors.data());
 }
 
 TEST(PackedList, FullListRequestSurvivesSetup)
@@ -352,16 +373,8 @@ TEST(PackedList, FullListRequestSurvivesSetup)
 TEST(PackedList, SimdFullListMatchesScalarFullList)
 {
     WidthGuard guard;
-    auto build = [] {
-        auto sim = buildLJ(4);
-        jitter(*sim);
-        sim->thermoEvery = 0;
-        sim->neighbor.full = true;
-        sim->setup();
-        return sim;
-    };
     for (int w : {1, 2, 4, 8, 16}) {
-        const Comparison c = compareAgainstScalar(build, w);
+        const Comparison c = compareAgainstWidthOneReference(builtLJFull, w);
         EXPECT_LT(c.maxForceDiff, 1e-10) << "width " << w;
         EXPECT_LT(c.energyDiff, 1e-8) << "width " << w;
     }
@@ -369,58 +382,83 @@ TEST(PackedList, SimdFullListMatchesScalarFullList)
 
 // ------------------------------------------------- kernel agreement
 
-TEST(Kernels, LjCutMatchesScalarAtEveryWidth)
+TEST(Kernels, LjCutMatchesWidthOneReferenceAtEveryWidth)
 {
     WidthGuard guard;
     for (int w : {1, 2, 4, 8, 16}) {
-        const Comparison c = compareAgainstScalar(builtLJ, w);
+        const Comparison c = compareAgainstWidthOneReference(builtLJ, w);
         EXPECT_LT(c.maxForceDiff, 1e-10) << "width " << w;
         EXPECT_LT(c.energyDiff, 1e-8) << "width " << w;
     }
 }
 
-TEST(Kernels, EamMatchesScalarAtEveryWidth)
+TEST(Kernels, EamMatchesWidthOneReferenceAtEveryWidth)
 {
     WidthGuard guard;
     for (int w : {1, 2, 4, 8, 16}) {
-        const Comparison c = compareAgainstScalar(builtEAM, w);
+        const Comparison c = compareAgainstWidthOneReference(builtEAM, w);
         EXPECT_LT(c.maxForceDiff, 1e-10) << "width " << w;
         EXPECT_LT(c.energyDiff, 1e-8) << "width " << w;
     }
 }
 
-TEST(Kernels, CharmmMatchesScalarAtEveryWidth)
+TEST(Kernels, CharmmMatchesWidthOneReferenceAtEveryWidth)
 {
     WidthGuard guard;
     for (int w : {1, 2, 4, 8, 16}) {
-        const Comparison c = compareAgainstScalar(builtCharmm, w);
+        const Comparison c =
+            compareAgainstWidthOneReference(builtCharmm, w);
         EXPECT_LT(c.maxForceDiff, 1e-9) << "width " << w;
         EXPECT_LT(c.energyDiff, 1e-6) << "width " << w;
     }
 }
 
-TEST(Kernels, WidthOneIsBitwiseScalarOnNoFmaBuilds)
+TEST(Kernels, PlainRowsAreBitwiseThePackedWidthOne)
 {
-    // The generic backend mirrors the scalar expression trees term for
-    // term, so W = 1 must reproduce the scalar kernels bit for bit
-    // whenever the compiler cannot contract a*b+c (no FMA codegen).
-    // ISA builds hand width 1 the same generic template, but the whole
-    // TU is compiled with -mfma, so only the claim below is portable.
-    if (kSimdCompiledWidth != 1)
-        GTEST_SKIP() << "FMA contraction expected on ISA builds";
+    // Width 0 runs the double W = 1 kernel over the plain rows; width 1
+    // runs the same instantiation over the width-1 packing, which pads
+    // nothing. Both must give the same bits on every build, FMA or not.
     WidthGuard guard;
-    for (const Builder &build : {Builder(builtLJ), Builder(builtEAM),
-                                 Builder(builtCharmm)}) {
-        const Comparison c = compareAgainstScalar(build, 1);
-        EXPECT_TRUE(c.forcesExact);
-        EXPECT_EQ(c.energyDiff, 0.0);
+    const int before = ThreadPool::threads();
+    const std::pair<const char *, Builder> styles[] = {
+        {"lj/cut half", builtLJ},
+        {"lj/cut full", builtLJFull},
+        {"eam", builtEAM},
+        {"charmm", builtCharmm},
+    };
+    for (int threads : {1, 4}) {
+        ThreadPool::setThreads(threads);
+        for (const auto &[name, build] : styles) {
+            SCOPED_TRACE(std::string(name) + ", " +
+                         std::to_string(threads) + " threads");
+            setSimdWidth(0);
+            auto plain = build();
+            setSimdWidth(1);
+            auto packed = build();
+            ASSERT_EQ(plain->neighbor.list().padWidth, 0);
+            ASSERT_TRUE(plain->neighbor.list().packedNeighbors.empty());
+            ASSERT_EQ(packed->neighbor.list().padWidth, 1);
+            ASSERT_EQ(packed->neighbor.list().paddedSlots, 0u);
+            ASSERT_EQ(plain->atoms.nlocal(), packed->atoms.nlocal());
+            std::size_t differ = 0;
+            for (std::size_t i = 0; i < plain->atoms.nlocal(); ++i) {
+                const Vec3 a = plain->atoms.f[i];
+                const Vec3 b = packed->atoms.f[i];
+                if (a.x != b.x || a.y != b.y || a.z != b.z)
+                    ++differ;
+            }
+            EXPECT_EQ(differ, 0u);
+            EXPECT_EQ(plain->pair->energy(), packed->pair->energy());
+            EXPECT_EQ(plain->pair->virial(), packed->pair->virial());
+        }
     }
+    ThreadPool::setThreads(before);
 }
 
 TEST(Kernels, UnsupportedPackedWidthPanics)
 {
     // A packing width no kernel instantiates is an internal bug; the
-    // dispatcher must not quietly run the scalar kernel instead.
+    // dispatcher must not quietly run the width-0 kernel instead.
     WidthGuard guard;
     setSimdWidth(4);
     for (const Builder &build : {Builder(builtLJ), Builder(builtEAM),
@@ -473,7 +511,8 @@ TEST(Kernels, SortEveryRebuildKeepsPackingConsistent)
     const NeighborList &list = simd->neighbor.list();
     ASSERT_TRUE(list.packedFor(4));
     for (std::size_t i = 0; i < simd->atoms.nlocal(); ++i) {
-        const auto [pb, pe] = list.packedRange(i);
+        const std::uint32_t pb = list.packedOffsets[i];
+        const std::uint32_t pe = list.packedOffsets[i + 1];
         for (std::uint32_t k = pb; k < pe; ++k)
             ASSERT_LE(list.packedNeighbors[k], list.sentinel);
     }

@@ -11,8 +11,11 @@
 
 #include "core/experiment.h"
 #include "core/suite.h"
-#include "util/error.h"
 #include "md/fix_shake.h"
+#include "util/error.h"
+#include "util/precision.h"
+#include "util/simd.h"
+#include "util/thread_pool.h"
 
 namespace mdbench {
 namespace {
@@ -189,6 +192,55 @@ TEST(ExperimentFacade, NativeRankedRejectsRhodo)
     spec.resources = 2;
     spec.steps = 5;
     EXPECT_THROW(runExperiment(spec), FatalError);
+}
+
+TEST(ExperimentFacade, NativeRunsRestoreTheCallersKnobs)
+{
+    // A caller's thread count, SIMD width and precision tier (BenchRun's
+    // --no-simd / --precision, say) must survive an experiment that
+    // overrides all three, and one whose setup throws.
+    const int threadsBefore = ThreadPool::threads();
+    const int widthBefore = simdWidthOverride();
+    const Precision tierBefore = precisionTierOverride();
+    ThreadPool::setThreads(3);
+    setSimdWidth(0);
+    setPrecisionTier(Precision::Mixed);
+    const auto expectPreset = [](const char *after) {
+        SCOPED_TRACE(after);
+        EXPECT_EQ(ThreadPool::threads(), 3);
+        EXPECT_EQ(simdWidthOverride(), 0);
+        EXPECT_EQ(precisionTierOverride(), Precision::Mixed);
+    };
+
+    ExperimentSpec spec;
+    spec.mode = ExperimentMode::NativeSerial;
+    spec.benchmark = BenchmarkId::LJ;
+    spec.natoms = 500;
+    spec.steps = 5;
+    spec.threads = 2;
+    spec.simdWidth = 2;
+    spec.precision = Precision::Single;
+    runExperiment(spec);
+    expectPreset("serial run");
+
+    ExperimentSpec ranked = spec;
+    ranked.mode = ExperimentMode::NativeRanked;
+    ranked.natoms = 2000;
+    ranked.resources = 2;
+    runExperiment(ranked);
+    expectPreset("ranked run");
+
+    // The smallest Rhodo box (4 molecules per axis) is narrower than
+    // twice the cutoff plus skin, so the halo set-up in setup() throws.
+    ExperimentSpec failing = spec;
+    failing.benchmark = BenchmarkId::Rhodo;
+    failing.natoms = 3;
+    EXPECT_THROW(runExperiment(failing), FatalError);
+    expectPreset("throwing setup");
+
+    ThreadPool::setThreads(threadsBefore);
+    setSimdWidth(widthBefore);
+    setPrecisionTier(tierBefore);
 }
 
 } // namespace
