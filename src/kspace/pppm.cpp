@@ -45,7 +45,7 @@ Pppm::Pppm(double accuracy, int order) : accuracy_(accuracy), order_(order)
 }
 
 Pppm::AxisWeights
-Pppm::weightsFor(double u) const
+Pppm::weightsFor(double u, int n) const
 {
     AxisWeights out;
     const int p = order_;
@@ -62,10 +62,18 @@ Pppm::weightsFor(double u) const
             w[m] = (left + right) / (n - 1);
         }
     }
-    // Weight w[m] belongs to node jstart + (p - 1 - m).
-    out.firstNode = jstart;
-    for (int m = 0; m < p; ++m)
+    // Weight w[m] belongs to node jstart + (p - 1 - m). The one modulo
+    // wraps the first node; the rest count up and reset at n, so the
+    // mesh stages index through node[] with no division.
+    int node = jstart % n;
+    if (node < 0)
+        node += n;
+    for (int m = 0; m < p; ++m) {
         out.w[p - 1 - m] = w[m];
+        out.node[m] = node;
+        if (++node == n)
+            node = 0;
+    }
     return out;
 }
 
@@ -222,11 +230,14 @@ Pppm::computeImpl(Simulation &sim)
                      for (std::size_t i = begin; i < end; ++i) {
                          const Vec3 pos = sim.box.wrap(atoms.x[i]);
                          wx_[i] = weightsFor((pos.x - sim.box.lo().x) *
-                                             invH[0]);
+                                                 invH[0],
+                                             nx);
                          wy_[i] = weightsFor((pos.y - sim.box.lo().y) *
-                                             invH[1]);
+                                                 invH[1],
+                                             ny);
                          wz_[i] = weightsFor((pos.z - sim.box.lo().z) *
-                                             invH[2]);
+                                                 invH[2],
+                                             nz);
                          qsq += atoms.q[i] * atoms.q[i];
                      }
                      qsqParts[s] = qsq;
@@ -254,10 +265,8 @@ Pppm::computeImpl(Simulation &sim)
         for (std::size_t i = 0; i < nlocal; ++i) {
             if (atoms.q[i] == 0.0)
                 continue;
-            for (int c = 0; c < order_; ++c) {
-                const int gz = ((wz_[i].firstNode + c) % nz + nz) % nz;
-                ++planeStart_[static_cast<std::size_t>(gz) + 1];
-            }
+            for (int c = 0; c < order_; ++c)
+                ++planeStart_[static_cast<std::size_t>(wz_[i].node[c]) + 1];
         }
         for (int z = 0; z < nz; ++z)
             planeStart_[static_cast<std::size_t>(z) + 1] +=
@@ -269,10 +278,10 @@ Pppm::computeImpl(Simulation &sim)
             if (atoms.q[i] == 0.0)
                 continue;
             for (int c = 0; c < order_; ++c) {
-                const int gz = ((wz_[i].firstNode + c) % nz + nz) % nz;
                 planeEntries_[planeCursor_[static_cast<std::size_t>(
-                    gz)]++] = (static_cast<std::uint64_t>(i) << 3) |
-                              static_cast<std::uint64_t>(c);
+                    wz_[i].node[c])]++] =
+                    (static_cast<std::uint64_t>(i) << 3) |
+                    static_cast<std::uint64_t>(c);
             }
         }
 
@@ -286,19 +295,15 @@ Pppm::computeImpl(Simulation &sim)
                     const std::size_t i =
                         static_cast<std::size_t>(entry >> 3);
                     const int c = static_cast<int>(entry & 7);
-                    const double qz =
-                        atoms.q[i] * wz_[i].w[c];
+                    const AxisWeights &sx = wx_[i];
+                    const AxisWeights &sy = wy_[i];
+                    const double qz = atoms.q[i] * wz_[i].w[c];
                     for (int b = 0; b < order_; ++b) {
-                        const int gy =
-                            ((wy_[i].firstNode + b) % ny + ny) % ny;
-                        const double qyz = qz * wy_[i].w[b];
+                        const double qyz = qz * sy.w[b];
                         Complex *row =
-                            plane + static_cast<std::size_t>(gy) * nx;
-                        for (int a = 0; a < order_; ++a) {
-                            const int gx =
-                                ((wx_[i].firstNode + a) % nx + nx) % nx;
-                            row[gx] += qyz * wx_[i].w[a];
-                        }
+                            plane + static_cast<std::size_t>(sy.node[b]) * nx;
+                        for (int a = 0; a < order_; ++a)
+                            row[sx.node[a]] += qyz * sx.w[a];
                     }
                 }
             }
@@ -369,22 +374,22 @@ Pppm::computeImpl(Simulation &sim)
                 const double q = atoms.q[i];
                 if (q == 0.0)
                     continue;
+                const AxisWeights &sx = wx_[i];
+                const AxisWeights &sy = wy_[i];
+                const AxisWeights &sz = wz_[i];
                 Vec3 e{};
                 for (int c = 0; c < order_; ++c) {
-                    const int gz =
-                        ((wz_[i].firstNode + c) % nz + nz) % nz;
+                    const std::size_t plane =
+                        static_cast<std::size_t>(sz.node[c]) * ny;
                     for (int b = 0; b < order_; ++b) {
-                        const int gy =
-                            ((wy_[i].firstNode + b) % ny + ny) % ny;
-                        const double wyz = wz_[i].w[c] * wy_[i].w[b];
+                        const double wyz = sz.w[c] * sy.w[b];
+                        const std::size_t row =
+                            (plane + static_cast<std::size_t>(sy.node[b])) *
+                            nx;
                         for (int a = 0; a < order_; ++a) {
-                            const int gx =
-                                ((wx_[i].firstNode + a) % nx + nx) % nx;
-                            const double weight = wyz * wx_[i].w[a];
+                            const double weight = wyz * sx.w[a];
                             const std::size_t cell =
-                                (static_cast<std::size_t>(gz) * ny + gy) *
-                                    nx +
-                                gx;
+                                row + static_cast<std::size_t>(sx.node[a]);
                             e.x += weight * fieldX[cell].real();
                             e.y += weight * fieldY[cell].real();
                             e.z += weight * fieldZ[cell].real();

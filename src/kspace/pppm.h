@@ -58,13 +58,16 @@ class Pppm : public KspaceStyle
     const Stats &stats() const { return stats_; }
 
   private:
-    /** B-spline weights of one particle along one axis. */
+    /**
+     * B-spline stencil of one particle along one axis: weight w[a]
+     * belongs to mesh node node[a], already wrapped into [0, n).
+     */
     struct AxisWeights
     {
-        int firstNode = 0;
+        int node[8] = {};
         double w[8] = {};
     };
-    AxisWeights weightsFor(double u) const;
+    AxisWeights weightsFor(double u, int n) const;
 
     /**
      * The solve proper, out of line behind the traced compute()
