@@ -41,7 +41,29 @@ bsplineIntegerSamples(int p)
 Pppm::Pppm(double accuracy, int order) : accuracy_(accuracy), order_(order)
 {
     require(accuracy > 0.0, "pppm accuracy must be positive");
-    require(order >= 1 && order <= 7, "pppm order must be in [1, 7]");
+    require(order >= 1 && order <= kMaxOrder,
+            "pppm order must be in [1, 7]");
+
+    // Cox-de Boor over polynomials in f: after round n, coeff_[m] holds
+    // the coefficients of M_n(f + m) = ((f + m) M_{n-1}(f + m) +
+    // (n - f - m) M_{n-1}(f + m - 1)) / (n - 1). Descending m reads
+    // coeff_[m - 1] before this round overwrites it.
+    coeff_[0][0] = 1.0;
+    for (int n = 2; n <= order; ++n) {
+        for (int m = n - 1; m >= 0; --m) {
+            double next[kMaxOrder] = {};
+            for (int d = 0; d + 1 < n; ++d) {
+                next[d] += m * coeff_[m][d];
+                next[d + 1] += coeff_[m][d];
+                if (m > 0) {
+                    next[d] += (n - m) * coeff_[m - 1][d];
+                    next[d + 1] -= coeff_[m - 1][d];
+                }
+            }
+            for (int d = 0; d < n; ++d)
+                coeff_[m][d] = next[d] / (n - 1);
+        }
+    }
 }
 
 Pppm::AxisWeights
@@ -52,24 +74,19 @@ Pppm::weightsFor(double u, int n) const
     const int jstart = static_cast<int>(std::floor(u - 0.5 * p)) + 1;
     const double f = u - jstart + 0.5 * p - (p - 1);
 
-    // Iterative Cox-de Boor: after round n, w[m] = M_n(f + m).
-    double w[8] = {1.0};
-    for (int n = 2; n <= p; ++n) {
-        w[n - 1] = 0.0;
-        for (int m = n - 1; m >= 0; --m) {
-            const double left = (f + m) * w[m];
-            const double right = (m > 0) ? (n - f - m) * w[m - 1] : 0.0;
-            w[m] = (left + right) / (n - 1);
-        }
-    }
-    // Weight w[m] belongs to node jstart + (p - 1 - m). The one modulo
-    // wraps the first node; the rest count up and reset at n, so the
-    // mesh stages index through node[] with no division.
+    // M_p(f + m) by Horner over the coefficients built at construction;
+    // it belongs to node jstart + (p - 1 - m). The one modulo wraps the
+    // first node; the rest count up and reset at n, so the mesh stages
+    // index through node[] with no division.
     int node = jstart % n;
     if (node < 0)
         node += n;
     for (int m = 0; m < p; ++m) {
-        out.w[p - 1 - m] = w[m];
+        const double *c = coeff_[m];
+        double w = c[p - 1];
+        for (int d = p - 2; d >= 0; --d)
+            w = w * f + c[d];
+        out.w[p - 1 - m] = w;
         out.node[m] = node;
         if (++node == n)
             node = 0;

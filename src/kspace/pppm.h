@@ -57,7 +57,9 @@ class Pppm : public KspaceStyle
     };
     const Stats &stats() const { return stats_; }
 
-  private:
+    /** Largest supported assignment order. */
+    static constexpr int kMaxOrder = 7;
+
     /**
      * B-spline stencil of one particle along one axis: weight w[a]
      * belongs to mesh node node[a], already wrapped into [0, n).
@@ -67,8 +69,15 @@ class Pppm : public KspaceStyle
         int node[8] = {};
         double w[8] = {};
     };
+
+    /**
+     * Stencil of a particle at mesh coordinate @p u (in mesh spacings
+     * from the box origin) on an axis of @p n nodes. Public so tests can
+     * check it against the Cox-de Boor recursion.
+     */
     AxisWeights weightsFor(double u, int n) const;
 
+  private:
     /**
      * The solve proper, out of line behind the traced compute()
      * wrapper: probe calls in the same function push gcc's size
@@ -81,6 +90,8 @@ class Pppm : public KspaceStyle
 
     double accuracy_;
     int order_;
+    /// coeff_[m][d]: the f^d coefficient of M_p(f + m), f in [0, 1).
+    double coeff_[kMaxOrder][kMaxOrder] = {};
     double gEwald_ = 0.0;
     KspacePlan plan_;
     std::unique_ptr<Fft3d> fft_;
