@@ -153,7 +153,16 @@ Pppm::buildInfluence(const Vec3 &boxLength)
                             denom[0][mx] * denom[1][my] * denom[2][mz];
                         if (d < 1e-12)
                             continue; // Nyquist-degenerate mode
-                        kvec_[idx] = k;
+                        // An even axis's Nyquist index is its own mirror
+                        // (n/2 = -n/2 mod n), so i*k there has no
+                        // Hermitian partner: zero that component to keep
+                        // the field spectra Hermitian, as the packed
+                        // E_x + i E_y inverse transform needs.
+                        kvec_[idx] = Vec3{2 * mx == nx ? 0.0 : k.x,
+                                          2 * my == ny ? 0.0 : k.y,
+                                          2 * static_cast<int>(mz) == nz
+                                              ? 0.0
+                                              : k.z};
                         influence_[idx] = 4.0 * M_PI *
                                           std::exp(-ksq * gsqInv4) /
                                           (ksq * d);
@@ -188,8 +197,8 @@ Pppm::setup(Simulation &sim)
     fft_ = std::make_unique<Fft3d>(plan_.grid[0], plan_.grid[1],
                                    plan_.grid[2]);
     rho_.assign(fft_->size(), Complex{});
-    for (auto &grid : field_)
-        grid.assign(fft_->size(), Complex{});
+    fieldXY_.assign(fft_->size(), Complex{});
+    fieldZ_.assign(fft_->size(), Complex{});
     buildInfluence(sim.box.lengths());
     inform("pppm: grid " + std::to_string(plan_.grid[0]) + "x" +
            std::to_string(plan_.grid[1]) + "x" +
@@ -332,8 +341,9 @@ Pppm::computeImpl(Simulation &sim)
 
     // poisson: forward FFT, influence multiply with ik-differentiated
     // field spectra (independent per mode; energy via per-slice
-    // partials), then the three inverse field FFTs. The FFTs batch
-    // their 1-D lines across the pool internally.
+    // partials), then two inverse FFTs: the real fields E_x and E_y
+    // share one complex grid as E_x + i E_y, E_z has the other. The
+    // FFTs batch their 1-D lines across the pool internally.
     {
         TraceScope poisson("kspace", "poisson");
         fft_->forward(rho_);
@@ -344,47 +354,47 @@ Pppm::computeImpl(Simulation &sim)
         const Complex *rho = rho_.data();
         const double *influence = influence_.data();
         const Vec3 *kvec = kvec_.data();
-        Complex *fieldX = field_[0].data();
-        Complex *fieldY = field_[1].data();
-        Complex *fieldZ = field_[2].data();
+        Complex *fieldXY = fieldXY_.data();
+        Complex *fieldZ = fieldZ_.data();
         const SliceRange modeSlices(0, influence_.size(), 2048);
         SlicePartials<double> energyParts;
         pool.run(modeSlices,
                  [&](std::size_t begin, std::size_t end, int s) {
                      double energy = 0.0;
-                     const Complex minusI(0.0, -1.0);
                      for (std::size_t m = begin; m < end; ++m) {
                          const Complex rhoK = rho[m];
                          const double g = influence[m];
                          if (g == 0.0) {
-                             fieldX[m] = fieldY[m] = fieldZ[m] =
-                                 Complex{};
+                             fieldXY[m] = fieldZ[m] = Complex{};
                              continue;
                          }
                          energy += 0.5 * qqr2e / volume * g *
                                    std::norm(rhoK);
                          const Complex phi = rhoK * (g * fieldScale);
-                         fieldX[m] = minusI * kvec[m].x * phi;
-                         fieldY[m] = minusI * kvec[m].y * phi;
-                         fieldZ[m] = minusI * kvec[m].z * phi;
+                         // E(k) = -i k phi per axis; E_x + i E_y is
+                         // (k_x + i k_y)(phi.im - i phi.re).
+                         const Vec3 &k = kvec[m];
+                         fieldXY[m] =
+                             Complex(k.x * phi.imag() + k.y * phi.real(),
+                                     k.y * phi.imag() - k.x * phi.real());
+                         fieldZ[m] =
+                             Complex(k.z * phi.imag(), -k.z * phi.real());
                      }
                      energyParts[s] = energy;
                  });
         energy_ = energyParts.fold(modeSlices, energy_);
 
-        for (auto &grid : field_) {
-            fft_->inverse(grid);
-            ++stats_.fftCount;
-        }
+        fft_->inverse(fieldXY_);
+        fft_->inverse(fieldZ_);
+        stats_.fftCount += 2;
     }
 
     // interp: fields back to the particles. Embarrassingly parallel —
     // atom i only reads the meshes and writes f[i].
     {
         TraceScope interp("kspace", "interp");
-        const Complex *fieldX = field_[0].data();
-        const Complex *fieldY = field_[1].data();
-        const Complex *fieldZ = field_[2].data();
+        const Complex *fieldXY = fieldXY_.data();
+        const Complex *fieldZ = fieldZ_.data();
         pool.run(atomSlices, [&](std::size_t begin, std::size_t end,
                                  int) {
             for (std::size_t i = begin; i < end; ++i) {
@@ -407,8 +417,8 @@ Pppm::computeImpl(Simulation &sim)
                             const double weight = wyz * sx.w[a];
                             const std::size_t cell =
                                 row + static_cast<std::size_t>(sx.node[a]);
-                            e.x += weight * fieldX[cell].real();
-                            e.y += weight * fieldY[cell].real();
+                            e.x += weight * fieldXY[cell].real();
+                            e.y += weight * fieldXY[cell].imag();
                             e.z += weight * fieldZ[cell].real();
                         }
                     }

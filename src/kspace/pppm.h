@@ -6,9 +6,11 @@
  *
  * The mesh part uses B-spline charge assignment of configurable order,
  * an exact B-spline (Euler-spline) deconvolution in the influence
- * function, and ik differentiation with three inverse FFTs — the
- * make_rho / poisson / interpolate pipeline whose GPU kernels
- * (make_rho, particle_map, interp) the paper profiles in Figure 8.
+ * function, and ik differentiation with two inverse FFTs: the real
+ * fields E_x and E_y travel packed as E_x + i E_y in one complex
+ * transform, E_z in the other. This is the make_rho / poisson /
+ * interpolate pipeline whose GPU kernels (make_rho, particle_map,
+ * interp) the paper profiles in Figure 8.
  */
 
 #ifndef MDBENCH_KSPACE_PPPM_H
@@ -53,7 +55,8 @@ class Pppm : public KspaceStyle
     struct Stats
     {
         long gridPoints = 0;
-        long fftCount = 0; ///< forward + inverse 3-D FFTs per step
+        /// 3-D FFTs per step: 1 forward + 2 inverse (E_x + i E_y, E_z)
+        long fftCount = 0;
     };
     const Stats &stats() const { return stats_; }
 
@@ -98,7 +101,8 @@ class Pppm : public KspaceStyle
     std::vector<double> influence_;   ///< energy-convention G(k) per mode
     std::vector<Vec3> kvec_;          ///< signed k vector per mode
     std::vector<Complex> rho_;        ///< charge mesh / scratch
-    std::vector<Complex> field_[3];   ///< E-field meshes
+    std::vector<Complex> fieldXY_;    ///< E_x + i E_y mesh
+    std::vector<Complex> fieldZ_;     ///< E_z mesh (real part)
     Stats stats_;
     Vec3 setupBoxLength_{0, 0, 0};
 
