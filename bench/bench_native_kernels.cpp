@@ -182,7 +182,8 @@ BENCHMARK(BM_ChuteStep);
 int
 main(int argc, char **argv)
 {
-    mdbench::BenchRun run(argc, argv, "bench_native_kernels");
+    mdbench::BenchRun run(argc, argv, "bench_native_kernels",
+                          mdbench::BenchHelp::PassOn);
     benchmark::Initialize(&argc, argv);
     if (benchmark::ReportUnrecognizedArguments(argc, argv))
         return 1;

@@ -1,6 +1,7 @@
 #include "obs/bench_options.h"
 
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 
 #include "obs/trace.h"
@@ -106,11 +107,32 @@ benchOptionsUsage()
            "compute tier (overrides MDBENCH_PRECISION)\n";
 }
 
-BenchRun::BenchRun(int &argc, char **argv, const std::string &program)
-    : options_(parseBenchOptions(argc, argv)), manifest_(program)
+namespace {
+
+/** parseBenchOptions, with misuse reported as a usage error (exit 2). */
+BenchOptions
+parseOrExit(int &argc, char **argv, const std::string &program)
 {
-    if (options_.help)
+    try {
+        return parseBenchOptions(argc, argv);
+    } catch (const FatalError &error) {
+        std::fprintf(stderr, "%s: %s\n%s", program.c_str(), error.what(),
+                     benchOptionsUsage());
+        std::exit(2);
+    }
+}
+
+} // namespace
+
+BenchRun::BenchRun(int &argc, char **argv, const std::string &program,
+                   BenchHelp help)
+    : options_(parseOrExit(argc, argv, program)), manifest_(program)
+{
+    if (options_.help) {
         std::fputs(benchOptionsUsage(), stdout);
+        if (help == BenchHelp::Exit)
+            std::exit(0);
+    }
     if (options_.noSimd)
         setSimdWidth(0);
     if (!options_.tracePath.empty())

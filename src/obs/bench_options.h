@@ -40,15 +40,26 @@ BenchOptions parseBenchOptions(int &argc, char **argv);
 /** Usage text for the shared flags. */
 const char *benchOptionsUsage();
 
+/** What BenchRun does after printing the usage for `--help`. */
+enum class BenchHelp
+{
+    Exit,   ///< exit 0: the bench has no parser of its own
+    PassOn, ///< continue, `--help` left in argv for a wrapped parser
+};
+
 /**
  * RAII driver of one observable bench run. Construct first thing in
  * main(); destruction (normal return) finalizes the manifest and
  * writes the requested output files.
+ *
+ * A misused shared flag (missing value, invalid --log-level or
+ * --precision) prints the error and the usage to stderr and exits 2.
  */
 class BenchRun
 {
   public:
-    BenchRun(int &argc, char **argv, const std::string &program);
+    BenchRun(int &argc, char **argv, const std::string &program,
+             BenchHelp help = BenchHelp::Exit);
     ~BenchRun();
 
     BenchRun(const BenchRun &) = delete;

@@ -9,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
+#include <vector>
 
 #include "forcefield/pair_lj_charmm_coul_long.h"
 #include "kspace/ewald.h"
@@ -360,6 +362,120 @@ TEST_P(PppmOrders, MatchesEwaldAcrossAssignmentOrders)
 
 INSTANTIATE_TEST_SUITE_P(AssignmentOrders, PppmOrders,
                          ::testing::Values(3, 4, 5, 6, 7));
+
+namespace {
+
+/** PPPM forces alone (no pair style) on the atoms of @p sim. */
+std::vector<Vec3>
+pppmForces(Simulation &sim, int order)
+{
+    sim.neighbor.cutoff = 3.3;
+    Pppm pppm(1e-5, order);
+    pppm.setup(sim);
+    for (std::size_t i = 0; i < sim.atoms.nlocal(); ++i)
+        sim.atoms.f[i] = Vec3{};
+    pppm.compute(sim);
+    return {sim.atoms.f.begin(),
+            sim.atoms.f.begin() + sim.atoms.nlocal()};
+}
+
+} // namespace
+
+TEST(Pppm, ForcesRespectAxisSwapSymmetry)
+{
+    // Swapping every atom's x and y in a cubic box must swap the force
+    // components. E_x and E_y share one packed inverse FFT, so a
+    // non-Hermitian field spectrum (an even mesh's Nyquist plane) would
+    // leak the imaginary part of E_x into E_y and break the symmetry.
+    for (int order = 3; order <= 7; ++order) {
+        SCOPED_TRACE(order);
+        Simulation sim;
+        buildRandomCharges(sim, 30, 8.5, 777);
+        const std::vector<Vec3> forces = pppmForces(sim, order);
+
+        Simulation swapped;
+        buildRandomCharges(swapped, 30, 8.5, 777);
+        for (std::size_t i = 0; i < swapped.atoms.nlocal(); ++i)
+            std::swap(swapped.atoms.x[i].x, swapped.atoms.x[i].y);
+        const std::vector<Vec3> mirrored = pppmForces(swapped, order);
+
+        double rms = 0.0;
+        for (const Vec3 &f : forces)
+            rms += f.normSq();
+        rms = std::sqrt(rms / forces.size());
+        ASSERT_GT(rms, 0.0);
+        for (std::size_t i = 0; i < forces.size(); ++i) {
+            EXPECT_NEAR(mirrored[i].x, forces[i].y, 1e-12 * rms) << i;
+            EXPECT_NEAR(mirrored[i].y, forces[i].x, 1e-12 * rms) << i;
+            EXPECT_NEAR(mirrored[i].z, forces[i].z, 1e-12 * rms) << i;
+        }
+    }
+}
+
+namespace {
+
+/**
+ * The Cox-de Boor recursion the Horner stencil weights replaced:
+ * w[a] is the weight of node first + a (unwrapped).
+ */
+void
+coxDeBoorStencil(int p, double u, int &first, double w[8])
+{
+    const int jstart = static_cast<int>(std::floor(u - 0.5 * p)) + 1;
+    const double f = u - jstart + 0.5 * p - (p - 1);
+    double spline[8] = {1.0}; // after round n: spline[m] = M_n(f + m)
+    for (int n = 2; n <= p; ++n) {
+        spline[n - 1] = 0.0;
+        for (int m = n - 1; m >= 0; --m) {
+            const double left = (f + m) * spline[m];
+            const double right =
+                (m > 0) ? (n - f - m) * spline[m - 1] : 0.0;
+            spline[m] = (left + right) / (n - 1);
+        }
+    }
+    first = jstart;
+    for (int m = 0; m < p; ++m)
+        w[p - 1 - m] = spline[m];
+}
+
+} // namespace
+
+TEST(Pppm, HornerWeightsMatchCoxDeBoor)
+{
+    for (int n : {12, 15}) {
+        // Node boundaries (integers, half-integers), the box edges and
+        // slightly negative positions that wrap to the last nodes.
+        std::vector<double> us = {0.0, std::nextafter(double(n), 0.0),
+                                  -0.5, -0.25, -1e-12,
+                                  std::nextafter(0.0, -1.0)};
+        for (int k = 0; k < n; ++k) {
+            us.push_back(k);
+            us.push_back(k + 0.5);
+            us.push_back(k + 0.3125);
+        }
+        for (int order = 1; order <= Pppm::kMaxOrder; ++order) {
+            const Pppm pppm(1e-5, order);
+            for (double u : us) {
+                SCOPED_TRACE(::testing::Message() << "n " << n << " order "
+                                                  << order << " u " << u);
+                const Pppm::AxisWeights stencil = pppm.weightsFor(u, n);
+                int first = 0;
+                double expected[8] = {};
+                coxDeBoorStencil(order, u, first, expected);
+                double sum = 0.0;
+                for (int a = 0; a < order; ++a) {
+                    EXPECT_NEAR(stencil.w[a], expected[a], 1e-15) << a;
+                    sum += stencil.w[a];
+                    EXPECT_GE(stencil.node[a], 0) << a;
+                    EXPECT_LT(stencil.node[a], n) << a;
+                    EXPECT_EQ(stencil.node[a], ((first + a) % n + n) % n)
+                        << a;
+                }
+                EXPECT_NEAR(sum, 1.0, 1e-15);
+            }
+        }
+    }
+}
 
 TEST(Pppm, EnergyStableUnderDynamics)
 {
