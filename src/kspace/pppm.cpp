@@ -11,33 +11,6 @@
 
 namespace mdbench {
 
-namespace {
-
-/**
- * Integer samples M_p(k), k = 0..p, of the cardinal B-spline.
- *
- * Computed by the integer-lattice Cox-de Boor recursion (the pointwise
- * recursion degenerates at the knots, where every recursive path lands
- * exactly on a breakpoint of M_1).
- */
-std::vector<double>
-bsplineIntegerSamples(int p)
-{
-    std::vector<double> m(static_cast<std::size_t>(p) + 1, 0.0);
-    m[0] = 1.0; // M_1 on [0,1): value 1 at the left knot
-    for (int n = 2; n <= p; ++n) {
-        std::vector<double> next(m.size(), 0.0);
-        for (int k = 1; k <= n; ++k) {
-            const double lower = k <= p ? m[k] : 0.0;
-            next[k] = (k * lower + (n - k) * m[k - 1]) / (n - 1);
-        }
-        m = std::move(next);
-    }
-    return m;
-}
-
-} // namespace
-
 Pppm::Pppm(double accuracy, int order) : accuracy_(accuracy), order_(order)
 {
     require(accuracy > 0.0, "pppm accuracy must be positive");
@@ -102,8 +75,8 @@ Pppm::buildInfluence(const Vec3 &boxLength)
     const int nz = plan_.grid[2];
     const double lengths[3] = {boxLength.x, boxLength.y, boxLength.z};
 
-    // Per-axis Euler-spline deconvolution factors |W(m)|^2.
-    const std::vector<double> samples = bsplineIntegerSamples(order_);
+    // Per-axis Euler-spline deconvolution factors |W(m)|^2, from the
+    // integer samples M_p(k) = coeff_[k][0].
     std::vector<double> denom[3];
     for (int axis = 0; axis < 3; ++axis) {
         const int n = plan_.grid[axis];
@@ -116,7 +89,7 @@ Pppm::buildInfluence(const Vec3 &boxLength)
             double real = 0.0;
             double imag = 0.0;
             for (int k = 1; k <= order_ - 1; ++k) {
-                const double weight = samples[k];
+                const double weight = coeff_[k][0];
                 const double angle = 2.0 * M_PI * m * k / n;
                 real += weight * std::cos(angle);
                 imag += weight * std::sin(angle);
