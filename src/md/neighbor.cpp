@@ -35,7 +35,7 @@ constexpr std::size_t kSimdPad = 16;
  * Bins are half the build cutoff wide, so every pair within the cutoff
  * lies at most two bins apart on each axis: the stencil is the 5×5×5
  * block of bins around the atom's own (full lists), or its dz >= 0
- * upper half (half lists, see upperHalf).
+ * upper half (half lists, see fillRowSimdImpl).
  */
 constexpr int kStencilReach = 2;
 
@@ -211,27 +211,6 @@ countingSortBinsParallel(const BinGrid &grid, const mdbench::Vec3 *x,
     });
 }
 
-/**
- * Half-list ownership: true when @p xj lies in the upper half-space of
- * @p xi — greater z, then greater y, then greater x — with @p jAfterI
- * (j > i) deciding exactly equal coordinates. Exactly one side of every
- * local pair passes, and so does exactly one of the two mirrored
- * copies of a pair across a periodic boundary. A ghost id always
- * exceeds every owned id, so a ghost at i's exact position is kept.
- * The == compares treat ±0.0 as equal, like the vector masks.
- */
-inline bool
-upperHalf(const mdbench::Vec3 &xj, const mdbench::Vec3 &xi, bool jAfterI)
-{
-    if (xj.z != xi.z)
-        return xj.z > xi.z;
-    if (xj.y != xi.y)
-        return xj.y > xi.y;
-    if (xj.x != xi.x)
-        return xj.x > xi.x;
-    return jAfterI;
-}
-
 /** Everything the row fills read, hoisted once per build. */
 struct BuildCtx
 {
@@ -286,10 +265,8 @@ struct BuildTally
  * range of bin ids and therefore one dense range of bin-ordered slots:
  * at most 25 runs instead of 125 bins. A half list walks only the
  * dz >= 0 rows, 15 runs: cellOf is monotone in z, so no atom in i's
- * upper half-space (upperHalf) sits in a lower z-bin. Runs are clamped
- * to the grid, so an axis with fewer than five bins visits each bin
- * once. Walking a run ascending visits exactly the bins the scalar
- * oracle visits, in its order.
+ * upper half-space sits in a lower z-bin. Runs are clamped to the
+ * grid, so an axis with fewer than five bins visits each bin once.
  */
 struct StencilRuns
 {
@@ -333,15 +310,25 @@ stencilRuns(const BuildCtx &c, const mdbench::Vec3 &xi)
 /**
  * Fully vectorized CSR row fill for atom @p i: every stencil candidate
  * is tested in a W-wide chunk of the bin-ordered staging — contiguous
- * transpose loads, no gathers — and the whole inclusion predicate
- * (distance, then the half-list upperHalf ownership rule) is evaluated
- * as lane masks. With Special set (row i has special
- * partners), the accepted lanes whose tag is one of them are dropped
- * before the append and counted into @p excluded. Accepted lanes
- * append through compressStore in ascending lane order, which is
- * exactly the scalar walk's emit order, so the produced rows are
- * identical to the scalar oracle's (modulo the documented 1-ulp ISA
- * fma contraction at the build cutoff).
+ * loads, no gathers — and the whole inclusion predicate
+ * (distance, then the half-list ownership rule) is evaluated as lane
+ * masks. With Special set (row i has special partners), the accepted
+ * lanes whose tag is one of them are dropped before the append and
+ * counted into @p excluded. Accepted lanes append through
+ * compressStore in ascending lane order, so every W emits the rows of
+ * the W = 1 instantiation — the reference the wider ones are tested
+ * against — in the same order (modulo the documented 1-ulp ISA fma
+ * contraction at the build cutoff). Widths 0 and 1 run W = 1 itself;
+ * its generic fma is unfused, so it adds the three squares exactly as
+ * written.
+ *
+ * Half-list ownership: j is kept when it lies in the upper half-space
+ * of i — greater z, then greater y, then greater x — with j > i
+ * deciding exactly equal coordinates. Exactly one side of every local
+ * pair passes, and so does exactly one of the two mirrored copies of a
+ * pair across a periodic boundary. A ghost id always exceeds every
+ * owned id, so a ghost at i's exact position is kept. The == compares
+ * treat ±0.0 as equal.
  *
  * Chunks start at each run's first slot and lanes are independent, so
  * the result does not depend on W's chunk phase; lanes past the run
@@ -382,9 +369,9 @@ fillRowSimdImpl(const BuildCtx &c, std::size_t i, const StencilRuns &runs,
             // Full list: every in-range candidate except i itself.
             inc = M::fromIndexEQ(ids, i32).andnot(dist);
         } else {
-            // Half list: upperHalf lane for lane, the index order
-            // deciding only exactly equal coordinates (which also drops
-            // i itself).
+            // Half list: the ownership rule lane for lane, the index
+            // order deciding only exactly equal coordinates (which also
+            // drops i itself).
             const M idGT = M::fromIndexGT(ids, i32);
             const M upper =
                 (zj > ziV) |
@@ -605,65 +592,15 @@ dispatchBuildRows(int filterW, bool full, NeighborList &list,
             run(std::integral_constant<int, 8>{}, fullTag);
         else if (filterW == 4)
             run(std::integral_constant<int, 4>{}, fullTag);
-        else
+        else if (filterW == 2)
             run(std::integral_constant<int, 2>{}, fullTag);
+        else
+            run(std::integral_constant<int, 1>{}, fullTag);
     };
     if (full)
         width(std::true_type{});
     else
         width(std::false_type{});
-}
-
-/**
- * Scalar stencil-walk build: the bitwise oracle (width knob 0/1). It
- * walks the same stencilRuns as the vectorized fill, in the same
- * order, one candidate at a time, with the same inclusion and special
- * list rules. Kept out of line and marked noinline for the same reason
- * Neighbor::buildImpl is: inlined into the build with the vectorized
- * staging, gcc's function-size estimate passes its large-function
- * limits and the hot candidate loop stops being unrolled.
- */
-[[gnu::noinline]] void
-buildRowsScalar(NeighborList &list, const BuildCtx &c, ThreadPool &pool,
-                BuildTally &tally)
-{
-    const mdbench::Vec3 *x = c.x;
-    const bool full = c.full;
-
-    auto fillRow = [&](std::size_t i, const StencilRuns &runs,
-                       std::uint32_t *dst, std::size_t &excluded) {
-        const mdbench::Vec3 xi = x[i];
-        const auto [special, specialEnd] = c.special(i);
-        std::uint32_t n = 0;
-        for (int run = 0; run < runs.count; ++run) {
-            const std::uint32_t runEnd =
-                runs.hi[static_cast<std::size_t>(run)];
-            for (std::uint32_t idx = runs.lo[static_cast<std::size_t>(run)];
-                 idx < runEnd; ++idx) {
-                const std::size_t ju = c.binAtoms[idx];
-                if (ju == i)
-                    continue;
-                // One load serves both the distance check and the
-                // half-list ownership rule (Newton on); the distance
-                // test goes first because it rejects most candidates
-                // with one predictable branch.
-                const mdbench::Vec3 xj = x[ju];
-                if ((xj - xi).normSq() >= c.cutSq)
-                    continue;
-                if (!full && !upperHalf(xj, xi, ju > i))
-                    continue;
-                if (special != specialEnd &&
-                    std::find(special, specialEnd, c.tag[ju]) !=
-                        specialEnd) {
-                    ++excluded;
-                    continue;
-                }
-                dst[n++] = static_cast<std::uint32_t>(ju);
-            }
-        }
-        return n;
-    };
-    fillRows(list, c, pool, tally, fillRow);
 }
 
 } // namespace
@@ -773,23 +710,23 @@ Neighbor::buildImpl(Simulation &sim)
     }
 
     // W-wide candidate filter width: the dominant cost of the bin walk
-    // is the per-candidate r² check. Widths 0/1 keep the scalar walk as
-    // the bitwise oracle.
+    // is the per-candidate r² check. Widths 0/1 run the W = 1 fill,
+    // the reference every wider fill is tested against.
     const int filterW = [] {
         const int dw = simdWidthFor(false);
         if (dw >= 8)
             return 8;
         if (dw >= 4)
             return 4;
-        return dw == 2 ? 2 : 0;
+        return dw == 2 ? 2 : 1;
     }();
     BuildTally tally;
-    if (filterW >= 2 && nlocal > 0) {
-        // Fully vectorized build: candidate coordinates are staged once
-        // in bin order as three SoA runs, so the per-run chunks are
-        // plain contiguous vector loads and accepted lanes compress
-        // straight into the CSR rows. The three arrays share one
-        // aligned allocation (records() hands out 4 doubles per slot).
+    {
+        // Candidate coordinates are staged once in bin order as three SoA
+        // runs, so the per-run chunks are plain contiguous vector loads and
+        // accepted lanes compress straight into the CSR rows. The three
+        // arrays share one aligned allocation (records() hands out 4
+        // doubles per slot).
         TraceScope filterTrace("neigh", "build_filter");
         const std::size_t stride = nall + kSimdPad;
         double *sx = buildStage_.records(stride);
@@ -814,9 +751,6 @@ Neighbor::buildImpl(Simulation &sim)
         ctx.sy = sy;
         ctx.sz = sz;
         dispatchBuildRows(filterW, full, list_, ctx, pool, tally);
-    } else {
-        TraceScope filterTrace("neigh", "build_filter");
-        buildRowsScalar(list_, ctx, pool, tally);
     }
     counterAdd(Counter::NeighBuilds);
     counterAdd(Counter::NeighPairs, list_.neighbors.size());

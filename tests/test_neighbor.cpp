@@ -101,32 +101,50 @@ doubled(const TagPairs &pairs)
     return twice;
 }
 
+/**
+ * Half and full lists of @p sim at widths 0, 1, 2, 4 and 8 against
+ * brute force, the one reference independent of the vectorized fill
+ * (the caller fills atoms, box and cutoff; skin is zero).
+ */
+void
+expectListsMatchBruteForce(const std::function<void(Simulation &)> &make)
+{
+    for (const bool full : {false, true}) {
+        for (const int width : {0, 1, 2, 4, 8}) {
+            SCOPED_TRACE(testing::Message()
+                         << "full=" << full << " width=" << width);
+            setSimdWidth(width);
+            Simulation sim;
+            make(sim);
+            sim.neighbor.skin = 0.0;
+            sim.neighbor.full = full;
+            sim.comm->exchange(sim);
+            sim.comm->borders(sim);
+            sim.neighbor.build(sim);
+            setSimdWidth(-1);
+            const TagPairs brute = bruteForcePairs(sim, sim.neighbor.cutoff);
+            EXPECT_EQ(halfListPairs(sim), full ? doubled(brute) : brute);
+        }
+    }
+}
+
 TEST(Neighbor, HalfListMatchesBruteForce)
 {
-    Simulation sim;
-    randomSystem(sim, 200, 8.0, 321);
-    sim.neighbor.cutoff = 1.5;
-    sim.neighbor.skin = 0.0;
-    sim.comm->exchange(sim);
-    sim.comm->borders(sim);
-    sim.neighbor.build(sim);
-
     // Box side (8.0) is > 2x cutoff, so each physical pair appears once.
-    EXPECT_EQ(halfListPairs(sim), bruteForcePairs(sim, 1.5));
+    expectListsMatchBruteForce([](Simulation &sim) {
+        randomSystem(sim, 200, 8.0, 321);
+        sim.neighbor.cutoff = 1.5;
+    });
 }
 
 TEST(Neighbor, HalfListMatchesBruteForceManySeeds)
 {
     for (std::uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
-        Simulation sim;
-        randomSystem(sim, 120, 6.5, seed);
-        sim.neighbor.cutoff = 1.8;
-        sim.neighbor.skin = 0.0;
-        sim.comm->exchange(sim);
-        sim.comm->borders(sim);
-        sim.neighbor.build(sim);
-        EXPECT_EQ(halfListPairs(sim), bruteForcePairs(sim, 1.8))
-            << "seed " << seed;
+        SCOPED_TRACE(testing::Message() << "seed " << seed);
+        expectListsMatchBruteForce([seed](Simulation &sim) {
+            randomSystem(sim, 120, 6.5, seed);
+            sim.neighbor.cutoff = 1.8;
+        });
     }
 }
 
@@ -228,15 +246,15 @@ buildListAt(int width, bool full, std::uint64_t seed)
     return {sim.neighbor.list().offsets, sim.neighbor.list().neighbors};
 }
 
-TEST(Neighbor, VectorizedBuildMatchesScalarOracleAtAllWidths)
+TEST(Neighbor, VectorizedBuildMatchesWidthOneReferenceAtAllWidths)
 {
-    // The vectorized candidate filter must emit exactly the scalar
-    // walk's CSR rows — same offsets, same payload, same order — for
-    // both list flavors at every packing width.
+    // Every fill width must emit exactly the W = 1 fill's CSR rows —
+    // same offsets, same payload, same order — for both list flavors
+    // at every packing width.
     for (const bool full : {false, true}) {
         for (const std::uint64_t seed : {11u, 12u, 13u}) {
-            const auto reference = buildListAt(0, full, seed);
-            for (const int width : {1, 2, 4, 8}) {
+            const auto reference = buildListAt(1, full, seed);
+            for (const int width : {0, 2, 4, 8, 16}) {
                 SCOPED_TRACE(testing::Message()
                              << "full=" << full << " seed=" << seed
                              << " width=" << width);
@@ -284,7 +302,7 @@ TEST(Neighbor, ThreadedBuildMatchesSerialAcrossListGrowth)
 {
     // The fill sizes each slice's region from the previous build and
     // spills rows that do not fit; the list must still equal the serial
-    // scalar build's on the first build, after the list grows past the
+    // width-0 build's on the first build, after the list grows past the
     // regions, and after it shrinks again.
     for (const bool full : {false, true}) {
         const auto reference = rebuildSequenceAt(0, 1, full);
@@ -304,9 +322,8 @@ TEST(Neighbor, ThreadedBuildMatchesSerialAcrossListGrowth)
 
 TEST(Neighbor, ExclusionSystemListUnaffectedByWidth)
 {
-    // Bonded systems drop their special partners inside the vectorized
-    // fill at widths >= 2 and inside the scalar walk at widths 0/1; the
-    // rows must equal the width-0 oracle's at every width.
+    // Bonded systems drop their special partners inside the row fill;
+    // the rows must equal the width-0 build's at every width.
     auto listsAt = [](int width) {
         setSimdWidth(width);
         auto sim = buildChain(4);
@@ -385,32 +402,6 @@ TEST(Neighbor, ExclusionListMatchesBruteForce)
                       ref.neighbor.list().offsets);
             EXPECT_EQ(build.sim->neighbor.list().neighbors,
                       ref.neighbor.list().neighbors);
-        }
-    }
-}
-
-/**
- * Half and full lists of @p sim at widths 0 and 8 against brute force
- * (the caller fills atoms, box and cutoff; skin is zero).
- */
-void
-expectListsMatchBruteForce(const std::function<void(Simulation &)> &make)
-{
-    for (const bool full : {false, true}) {
-        for (const int width : {0, 8}) {
-            SCOPED_TRACE(testing::Message()
-                         << "full=" << full << " width=" << width);
-            setSimdWidth(width);
-            Simulation sim;
-            make(sim);
-            sim.neighbor.skin = 0.0;
-            sim.neighbor.full = full;
-            sim.comm->exchange(sim);
-            sim.comm->borders(sim);
-            sim.neighbor.build(sim);
-            setSimdWidth(-1);
-            const TagPairs brute = bruteForcePairs(sim, sim.neighbor.cutoff);
-            EXPECT_EQ(halfListPairs(sim), full ? doubled(brute) : brute);
         }
     }
 }
