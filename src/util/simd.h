@@ -1,39 +1,40 @@
 /**
  * @file
- * Portable SIMD compute layer for the pair kernels (DESIGN.md §12).
+ * Portable SIMD compute layer for the pair kernels and the neighbor
+ * build (DESIGN.md §12).
  *
  * `Simd<T, W>` is a fixed-width value vector with the handful of
- * operations the force kernels need: broadcast, load/store, gather by
- * 32-bit index, arithmetic, compares returning `SimdMask`, blend
+ * operations the kernels need: broadcast, load/store, gather by 32-bit
+ * index, arithmetic, compares returning `SimdMask<T, W>`, blend
  * (select), round and ldexp (the 2^k scale of util/simd_math.h's exp),
- * and a *sequential* lane sum. Three backends share the same
- * interface:
+ * and a *sequential* lane sum; `SimdIndex<W>` holds 32-bit lane
+ * indices. Each class is written once, over a register trait of
+ * one-line wrappers (`detail::SimdRegs<T, W>`, `detail::IndexRegs<W>`):
  *
- *  - a generic array backend (the primary template) that compiles for
- *    any T and W with plain scalar loops — at W = 1 the reference
- *    every other width is checked against, and the body every
- *    sanitizer build exercises,
- *  - an AVX2 backend for `Simd<double, 4>` (`__m256d` + `__m128i`
- *    indices) and `Simd<float, 8>` (`__m256` + `__m256i` indices),
- *    selected when the translation unit is compiled with
- *    `-mavx2 -mfma`,
- *  - an AVX-512 backend for `Simd<double, 8>` (`__m512d` + `__m256i`
- *    indices) and `Simd<float, 16>` (`__m512` + `__m512i` indices),
- *    selected under `-mavx512f`.
+ *  - the generic array backend (`detail::ArrayRegs<T, W>`, the primary
+ *    template) compiles for any T and W with plain scalar loops — at
+ *    W = 1 the reference every other width is checked against, and the
+ *    body every sanitizer build exercises,
+ *  - AVX2 specializes (double, 4) (`__m256d` + `__m128i` indices) and
+ *    (float, 8) (`__m256` + `__m256i`), under `-mavx2 -mfma`,
+ *  - AVX-512 specializes (double, 8) (`__m512d` + `__m256i` indices)
+ *    and (float, 16) (`__m512` + `__m512i`), under `-mavx512f`.
  *
- * The float backends serve the mixed/single precision tiers
- * (util/precision.h): at a given ISA level float lanes come in twice
- * the count of double lanes, which is exactly the precision × SIMD
- * synergy the paper's Section 8 models and this engine measures.
+ * Only the loadXyzw transposes and gathers, compressStore and the
+ * sumXyz/sumPair horizontal sums stay hand-written per ISA. The float
+ * traits serve the mixed/single precision tiers (util/precision.h): at
+ * a given ISA level float lanes come in twice the count of double
+ * lanes, the precision × SIMD synergy of the paper's Section 8.
  *
- * Determinism contract: every wrapper operation is a per-lane IEEE-754
- * operation (no fused multiply-add, no approximate reciprocals), so for
- * a fixed expression the three backends produce bitwise-identical lane
- * values; only the order in which a *kernel* folds lanes together
- * distinguishes widths. `sum()` is defined as the ascending-lane
- * sequential sum for the same reason. A kernel instantiated at W = 1
- * therefore computes each expression as written, one scalar operation
- * per wrapper op; width 0 runs exactly that instantiation.
+ * Determinism contract: every operation is a per-lane IEEE-754
+ * operation with no approximate reciprocals, and every trait returns
+ * the same lanes for it, except fma()/fms(): fused on the ISA traits,
+ * written unfused on the generic one. GCC also contracts a*b + c
+ * written in C++ into an FMA wherever the target has one (C++ defaults
+ * to -ffp-contract=fast), so results are bitwise per build, not across
+ * builds; only the order in which a *kernel* folds lanes distinguishes
+ * widths, and `sum()` is the ascending-lane sequential sum for that
+ * reason. Width 0 runs the W = 1 instantiation.
  *
  * Width configuration: `simdWidthFor(floatLanes)` is the packed
  * neighbor-list width the engine should use — 0 disables the SIMD
@@ -42,16 +43,17 @@
  * from the `MDBENCH_SIMD` environment variable (`0`/`off` = disabled,
  * `1`/`on`/unset = native compiled width — double that for float
  * lanes — and an explicit `2`/`4`/`8`/`16` forces that width for both
- * element types, through
- * the generic backend when no matching ISA backend exists) gated by a
- * runtime CPU capability check; any other value is a fatal() error.
- * `setSimdWidth()` overrides it programmatically (benches, tests,
- * ExperimentSpec) and rejects unsupported widths the same way.
+ * element types, through the generic backend when no matching ISA
+ * backend exists) gated by a runtime CPU capability check; any other
+ * value is a fatal() error. `setSimdWidth()` overrides it
+ * programmatically (benches, tests, ExperimentSpec) and rejects
+ * unsupported widths the same way.
  */
 
 #ifndef MDBENCH_UTIL_SIMD_H
 #define MDBENCH_UTIL_SIMD_H
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <bit>
@@ -59,6 +61,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <string>
 
 #include "util/error.h"
@@ -260,85 +263,223 @@ setSimdWidth(int width)
     detail::gSimdWidthOverride.store(width, std::memory_order_relaxed);
 }
 
-// --------------------------------------------------------------- generic
+// ------------------------------------------------------- register traits
+//
+// Every trait op writes its result to its first argument: a class body
+// declares its result, has the trait fill it in place and returns it,
+// which after inlining is the code of a body hand-written per register
+// type. On FMA builds that shape is part of the bitwise contract,
+// since which generic products GCC fuses depends on it.
 
 template <int W>
 struct SimdIndex;
-template <typename T, int W>
-struct SimdMask;
-template <typename T, int W>
-struct Simd;
 
-/** Vector of W 32-bit element indices (neighbor ids, table slots). */
+namespace detail {
+
+/** Generic index registers: W u32 lanes, one scalar op per lane. */
 template <int W>
-struct SimdIndex
+struct ArrayIndexRegs
 {
-    std::array<std::uint32_t, W> v{};
+    using I = std::array<std::uint32_t, W>;
+    using U = std::uint32_t;
 
-    static SimdIndex
-    load(const std::uint32_t *p)
+    /** r[l] = f(l) for every lane. */
+    template <typename F>
+    static void
+    each(I &r, F f)
     {
-        SimdIndex r;
         for (int l = 0; l < W; ++l)
-            r.v[l] = p[l];
-        return r;
+            r[l] = f(l);
     }
 
-    /** Gather base[idx[l]] of a 32-bit integer array (atom types). */
-    static SimdIndex
-    gather32(const int *base, const SimdIndex &idx)
+    static void loadu(I &r, const U *p) { std::copy_n(p, W, r.begin()); }
+    static void storeu(U *p, const I &a) { std::copy_n(a.begin(), W, p); }
+
+    static void
+    gather32(I &r, const int *base, const I &idx)
     {
-        SimdIndex r;
-        for (int l = 0; l < W; ++l)
-            r.v[l] = static_cast<std::uint32_t>(base[idx.v[l]]);
-        return r;
+        each(r, [&](int l) { return static_cast<U>(base[idx[l]]); });
     }
 
-    SimdIndex
-    operator*(std::uint32_t s) const
+    static void
+    mullo(I &r, I a, U s)
     {
-        SimdIndex r;
-        for (int l = 0; l < W; ++l)
-            r.v[l] = v[l] * s;
-        return r;
+        each(r, [&](int l) { return a[l] * s; });
     }
 
-    SimdIndex
-    operator+(std::uint32_t s) const
+    static void
+    add(I &r, I a, U s)
     {
-        SimdIndex r;
-        for (int l = 0; l < W; ++l)
-            r.v[l] = v[l] + s;
-        return r;
+        each(r, [&](int l) { return a[l] + s; });
     }
 
-    /** Per-lane unsigned minimum against a scalar (table clamping). */
-    static SimdIndex
-    min(const SimdIndex &a, std::uint32_t s)
+    static void
+    min(I &r, I a, U s)
     {
-        SimdIndex r;
-        for (int l = 0; l < W; ++l)
-            r.v[l] = a.v[l] < s ? a.v[l] : s;
-        return r;
+        each(r, [&](int l) { return a[l] < s ? a[l] : s; });
     }
-
-    std::uint32_t lane(int l) const { return v[l]; }
 };
 
-/** Per-lane boolean result of a Simd comparison. */
+/** Index registers of width W: generic unless specialized below. */
+template <int W>
+struct IndexRegs : ArrayIndexRegs<W>
+{};
+
+/**
+ * Generic value registers: W lanes of T computed with scalar loops.
+ * The loops auto-vectorize on friendly targets, but the point of this
+ * backend is semantics, not speed — it defines the exact per-lane
+ * behaviour the ISA traits must reproduce (the backend-equivalence
+ * test compares them op by op), and at W = 1 it is the reference
+ * every other width is checked against.
+ */
 template <typename T, int W>
-struct SimdMask
+struct ArrayRegs
 {
-    std::array<bool, W> m{};
+    using V = std::array<T, W>;
+    using M = std::array<bool, W>;
+    using CV = const V &;
+    using CM = const M &;
 
-    bool lane(int l) const { return m[l]; }
+    /** r[l] = f(a[l], b[l]) for every lane (compares, mask logic). */
+    template <typename R, typename A, typename F>
+    static void
+    zip(R &r, const A &a, const A &b, F f)
+    {
+        for (int l = 0; l < W; ++l)
+            r[l] = f(a[l], b[l]);
+    }
 
-    /**
-     * Active lanes as a bitmap (lane l -> bit l). Zero means no work;
-     * iterating set bits ascending visits lanes in scalar order.
-     */
-    int
-    bits() const
+    static void
+    set1(V &r, T s)
+    {
+        for (int l = 0; l < W; ++l)
+            r[l] = s;
+    }
+
+    static void
+    loadu(V &r, const T *p)
+    {
+        for (int l = 0; l < W; ++l)
+            r[l] = p[l];
+    }
+
+    static void
+    storeu(T *p, CV a)
+    {
+        for (int l = 0; l < W; ++l)
+            p[l] = a[l];
+    }
+
+    // lane(), not the index storage: the generic body also runs against
+    // an ISA-specialized SimdIndex<W> (forced widths on ISA builds).
+    static void
+    gather(V &r, const T *base, const SimdIndex<W> &idx)
+    {
+        for (int l = 0; l < W; ++l)
+            r[l] = base[idx.lane(l)];
+    }
+
+    static void
+    add(V &r, CV a, CV b)
+    {
+        for (int l = 0; l < W; ++l)
+            r[l] = a[l] + b[l];
+    }
+
+    static void
+    sub(V &r, CV a, CV b)
+    {
+        for (int l = 0; l < W; ++l)
+            r[l] = a[l] - b[l];
+    }
+
+    static void
+    mul(V &r, CV a, CV b)
+    {
+        for (int l = 0; l < W; ++l)
+            r[l] = a[l] * b[l];
+    }
+
+    static void
+    div(V &r, CV a, CV b)
+    {
+        for (int l = 0; l < W; ++l)
+            r[l] = a[l] / b[l];
+    }
+
+    static void
+    sqrt(V &r, CV a)
+    {
+        for (int l = 0; l < W; ++l)
+            r[l] = std::sqrt(a[l]);
+    }
+
+    // a*b ± c written unfused: the product is rounded first, so a W = 1
+    // kernel computes each expression as written — on targets without
+    // FMA. Where the target has one, GCC may still fuse it (see above).
+    static void
+    fmadd(V &r, CV a, CV b, CV c)
+    {
+        for (int l = 0; l < W; ++l)
+            r[l] = (a[l] * b[l]) + c[l];
+    }
+
+    static void
+    fmsub(V &r, CV a, CV b, CV c)
+    {
+        for (int l = 0; l < W; ++l)
+            r[l] = (a[l] * b[l]) - c[l];
+    }
+
+    static void
+    min(V &r, CV a, CV b)
+    {
+        for (int l = 0; l < W; ++l)
+            r[l] = b[l] < a[l] ? b[l] : a[l];
+    }
+
+    static void
+    max(V &r, CV a, CV b)
+    {
+        for (int l = 0; l < W; ++l)
+            r[l] = a[l] < b[l] ? b[l] : a[l];
+    }
+
+    static void cmp_lt(M &r, CV a, CV b) { zip(r, a, b, std::less<>()); }
+    static void cmp_gt(M &r, CV a, CV b) { zip(r, a, b, std::greater<>()); }
+
+    static void
+    cmp_ne(M &r, CV a, CV b)
+    {
+        zip(r, a, b, std::not_equal_to<>());
+    }
+
+    static void cmp_eq(M &r, CV a, CV b) { zip(r, a, b, std::equal_to<>()); }
+
+    static void
+    cmp_ge(M &r, CV a, CV b)
+    {
+        zip(r, a, b, std::greater_equal<>());
+    }
+
+    /** Lanes of @p a where @p m is set, of @p b elsewhere. */
+    static void
+    blend(V &r, CM m, CV a, CV b)
+    {
+        for (int l = 0; l < W; ++l)
+            r[l] = m[l] ? a[l] : b[l];
+    }
+
+    static void
+    maskz(V &r, CM m, CV a)
+    {
+        for (int l = 0; l < W; ++l)
+            r[l] = m[l] ? a[l] : T(0);
+    }
+
+    static int
+    movemask(CM m)
     {
         int b = 0;
         for (int l = 0; l < W; ++l)
@@ -346,304 +487,295 @@ struct SimdMask
         return b;
     }
 
+    static void mand(M &r, CM a, CM b) { zip(r, a, b, std::logical_and<>()); }
+    static void mor(M &r, CM a, CM b) { zip(r, a, b, std::logical_or<>()); }
+
+    /** ~a & b. */
+    static void
+    mandnot(M &r, CM a, CM b)
+    {
+        zip(r, a, b, [](bool x, bool y) { return !x && y; });
+    }
+
+    static void
+    idx_gt(M &r, const SimdIndex<W> &idx, std::uint32_t s)
+    {
+        for (int l = 0; l < W; ++l)
+            r[l] = idx.lane(l) > s;
+    }
+
+    static void
+    idx_eq(M &r, const SimdIndex<W> &idx, std::uint32_t s)
+    {
+        for (int l = 0; l < W; ++l)
+            r[l] = idx.lane(l) == s;
+    }
+
+    static void
+    cvtt(SimdIndex<W> &r, CV a)
+    {
+        // Through memory, so an ISA-specialized SimdIndex<W> can be
+        // filled from this generic body.
+        alignas(64) std::uint32_t tmp[W];
+        for (int l = 0; l < W; ++l)
+            tmp[l] = static_cast<std::uint32_t>(a[l]);
+        IndexRegs<W>::loadu(r.v, tmp);
+    }
+
+    static void
+    cvt(V &r, const SimdIndex<W> &idx)
+    {
+        for (int l = 0; l < W; ++l)
+            r[l] = static_cast<T>(static_cast<std::int32_t>(idx.lane(l)));
+    }
+
+    static void
+    round(V &r, CV a)
+    {
+        for (int l = 0; l < W; ++l)
+            r[l] = std::nearbyint(a[l]);
+    }
+
+    static void
+    ldexp(V &r, CV a, CV k)
+    {
+        for (int l = 0; l < W; ++l)
+            r[l] = std::ldexp(a[l], static_cast<int>(k[l]));
+    }
+};
+
+/** Value registers of (T, W): generic unless specialized below. */
+template <typename T, int W>
+struct SimdRegs : ArrayRegs<T, W>
+{};
+
+} // namespace detail
+
+// ----------------------------------------------------------- the classes
+
+/** Vector of W 32-bit element indices (neighbor ids, table slots). */
+template <int W>
+struct SimdIndex
+{
+    using Regs = detail::IndexRegs<W>;
+    using U = std::uint32_t;
+    typename Regs::I v{};
+
+    static SimdIndex load(const U *p) { return make<Regs::loadu>(p); }
+
+    /** Gather base[idx[l]] of a 32-bit integer array (atom types). */
+    static SimdIndex
+    gather32(const int *base, const SimdIndex &idx)
+    {
+        return make<Regs::gather32>(base, idx.v);
+    }
+
+    SimdIndex operator*(U s) const { return make<Regs::mullo>(v, s); }
+    SimdIndex operator+(U s) const { return make<Regs::add>(v, s); }
+
+    /** Per-lane unsigned minimum against a scalar (table clamping). */
+    static SimdIndex
+    min(const SimdIndex &a, U s)
+    {
+        return make<Regs::min>(a.v, s);
+    }
+
+    U
+    lane(int l) const
+    {
+        alignas(64) U tmp[W];
+        Regs::storeu(tmp, v);
+        return tmp[l];
+    }
+
+  private:
+    /** The index trait op Op(r, args...) fills in place. */
+    template <auto Op, typename... A>
+    [[gnu::always_inline]] static SimdIndex
+    make(const A &...args)
+    {
+        SimdIndex r;
+        Op(r.v, args...);
+        return r;
+    }
+};
+
+/** Per-lane boolean result of a Simd comparison. */
+template <typename T, int W>
+struct SimdMask
+{
+    using Regs = detail::SimdRegs<T, W>;
+    typename Regs::M m{};
+
+    bool lane(int l) const { return (bits() >> l) & 1; }
+
+    /**
+     * Active lanes as a bitmap (lane l -> bit l). Zero means no work;
+     * iterating set bits ascending visits lanes in scalar order.
+     */
+    int bits() const { return Regs::movemask(m); }
+
     SimdMask
     operator&(const SimdMask &o) const
     {
-        SimdMask r;
-        for (int l = 0; l < W; ++l)
-            r.m[l] = m[l] && o.m[l];
-        return r;
+        return make<Regs::mand>(m, o.m);
     }
 
     SimdMask
     operator|(const SimdMask &o) const
     {
-        SimdMask r;
-        for (int l = 0; l < W; ++l)
-            r.m[l] = m[l] || o.m[l];
-        return r;
+        return make<Regs::mor>(m, o.m);
     }
 
     /** Lanes of @p o with this mask's lanes cleared: ~this & o. */
     SimdMask
     andnot(const SimdMask &o) const
     {
-        SimdMask r;
-        for (int l = 0; l < W; ++l)
-            r.m[l] = !m[l] && o.m[l];
-        return r;
+        return make<Regs::mandnot>(m, o.m);
     }
 
     // Index-domain compares lifted into this element type's mask
     // domain (the neighbor build combines id rules with coordinate
     // tie-breaks in one vector predicate). Indices are atom ids and
-    // always < 2^31, so the ISA backends may compare signed.
+    // always < 2^31, so the ISA traits may compare signed.
 
     /** Lane l set when idx[l] > s. */
     static SimdMask
     fromIndexGT(const SimdIndex<W> &idx, std::uint32_t s)
     {
-        SimdMask r;
-        for (int l = 0; l < W; ++l)
-            r.m[l] = idx.lane(l) > s;
-        return r;
+        return make<Regs::idx_gt>(idx, s);
     }
 
     /** Lane l set when idx[l] == s. */
     static SimdMask
     fromIndexEQ(const SimdIndex<W> &idx, std::uint32_t s)
     {
+        return make<Regs::idx_eq>(idx, s);
+    }
+
+  private:
+    /** The mask trait op Op(r, args...) fills in place. */
+    template <auto Op, typename... A>
+    [[gnu::always_inline]] static SimdMask
+    make(const A &...args)
+    {
         SimdMask r;
-        for (int l = 0; l < W; ++l)
-            r.m[l] = idx.lane(l) == s;
+        Op(r.m, args...);
         return r;
     }
 };
 
-/**
- * Generic array backend: W lanes of T computed with scalar loops. The
- * loops auto-vectorize on friendly targets, but the point of this
- * backend is semantics, not speed — it defines the exact per-lane
- * behaviour the ISA backends must reproduce.
- */
+/** W lanes of T (see the file comment for the backends). */
 template <typename T, int W>
 struct Simd
 {
-    std::array<T, W> v{};
+    using Regs = detail::SimdRegs<T, W>;
+    using Mask = SimdMask<T, W>;
+    typename Regs::V v{};
 
     Simd() = default;
 
-    /* implicit */ Simd(T s)
-    {
-        for (int l = 0; l < W; ++l)
-            v[l] = s;
-    }
+    /* implicit */ Simd(T s) { Regs::set1(v, s); }
 
-    static Simd
-    loadu(const T *p)
-    {
-        Simd r;
-        for (int l = 0; l < W; ++l)
-            r.v[l] = p[l];
-        return r;
-    }
-
-    void
-    storeu(T *p) const
-    {
-        for (int l = 0; l < W; ++l)
-            p[l] = v[l];
-    }
+    static Simd loadu(const T *p) { return make<Regs::loadu>(p); }
+    void storeu(T *p) const { Regs::storeu(p, v); }
 
     static Simd
     gather(const T *base, const SimdIndex<W> &idx)
     {
-        // lane(), not idx.v[l]: this generic body also runs against an
-        // ISA-specialized SimdIndex<W> (forced widths on ISA builds),
-        // whose register storage is not lane-addressable by [].
-        Simd r;
-        for (int l = 0; l < W; ++l)
-            r.v[l] = base[idx.lane(l)];
-        return r;
+        return make<Regs::gather>(base, idx);
     }
 
-    T lane(int l) const { return v[l]; }
-
-    Simd
-    operator+(const Simd &o) const
+    T
+    lane(int l) const
     {
-        Simd r;
-        for (int l = 0; l < W; ++l)
-            r.v[l] = v[l] + o.v[l];
-        return r;
+        alignas(64) T tmp[W];
+        storeu(tmp);
+        return tmp[l];
     }
 
-    Simd
-    operator-(const Simd &o) const
-    {
-        Simd r;
-        for (int l = 0; l < W; ++l)
-            r.v[l] = v[l] - o.v[l];
-        return r;
-    }
-
-    Simd
-    operator*(const Simd &o) const
-    {
-        Simd r;
-        for (int l = 0; l < W; ++l)
-            r.v[l] = v[l] * o.v[l];
-        return r;
-    }
-
-    Simd
-    operator/(const Simd &o) const
-    {
-        Simd r;
-        for (int l = 0; l < W; ++l)
-            r.v[l] = v[l] / o.v[l];
-        return r;
-    }
+    Simd operator+(const Simd &o) const { return make<Regs::add>(v, o.v); }
+    Simd operator-(const Simd &o) const { return make<Regs::sub>(v, o.v); }
+    Simd operator*(const Simd &o) const { return make<Regs::mul>(v, o.v); }
+    Simd operator/(const Simd &o) const { return make<Regs::div>(v, o.v); }
 
     Simd &
     operator+=(const Simd &o)
     {
-        for (int l = 0; l < W; ++l)
-            v[l] += o.v[l];
+        Regs::add(v, v, o.v);
         return *this;
     }
 
-    static Simd
-    sqrt(const Simd &a)
-    {
-        Simd r;
-        for (int l = 0; l < W; ++l)
-            r.v[l] = std::sqrt(a.v[l]);
-        return r;
-    }
+    static Simd sqrt(const Simd &a) { return make<Regs::sqrt>(a.v); }
 
-    /**
-     * a*b + c. Deliberately UNFUSED here: the generic backend is the
-     * bitwise oracle for W==1-vs-scalar equality on builds without FMA
-     * codegen, so it must round the product. ISA backends fuse (the
-     * determinism contract is per-ISA, not cross-ISA).
-     */
+    /** a*b + c: fused on the ISA traits, written unfused on the generic. */
     static Simd
     fma(const Simd &a, const Simd &b, const Simd &c)
     {
-        Simd r;
-        for (int l = 0; l < W; ++l)
-            r.v[l] = (a.v[l] * b.v[l]) + c.v[l];
-        return r;
+        return make<Regs::fmadd>(a.v, b.v, c.v);
     }
 
-    /** a*b - c, same (un)fusion policy as fma(). */
+    /** a*b - c, same fusion policy as fma(). */
     static Simd
     fms(const Simd &a, const Simd &b, const Simd &c)
     {
-        Simd r;
-        for (int l = 0; l < W; ++l)
-            r.v[l] = (a.v[l] * b.v[l]) - c.v[l];
-        return r;
+        return make<Regs::fmsub>(a.v, b.v, c.v);
     }
 
     static Simd
     min(const Simd &a, const Simd &b)
     {
-        Simd r;
-        for (int l = 0; l < W; ++l)
-            r.v[l] = b.v[l] < a.v[l] ? b.v[l] : a.v[l];
-        return r;
+        return make<Regs::min>(a.v, b.v);
     }
 
     static Simd
     max(const Simd &a, const Simd &b)
     {
-        Simd r;
-        for (int l = 0; l < W; ++l)
-            r.v[l] = a.v[l] < b.v[l] ? b.v[l] : a.v[l];
-        return r;
+        return make<Regs::max>(a.v, b.v);
     }
 
-    SimdMask<T, W>
-    operator<(const Simd &o) const
-    {
-        SimdMask<T, W> r;
-        for (int l = 0; l < W; ++l)
-            r.m[l] = v[l] < o.v[l];
-        return r;
-    }
-
-    SimdMask<T, W>
-    operator>(const Simd &o) const
-    {
-        SimdMask<T, W> r;
-        for (int l = 0; l < W; ++l)
-            r.m[l] = v[l] > o.v[l];
-        return r;
-    }
-
-    SimdMask<T, W>
-    operator!=(const Simd &o) const
-    {
-        SimdMask<T, W> r;
-        for (int l = 0; l < W; ++l)
-            r.m[l] = v[l] != o.v[l];
-        return r;
-    }
-
-    SimdMask<T, W>
-    operator==(const Simd &o) const
-    {
-        SimdMask<T, W> r;
-        for (int l = 0; l < W; ++l)
-            r.m[l] = v[l] == o.v[l];
-        return r;
-    }
-
-    SimdMask<T, W>
-    operator>=(const Simd &o) const
-    {
-        SimdMask<T, W> r;
-        for (int l = 0; l < W; ++l)
-            r.m[l] = v[l] >= o.v[l];
-        return r;
-    }
+    Mask operator<(const Simd &o) const { return cmp<Regs::cmp_lt>(v, o.v); }
+    Mask operator>(const Simd &o) const { return cmp<Regs::cmp_gt>(v, o.v); }
+    Mask operator!=(const Simd &o) const { return cmp<Regs::cmp_ne>(v, o.v); }
+    Mask operator==(const Simd &o) const { return cmp<Regs::cmp_eq>(v, o.v); }
+    Mask operator>=(const Simd &o) const { return cmp<Regs::cmp_ge>(v, o.v); }
 
     /** Lanes of @p a where the mask is set, of @p b elsewhere. */
     static Simd
-    select(const SimdMask<T, W> &mask, const Simd &a, const Simd &b)
+    select(const Mask &mask, const Simd &a, const Simd &b)
     {
-        Simd r;
-        for (int l = 0; l < W; ++l)
-            r.v[l] = mask.m[l] ? a.v[l] : b.v[l];
-        return r;
+        return make<Regs::blend>(mask.m, a.v, b.v);
     }
 
     /**
-     * select(mask, a, 0): rejected lanes become exact +0.0. On the
-     * AVX backends this is a single bitwise AND instead of a blend.
+     * select(mask, a, 0): rejected lanes become exact +0.0. On the AVX
+     * traits this is a single bitwise AND or zero-masking move instead
+     * of a blend.
      */
     static Simd
-    maskZero(const SimdMask<T, W> &mask, const Simd &a)
+    maskZero(const Mask &mask, const Simd &a)
     {
-        Simd r;
-        for (int l = 0; l < W; ++l)
-            r.v[l] = mask.m[l] ? a.v[l] : T(0);
-        return r;
+        return make<Regs::maskz>(mask.m, a.v);
     }
 
     /** Truncating conversion to element indices (spline locate). */
     static SimdIndex<W>
     truncToIndex(const Simd &a)
     {
-        // Round-trip through memory so a specialized SimdIndex<W>
-        // (register storage) can be built from this generic body.
-        alignas(64) std::uint32_t tmp[W];
-        for (int l = 0; l < W; ++l)
-            tmp[l] = static_cast<std::uint32_t>(a.v[l]);
-        return SimdIndex<W>::load(tmp);
+        SimdIndex<W> r;
+        Regs::cvtt(r, a.v);
+        return r;
     }
 
     /** Index-to-value conversion (spline locate's t = s - index). */
     static Simd
     fromIndex(const SimdIndex<W> &idx)
     {
-        Simd r;
-        for (int l = 0; l < W; ++l)
-            r.v[l] = static_cast<T>(static_cast<std::int32_t>(idx.lane(l)));
-        return r;
+        return make<Regs::cvt>(idx);
     }
 
     /** Round to the nearest integer, ties to even (exp's 2^k split). */
-    static Simd
-    round(const Simd &a)
-    {
-        Simd r;
-        for (int l = 0; l < W; ++l)
-            r.v[l] = std::nearbyint(a.v[l]);
-        return r;
-    }
+    static Simd round(const Simd &a) { return make<Regs::round>(a.v); }
 
     /**
      * a * 2^k for integer-valued k with 2^k a normal number (k in
@@ -653,20 +785,40 @@ struct Simd
     static Simd
     ldexp(const Simd &a, const Simd &k)
     {
-        Simd r;
-        for (int l = 0; l < W; ++l)
-            r.v[l] = std::ldexp(a.v[l], static_cast<int>(k.v[l]));
-        return r;
+        return make<Regs::ldexp>(a.v, k.v);
     }
 
     /** Sequential ascending-lane sum (fixed summation tree). */
     T
     sum() const
     {
-        T total = v[0];
+        alignas(64) T tmp[W];
+        storeu(tmp);
+        T total = tmp[0];
         for (int l = 1; l < W; ++l)
-            total += v[l];
+            total += tmp[l];
         return total;
+    }
+
+  private:
+    /** The value trait op Op(r, args...) fills in place. */
+    template <auto Op, typename... A>
+    [[gnu::always_inline]] static Simd
+    make(const A &...args)
+    {
+        Simd r;
+        Op(r.v, args...);
+        return r;
+    }
+
+    /** The mask trait op Op(r, args...) fills in place. */
+    template <auto Op, typename... A>
+    [[gnu::always_inline]] static Mask
+    cmp(const A &...args)
+    {
+        Mask r;
+        Op(r.m, args...);
+        return r;
     }
 };
 
@@ -680,7 +832,8 @@ struct Simd
  * (the packed neighbor list), which the ISA backends read as cheap
  * scalar loads instead of extracting lanes from a vector register.
  * The buffer must have a full 4-element record per index (the pad
- * atom included).
+ * atom included). The templates serve the generic traits, whose
+ * storage is an array; the ISA overloads below take the rest.
  */
 template <typename T, int W>
 inline void
@@ -696,27 +849,29 @@ loadXyzw(const T *pack, const std::uint32_t *idx, Simd<T, W> &x,
     }
 }
 
-/** Three-component variant for kernels with no per-atom payload. */
+/**
+ * Three-component variant for kernels with no per-atom payload: the
+ * payload lanes are dead, so the compiler drops their shuffles. The
+ * AVX-512 overloads skip the payload gather explicitly. (Measured on
+ * Skylake-SP: the 8-load float transpose beats three vpgatherdps — the
+ * microcoded gather loses despite touching all eight lanes at once.)
+ */
 template <typename T, int W>
 inline void
 loadXyz(const T *pack, const std::uint32_t *idx, Simd<T, W> &x,
         Simd<T, W> &y, Simd<T, W> &z)
 {
-    for (int l = 0; l < W; ++l) {
-        const T *rec = pack + 4u * idx[l];
-        x.v[l] = rec[0];
-        y.v[l] = rec[1];
-        z.v[l] = rec[2];
-    }
+    Simd<T, W> unused;
+    loadXyzw(pack, idx, x, y, z, unused);
 }
 
 /**
  * Compress-store: write the lanes of @p ids whose bit is set in
  * @p maskBits to @p dst in ascending lane order — the vector analogue
  * of the scalar "if (keep) out[n++] = id" append, which is how the
- * vectorized neighbor build emits CSR rows in exactly the scalar
- * order. Writes exactly popcount(maskBits) elements (no tail slop, so
- * rows owned by different threads can abut) and returns that count.
+ * neighbor build emits the same CSR rows at every width. Writes
+ * exactly popcount(maskBits) elements (no tail slop, so rows owned by
+ * different threads can abut) and returns that count.
  */
 template <int W>
 inline int
@@ -770,401 +925,222 @@ sumPair(const Simd<T, W> &a, const Simd<T, W> &b, T &sa, T &sb)
 #pragma GCC diagnostic ignored "-Wuninitialized"
 #pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
 
-/** AVX2 backend: 4 x u32 indices in an SSE register. */
+namespace detail {
+
+/** round(): to nearest, ties to even, exceptions suppressed. */
+inline constexpr int kRoundNearest =
+    _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC;
+
+/** 4 x u32 indices in an SSE register (AVX2 double width). */
 template <>
-struct SimdIndex<4>
+struct IndexRegs<4>
 {
-    __m128i v = _mm_setzero_si128();
+    using I = __m128i;
+    using U = std::uint32_t;
 
-    static SimdIndex
-    load(const std::uint32_t *p)
+    static I set1(U s) { return _mm_set1_epi32(static_cast<int>(s)); }
+
+    static void
+    loadu(I &r, const U *p)
     {
-        SimdIndex r;
-        r.v = _mm_loadu_si128(reinterpret_cast<const __m128i *>(p));
-        return r;
+        r = _mm_loadu_si128(reinterpret_cast<const I *>(p));
     }
 
-    static SimdIndex
-    gather32(const int *base, const SimdIndex &idx)
+    static void
+    storeu(U *p, I a)
     {
-        SimdIndex r;
-        r.v = _mm_i32gather_epi32(base, idx.v, 4);
-        return r;
+        _mm_storeu_si128(reinterpret_cast<I *>(p), a);
     }
 
-    SimdIndex
-    operator*(std::uint32_t s) const
+    static void
+    gather32(I &r, const int *base, I idx)
     {
-        SimdIndex r;
-        r.v = _mm_mullo_epi32(v, _mm_set1_epi32(static_cast<int>(s)));
-        return r;
+        r = _mm_i32gather_epi32(base, idx, 4);
     }
 
-    SimdIndex
-    operator+(std::uint32_t s) const
-    {
-        SimdIndex r;
-        r.v = _mm_add_epi32(v, _mm_set1_epi32(static_cast<int>(s)));
-        return r;
-    }
-
-    static SimdIndex
-    min(const SimdIndex &a, std::uint32_t s)
-    {
-        SimdIndex r;
-        r.v = _mm_min_epu32(a.v, _mm_set1_epi32(static_cast<int>(s)));
-        return r;
-    }
-
-    std::uint32_t
-    lane(int l) const
-    {
-        alignas(16) std::uint32_t tmp[4];
-        _mm_store_si128(reinterpret_cast<__m128i *>(tmp), v);
-        return tmp[l];
-    }
+    static void mullo(I &r, I a, U s) { r = _mm_mullo_epi32(a, set1(s)); }
+    static void add(I &r, I a, U s) { r = _mm_add_epi32(a, set1(s)); }
+    static void min(I &r, I a, U s) { r = _mm_min_epu32(a, set1(s)); }
 };
 
 /**
  * 8 x u32 indices in an AVX2 register. Used by the AVX-512 double
- * backend (W=8) and the AVX2 float backend (W=8) alike — only AVX2
+ * trait (W=8) and the AVX2 float trait (W=8) alike — only AVX2
  * intrinsics appear here.
  */
 template <>
-struct SimdIndex<8>
+struct IndexRegs<8>
 {
-    __m256i v = _mm256_setzero_si256();
+    using I = __m256i;
+    using U = std::uint32_t;
 
-    static SimdIndex
-    load(const std::uint32_t *p)
+    static I set1(U s) { return _mm256_set1_epi32(static_cast<int>(s)); }
+
+    static void
+    loadu(I &r, const U *p)
     {
-        SimdIndex r;
-        r.v = _mm256_loadu_si256(reinterpret_cast<const __m256i *>(p));
-        return r;
+        r = _mm256_loadu_si256(reinterpret_cast<const I *>(p));
     }
 
-    static SimdIndex
-    gather32(const int *base, const SimdIndex &idx)
+    static void
+    storeu(U *p, I a)
     {
-        SimdIndex r;
-        r.v = _mm256_i32gather_epi32(base, idx.v, 4);
-        return r;
+        _mm256_storeu_si256(reinterpret_cast<I *>(p), a);
     }
 
-    SimdIndex
-    operator*(std::uint32_t s) const
+    static void
+    gather32(I &r, const int *base, I idx)
     {
-        SimdIndex r;
-        r.v = _mm256_mullo_epi32(v, _mm256_set1_epi32(static_cast<int>(s)));
-        return r;
+        r = _mm256_i32gather_epi32(base, idx, 4);
     }
 
-    SimdIndex
-    operator+(std::uint32_t s) const
-    {
-        SimdIndex r;
-        r.v = _mm256_add_epi32(v, _mm256_set1_epi32(static_cast<int>(s)));
-        return r;
-    }
-
-    static SimdIndex
-    min(const SimdIndex &a, std::uint32_t s)
-    {
-        SimdIndex r;
-        r.v = _mm256_min_epu32(a.v, _mm256_set1_epi32(static_cast<int>(s)));
-        return r;
-    }
-
-    std::uint32_t
-    lane(int l) const
-    {
-        alignas(32) std::uint32_t tmp[8];
-        _mm256_store_si256(reinterpret_cast<__m256i *>(tmp), v);
-        return tmp[l];
-    }
+    static void mullo(I &r, I a, U s) { r = _mm256_mullo_epi32(a, set1(s)); }
+    static void add(I &r, I a, U s) { r = _mm256_add_epi32(a, set1(s)); }
+    static void min(I &r, I a, U s) { r = _mm256_min_epu32(a, set1(s)); }
 };
 
-/** AVX2 mask: all-ones / all-zeros double lanes (blendv convention). */
+/** AVX2 double: `__m256d` lanes, all-ones / all-zeros lane masks. */
 template <>
-struct SimdMask<double, 4>
+struct SimdRegs<double, 4>
 {
-    __m256d m = _mm256_setzero_pd();
+    using V = __m256d;
+    using M = __m256d;
+    using I4 = SimdIndex<4>;
 
-    bool
-    lane(int l) const
+    static void set1(V &r, double s) { r = _mm256_set1_pd(s); }
+    static void loadu(V &r, const double *p) { r = _mm256_loadu_pd(p); }
+    static void storeu(double *p, V a) { _mm256_storeu_pd(p, a); }
+
+    static void
+    gather(V &r, const double *base, const I4 &idx)
     {
-        return (_mm256_movemask_pd(m) >> l) & 1;
+        r = _mm256_i32gather_pd(base, idx.v, 8);
     }
 
-    int bits() const { return _mm256_movemask_pd(m); }
-
-    SimdMask
-    operator&(const SimdMask &o) const
-    {
-        SimdMask r;
-        r.m = _mm256_and_pd(m, o.m);
-        return r;
-    }
-
-    SimdMask
-    operator|(const SimdMask &o) const
-    {
-        SimdMask r;
-        r.m = _mm256_or_pd(m, o.m);
-        return r;
-    }
-
-    SimdMask
-    andnot(const SimdMask &o) const
-    {
-        SimdMask r;
-        r.m = _mm256_andnot_pd(m, o.m);
-        return r;
-    }
+    static void add(V &r, V a, V b) { r = _mm256_add_pd(a, b); }
+    static void sub(V &r, V a, V b) { r = _mm256_sub_pd(a, b); }
+    static void mul(V &r, V a, V b) { r = _mm256_mul_pd(a, b); }
+    static void div(V &r, V a, V b) { r = _mm256_div_pd(a, b); }
+    static void sqrt(V &r, V a) { r = _mm256_sqrt_pd(a); }
+    static void fmadd(V &r, V a, V b, V c) { r = _mm256_fmadd_pd(a, b, c); }
+    static void fmsub(V &r, V a, V b, V c) { r = _mm256_fmsub_pd(a, b, c); }
+    static void min(V &r, V a, V b) { r = _mm256_min_pd(a, b); }
+    static void max(V &r, V a, V b) { r = _mm256_max_pd(a, b); }
+    static void cmp_lt(M &r, V a, V b) { r = _mm256_cmp_pd(a, b, _CMP_LT_OQ); }
+    static void cmp_gt(M &r, V a, V b) { r = _mm256_cmp_pd(a, b, _CMP_GT_OQ); }
+    static void cmp_ne(M &r, V a, V b) { r = _mm256_cmp_pd(a, b, _CMP_NEQ_UQ); }
+    static void cmp_eq(M &r, V a, V b) { r = _mm256_cmp_pd(a, b, _CMP_EQ_OQ); }
+    static void cmp_ge(M &r, V a, V b) { r = _mm256_cmp_pd(a, b, _CMP_GE_OQ); }
+    static void blend(V &r, M m, V a, V b) { r = _mm256_blendv_pd(b, a, m); }
+    static void maskz(V &r, M m, V a) { r = _mm256_and_pd(m, a); }
+    static int movemask(M m) { return _mm256_movemask_pd(m); }
+    static void mand(M &r, M a, M b) { r = _mm256_and_pd(a, b); }
+    static void mor(M &r, M a, M b) { r = _mm256_or_pd(a, b); }
+    static void mandnot(M &r, M a, M b) { r = _mm256_andnot_pd(a, b); }
 
     // 32-bit id compares widened to double-lane masks (sign-extending
     // the 0/-1 compare result to 64 bits; ids are < 2^31, so the
     // signed epi32 compares agree with the generic unsigned rule).
-
-    static SimdMask
-    fromIndexGT(const SimdIndex<4> &idx, std::uint32_t s)
+    static void
+    idx_gt(M &r, const I4 &idx, std::uint32_t s)
     {
-        const __m128i cmp =
-            _mm_cmpgt_epi32(idx.v, _mm_set1_epi32(static_cast<int>(s)));
-        SimdMask r;
-        r.m = _mm256_castsi256_pd(_mm256_cvtepi32_epi64(cmp));
-        return r;
+        r = _mm256_castsi256_pd(_mm256_cvtepi32_epi64(
+            _mm_cmpgt_epi32(idx.v, IndexRegs<4>::set1(s))));
     }
 
-    static SimdMask
-    fromIndexEQ(const SimdIndex<4> &idx, std::uint32_t s)
+    static void
+    idx_eq(M &r, const I4 &idx, std::uint32_t s)
     {
-        const __m128i cmp =
-            _mm_cmpeq_epi32(idx.v, _mm_set1_epi32(static_cast<int>(s)));
-        SimdMask r;
-        r.m = _mm256_castsi256_pd(_mm256_cvtepi32_epi64(cmp));
-        return r;
-    }
-};
-
-template <>
-struct Simd<double, 4>
-{
-    __m256d v = _mm256_setzero_pd();
-
-    Simd() = default;
-
-    /* implicit */ Simd(double s) : v(_mm256_set1_pd(s)) {}
-
-    static Simd
-    loadu(const double *p)
-    {
-        Simd r;
-        r.v = _mm256_loadu_pd(p);
-        return r;
+        r = _mm256_castsi256_pd(_mm256_cvtepi32_epi64(
+            _mm_cmpeq_epi32(idx.v, IndexRegs<4>::set1(s))));
     }
 
-    void storeu(double *p) const { _mm256_storeu_pd(p, v); }
-
-    static Simd
-    gather(const double *base, const SimdIndex<4> &idx)
-    {
-        Simd r;
-        r.v = _mm256_i32gather_pd(base, idx.v, 8);
-        return r;
-    }
-
-    double
-    lane(int l) const
-    {
-        alignas(32) double tmp[4];
-        _mm256_store_pd(tmp, v);
-        return tmp[l];
-    }
-
-    Simd
-    operator+(const Simd &o) const
-    {
-        Simd r;
-        r.v = _mm256_add_pd(v, o.v);
-        return r;
-    }
-
-    Simd
-    operator-(const Simd &o) const
-    {
-        Simd r;
-        r.v = _mm256_sub_pd(v, o.v);
-        return r;
-    }
-
-    Simd
-    operator*(const Simd &o) const
-    {
-        Simd r;
-        r.v = _mm256_mul_pd(v, o.v);
-        return r;
-    }
-
-    Simd
-    operator/(const Simd &o) const
-    {
-        Simd r;
-        r.v = _mm256_div_pd(v, o.v);
-        return r;
-    }
-
-    Simd &
-    operator+=(const Simd &o)
-    {
-        v = _mm256_add_pd(v, o.v);
-        return *this;
-    }
-
-    static Simd
-    sqrt(const Simd &a)
-    {
-        Simd r;
-        r.v = _mm256_sqrt_pd(a.v);
-        return r;
-    }
-
-    /** Fused a*b + c (per-ISA determinism permits fusing here). */
-    static Simd
-    fma(const Simd &a, const Simd &b, const Simd &c)
-    {
-        Simd r;
-        r.v = _mm256_fmadd_pd(a.v, b.v, c.v);
-        return r;
-    }
-
-    /** Fused a*b - c. */
-    static Simd
-    fms(const Simd &a, const Simd &b, const Simd &c)
-    {
-        Simd r;
-        r.v = _mm256_fmsub_pd(a.v, b.v, c.v);
-        return r;
-    }
-
-    static Simd
-    min(const Simd &a, const Simd &b)
-    {
-        Simd r;
-        r.v = _mm256_min_pd(a.v, b.v);
-        return r;
-    }
-
-    static Simd
-    max(const Simd &a, const Simd &b)
-    {
-        Simd r;
-        r.v = _mm256_max_pd(a.v, b.v);
-        return r;
-    }
-
-    SimdMask<double, 4>
-    operator<(const Simd &o) const
-    {
-        SimdMask<double, 4> r;
-        r.m = _mm256_cmp_pd(v, o.v, _CMP_LT_OQ);
-        return r;
-    }
-
-    SimdMask<double, 4>
-    operator>(const Simd &o) const
-    {
-        SimdMask<double, 4> r;
-        r.m = _mm256_cmp_pd(v, o.v, _CMP_GT_OQ);
-        return r;
-    }
-
-    SimdMask<double, 4>
-    operator!=(const Simd &o) const
-    {
-        SimdMask<double, 4> r;
-        r.m = _mm256_cmp_pd(v, o.v, _CMP_NEQ_UQ);
-        return r;
-    }
-
-    SimdMask<double, 4>
-    operator==(const Simd &o) const
-    {
-        SimdMask<double, 4> r;
-        r.m = _mm256_cmp_pd(v, o.v, _CMP_EQ_OQ);
-        return r;
-    }
-
-    SimdMask<double, 4>
-    operator>=(const Simd &o) const
-    {
-        SimdMask<double, 4> r;
-        r.m = _mm256_cmp_pd(v, o.v, _CMP_GE_OQ);
-        return r;
-    }
-
-    static Simd
-    select(const SimdMask<double, 4> &mask, const Simd &a, const Simd &b)
-    {
-        Simd r;
-        r.v = _mm256_blendv_pd(b.v, a.v, mask.m);
-        return r;
-    }
-
-    static Simd
-    maskZero(const SimdMask<double, 4> &mask, const Simd &a)
-    {
-        Simd r;
-        r.v = _mm256_and_pd(mask.m, a.v);
-        return r;
-    }
-
-    static SimdIndex<4>
-    truncToIndex(const Simd &a)
-    {
-        SimdIndex<4> r;
-        r.v = _mm256_cvttpd_epi32(a.v);
-        return r;
-    }
-
-    static Simd
-    fromIndex(const SimdIndex<4> &idx)
-    {
-        Simd r;
-        r.v = _mm256_cvtepi32_pd(idx.v);
-        return r;
-    }
-
-    static Simd
-    round(const Simd &a)
-    {
-        Simd r;
-        r.v = _mm256_round_pd(a.v, _MM_FROUND_TO_NEAREST_INT |
-                                       _MM_FROUND_NO_EXC);
-        return r;
-    }
+    static void cvtt(I4 &r, V a) { r.v = _mm256_cvttpd_epi32(a); }
+    static void cvt(V &r, const I4 &idx) { r = _mm256_cvtepi32_pd(idx.v); }
+    static void round(V &r, V a) { r = _mm256_round_pd(a, kRoundNearest); }
 
     /** Multiply by 2^k built by shifting k + bias into the exponent. */
-    static Simd
-    ldexp(const Simd &a, const Simd &k)
+    static void
+    ldexp(V &r, V a, V k)
     {
         const __m256i e = _mm256_slli_epi64(
-            _mm256_cvtepi32_epi64(_mm_add_epi32(_mm256_cvtpd_epi32(k.v),
+            _mm256_cvtepi32_epi64(_mm_add_epi32(_mm256_cvtpd_epi32(k),
                                                 _mm_set1_epi32(1023))),
             52);
-        Simd r;
-        r.v = _mm256_mul_pd(a.v, _mm256_castsi256_pd(e));
-        return r;
-    }
-
-    double
-    sum() const
-    {
-        alignas(32) double tmp[4];
-        _mm256_store_pd(tmp, v);
-        return ((tmp[0] + tmp[1]) + tmp[2]) + tmp[3];
+        r = _mm256_mul_pd(a, _mm256_castsi256_pd(e));
     }
 };
+
+/** AVX2 float: twice the lanes of `SimdRegs<double, 4>`. */
+template <>
+struct SimdRegs<float, 8>
+{
+    using V = __m256;
+    using M = __m256;
+    using I8 = SimdIndex<8>;
+
+    static void set1(V &r, float s) { r = _mm256_set1_ps(s); }
+    static void loadu(V &r, const float *p) { r = _mm256_loadu_ps(p); }
+    static void storeu(float *p, V a) { _mm256_storeu_ps(p, a); }
+
+    static void
+    gather(V &r, const float *base, const I8 &idx)
+    {
+        r = _mm256_i32gather_ps(base, idx.v, 4);
+    }
+
+    static void add(V &r, V a, V b) { r = _mm256_add_ps(a, b); }
+    static void sub(V &r, V a, V b) { r = _mm256_sub_ps(a, b); }
+    static void mul(V &r, V a, V b) { r = _mm256_mul_ps(a, b); }
+    static void div(V &r, V a, V b) { r = _mm256_div_ps(a, b); }
+    static void sqrt(V &r, V a) { r = _mm256_sqrt_ps(a); }
+    static void fmadd(V &r, V a, V b, V c) { r = _mm256_fmadd_ps(a, b, c); }
+    static void fmsub(V &r, V a, V b, V c) { r = _mm256_fmsub_ps(a, b, c); }
+    static void min(V &r, V a, V b) { r = _mm256_min_ps(a, b); }
+    static void max(V &r, V a, V b) { r = _mm256_max_ps(a, b); }
+    static void cmp_lt(M &r, V a, V b) { r = _mm256_cmp_ps(a, b, _CMP_LT_OQ); }
+    static void cmp_gt(M &r, V a, V b) { r = _mm256_cmp_ps(a, b, _CMP_GT_OQ); }
+    static void cmp_ne(M &r, V a, V b) { r = _mm256_cmp_ps(a, b, _CMP_NEQ_UQ); }
+    static void cmp_eq(M &r, V a, V b) { r = _mm256_cmp_ps(a, b, _CMP_EQ_OQ); }
+    static void cmp_ge(M &r, V a, V b) { r = _mm256_cmp_ps(a, b, _CMP_GE_OQ); }
+    static void blend(V &r, M m, V a, V b) { r = _mm256_blendv_ps(b, a, m); }
+    static void maskz(V &r, M m, V a) { r = _mm256_and_ps(m, a); }
+    static int movemask(M m) { return _mm256_movemask_ps(m); }
+    static void mand(M &r, M a, M b) { r = _mm256_and_ps(a, b); }
+    static void mor(M &r, M a, M b) { r = _mm256_or_ps(a, b); }
+    static void mandnot(M &r, M a, M b) { r = _mm256_andnot_ps(a, b); }
+
+    // Index-domain compares (ids < 2^31, so signed epi32 compare is safe).
+    static void
+    idx_gt(M &r, const I8 &idx, std::uint32_t s)
+    {
+        r = _mm256_castsi256_ps(
+            _mm256_cmpgt_epi32(idx.v, IndexRegs<8>::set1(s)));
+    }
+
+    static void
+    idx_eq(M &r, const I8 &idx, std::uint32_t s)
+    {
+        r = _mm256_castsi256_ps(
+            _mm256_cmpeq_epi32(idx.v, IndexRegs<8>::set1(s)));
+    }
+
+    static void cvtt(I8 &r, V a) { r.v = _mm256_cvttps_epi32(a); }
+    static void cvt(V &r, const I8 &idx) { r = _mm256_cvtepi32_ps(idx.v); }
+    static void round(V &r, V a) { r = _mm256_round_ps(a, kRoundNearest); }
+
+    /** Multiply by 2^k built by shifting k + bias into the exponent. */
+    static void
+    ldexp(V &r, V a, V k)
+    {
+        const __m256i e = _mm256_slli_epi32(
+            _mm256_add_epi32(_mm256_cvtps_epi32(k), _mm256_set1_epi32(127)),
+            23);
+        r = _mm256_mul_ps(a, _mm256_castsi256_ps(e));
+    }
+};
+
+} // namespace detail
 
 /**
  * AVX2 loadXyzw: four contiguous 32-byte record loads plus a 4x4
@@ -1187,24 +1163,6 @@ loadXyzw(const double *pack, const std::uint32_t *idx, Simd<double, 4> &x,
     y.v = _mm256_permute2f128_pd(t1, t3, 0x20);
     z.v = _mm256_permute2f128_pd(t0, t2, 0x31);
     w.v = _mm256_permute2f128_pd(t1, t3, 0x31);
-}
-
-/** As above, skipping the unused payload shuffle. */
-inline void
-loadXyz(const double *pack, const std::uint32_t *idx, Simd<double, 4> &x,
-        Simd<double, 4> &y, Simd<double, 4> &z)
-{
-    const __m256d r0 = _mm256_loadu_pd(pack + 4u * idx[0]);
-    const __m256d r1 = _mm256_loadu_pd(pack + 4u * idx[1]);
-    const __m256d r2 = _mm256_loadu_pd(pack + 4u * idx[2]);
-    const __m256d r3 = _mm256_loadu_pd(pack + 4u * idx[3]);
-    const __m256d t0 = _mm256_unpacklo_pd(r0, r1); // x0 x1 z0 z1
-    const __m256d t1 = _mm256_unpackhi_pd(r0, r1); // y0 y1 w0 w1
-    const __m256d t2 = _mm256_unpacklo_pd(r2, r3); // x2 x3 z2 z3
-    const __m256d t3 = _mm256_unpackhi_pd(r2, r3); // y2 y3 w2 w3
-    x.v = _mm256_permute2f128_pd(t0, t2, 0x20);
-    y.v = _mm256_permute2f128_pd(t1, t3, 0x20);
-    z.v = _mm256_permute2f128_pd(t0, t2, 0x31);
 }
 
 /** Pairwise three-stripe horizontal sum (see the generic template). */
@@ -1232,18 +1190,20 @@ namespace detail {
  * overloads permute by table lookup and cut the tail with a masked
  * store of exactly popcount(mask) elements.
  */
-struct Compress4Table
+template <int N>
+struct CompressTable
 {
-    alignas(16) std::uint32_t perm[16][4];
+    alignas(4 * N) std::uint32_t perm[1 << N][N];
 };
 
-constexpr Compress4Table
-makeCompress4Table()
+template <int N>
+constexpr CompressTable<N>
+makeCompressTable()
 {
-    Compress4Table t{};
-    for (int mask = 0; mask < 16; ++mask) {
+    CompressTable<N> t{};
+    for (int mask = 0; mask < (1 << N); ++mask) {
         int n = 0;
-        for (int l = 0; l < 4; ++l) {
+        for (int l = 0; l < N; ++l) {
             if ((mask >> l) & 1)
                 t.perm[mask][n++] = static_cast<std::uint32_t>(l);
         }
@@ -1251,28 +1211,8 @@ makeCompress4Table()
     return t;
 }
 
-inline constexpr Compress4Table kCompress4 = makeCompress4Table();
-
-struct Compress8Table
-{
-    alignas(32) std::uint32_t perm[256][8];
-};
-
-constexpr Compress8Table
-makeCompress8Table()
-{
-    Compress8Table t{};
-    for (int mask = 0; mask < 256; ++mask) {
-        int n = 0;
-        for (int l = 0; l < 8; ++l) {
-            if ((mask >> l) & 1)
-                t.perm[mask][n++] = static_cast<std::uint32_t>(l);
-        }
-    }
-    return t;
-}
-
-inline constexpr Compress8Table kCompress8 = makeCompress8Table();
+inline constexpr CompressTable<4> kCompress4 = makeCompressTable<4>();
+inline constexpr CompressTable<8> kCompress8 = makeCompressTable<8>();
 
 /** Row `count` enables the first `count` lanes of a maskstore. */
 struct TailMaskTable
@@ -1343,288 +1283,6 @@ compressStore(std::uint32_t *dst, const SimdIndex<8> &ids, int maskBits)
     return n;
 }
 
-/** AVX2 float mask: all-ones / all-zeros float lanes. */
-template <>
-struct SimdMask<float, 8>
-{
-    __m256 m = _mm256_setzero_ps();
-
-    bool
-    lane(int l) const
-    {
-        return (_mm256_movemask_ps(m) >> l) & 1;
-    }
-
-    int bits() const { return _mm256_movemask_ps(m); }
-
-    SimdMask
-    operator&(const SimdMask &o) const
-    {
-        SimdMask r;
-        r.m = _mm256_and_ps(m, o.m);
-        return r;
-    }
-
-    SimdMask
-    operator|(const SimdMask &o) const
-    {
-        SimdMask r;
-        r.m = _mm256_or_ps(m, o.m);
-        return r;
-    }
-
-    /** Lanes of @p o with this mask's lanes cleared: ~this & o. */
-    SimdMask
-    andnot(const SimdMask &o) const
-    {
-        SimdMask r;
-        r.m = _mm256_andnot_ps(m, o.m);
-        return r;
-    }
-
-    // Index-domain compares (ids < 2^31, so signed epi32 compare is safe).
-    static SimdMask
-    fromIndexGT(const SimdIndex<8> &idx, std::uint32_t s)
-    {
-        SimdMask r;
-        r.m = _mm256_castsi256_ps(_mm256_cmpgt_epi32(
-            idx.v, _mm256_set1_epi32(static_cast<int>(s))));
-        return r;
-    }
-
-    static SimdMask
-    fromIndexEQ(const SimdIndex<8> &idx, std::uint32_t s)
-    {
-        SimdMask r;
-        r.m = _mm256_castsi256_ps(_mm256_cmpeq_epi32(
-            idx.v, _mm256_set1_epi32(static_cast<int>(s))));
-        return r;
-    }
-};
-
-/** AVX2 float backend: twice the lanes of `Simd<double, 4>`. */
-template <>
-struct Simd<float, 8>
-{
-    __m256 v = _mm256_setzero_ps();
-
-    Simd() = default;
-
-    /* implicit */ Simd(float s) : v(_mm256_set1_ps(s)) {}
-
-    static Simd
-    loadu(const float *p)
-    {
-        Simd r;
-        r.v = _mm256_loadu_ps(p);
-        return r;
-    }
-
-    void storeu(float *p) const { _mm256_storeu_ps(p, v); }
-
-    static Simd
-    gather(const float *base, const SimdIndex<8> &idx)
-    {
-        Simd r;
-        r.v = _mm256_i32gather_ps(base, idx.v, 4);
-        return r;
-    }
-
-    float
-    lane(int l) const
-    {
-        alignas(32) float tmp[8];
-        _mm256_store_ps(tmp, v);
-        return tmp[l];
-    }
-
-    Simd
-    operator+(const Simd &o) const
-    {
-        Simd r;
-        r.v = _mm256_add_ps(v, o.v);
-        return r;
-    }
-
-    Simd
-    operator-(const Simd &o) const
-    {
-        Simd r;
-        r.v = _mm256_sub_ps(v, o.v);
-        return r;
-    }
-
-    Simd
-    operator*(const Simd &o) const
-    {
-        Simd r;
-        r.v = _mm256_mul_ps(v, o.v);
-        return r;
-    }
-
-    Simd
-    operator/(const Simd &o) const
-    {
-        Simd r;
-        r.v = _mm256_div_ps(v, o.v);
-        return r;
-    }
-
-    Simd &
-    operator+=(const Simd &o)
-    {
-        v = _mm256_add_ps(v, o.v);
-        return *this;
-    }
-
-    static Simd
-    sqrt(const Simd &a)
-    {
-        Simd r;
-        r.v = _mm256_sqrt_ps(a.v);
-        return r;
-    }
-
-    /** Fused a*b + c (per-ISA determinism permits fusing here). */
-    static Simd
-    fma(const Simd &a, const Simd &b, const Simd &c)
-    {
-        Simd r;
-        r.v = _mm256_fmadd_ps(a.v, b.v, c.v);
-        return r;
-    }
-
-    /** Fused a*b - c. */
-    static Simd
-    fms(const Simd &a, const Simd &b, const Simd &c)
-    {
-        Simd r;
-        r.v = _mm256_fmsub_ps(a.v, b.v, c.v);
-        return r;
-    }
-
-    static Simd
-    min(const Simd &a, const Simd &b)
-    {
-        Simd r;
-        r.v = _mm256_min_ps(a.v, b.v);
-        return r;
-    }
-
-    static Simd
-    max(const Simd &a, const Simd &b)
-    {
-        Simd r;
-        r.v = _mm256_max_ps(a.v, b.v);
-        return r;
-    }
-
-    SimdMask<float, 8>
-    operator<(const Simd &o) const
-    {
-        SimdMask<float, 8> r;
-        r.m = _mm256_cmp_ps(v, o.v, _CMP_LT_OQ);
-        return r;
-    }
-
-    SimdMask<float, 8>
-    operator>(const Simd &o) const
-    {
-        SimdMask<float, 8> r;
-        r.m = _mm256_cmp_ps(v, o.v, _CMP_GT_OQ);
-        return r;
-    }
-
-    SimdMask<float, 8>
-    operator!=(const Simd &o) const
-    {
-        SimdMask<float, 8> r;
-        r.m = _mm256_cmp_ps(v, o.v, _CMP_NEQ_UQ);
-        return r;
-    }
-
-    SimdMask<float, 8>
-    operator==(const Simd &o) const
-    {
-        SimdMask<float, 8> r;
-        r.m = _mm256_cmp_ps(v, o.v, _CMP_EQ_OQ);
-        return r;
-    }
-
-    SimdMask<float, 8>
-    operator>=(const Simd &o) const
-    {
-        SimdMask<float, 8> r;
-        r.m = _mm256_cmp_ps(v, o.v, _CMP_GE_OQ);
-        return r;
-    }
-
-    static Simd
-    select(const SimdMask<float, 8> &mask, const Simd &a, const Simd &b)
-    {
-        Simd r;
-        r.v = _mm256_blendv_ps(b.v, a.v, mask.m);
-        return r;
-    }
-
-    static Simd
-    maskZero(const SimdMask<float, 8> &mask, const Simd &a)
-    {
-        Simd r;
-        r.v = _mm256_and_ps(mask.m, a.v);
-        return r;
-    }
-
-    static SimdIndex<8>
-    truncToIndex(const Simd &a)
-    {
-        SimdIndex<8> r;
-        r.v = _mm256_cvttps_epi32(a.v);
-        return r;
-    }
-
-    static Simd
-    fromIndex(const SimdIndex<8> &idx)
-    {
-        Simd r;
-        r.v = _mm256_cvtepi32_ps(idx.v);
-        return r;
-    }
-
-    static Simd
-    round(const Simd &a)
-    {
-        Simd r;
-        r.v = _mm256_round_ps(a.v, _MM_FROUND_TO_NEAREST_INT |
-                                       _MM_FROUND_NO_EXC);
-        return r;
-    }
-
-    /** Multiply by 2^k built by shifting k + bias into the exponent. */
-    static Simd
-    ldexp(const Simd &a, const Simd &k)
-    {
-        const __m256i e = _mm256_slli_epi32(
-            _mm256_add_epi32(_mm256_cvtps_epi32(k.v),
-                             _mm256_set1_epi32(127)),
-            23);
-        Simd r;
-        r.v = _mm256_mul_ps(a.v, _mm256_castsi256_ps(e));
-        return r;
-    }
-
-    float
-    sum() const
-    {
-        alignas(32) float tmp[8];
-        _mm256_store_ps(tmp, v);
-        float total = tmp[0];
-        for (int l = 1; l < 8; ++l)
-            total += tmp[l];
-        return total;
-    }
-};
-
 /**
  * AVX2 float loadXyzw: eight contiguous 16-byte record loads plus an
  * 8x4 in-register transpose (unpack within 128-bit halves, shuffle
@@ -1654,36 +1312,6 @@ loadXyzw(const float *pack, const std::uint32_t *idx, Simd<float, 8> &x,
     y.v = _mm256_shuffle_ps(t0, t2, _MM_SHUFFLE(3, 2, 3, 2));
     z.v = _mm256_shuffle_ps(t1, t3, _MM_SHUFFLE(1, 0, 1, 0));
     w.v = _mm256_shuffle_ps(t1, t3, _MM_SHUFFLE(3, 2, 3, 2));
-}
-
-/**
- * As above, skipping the unused payload shuffle. (Measured on
- * Skylake-SP: this 8-load transpose beats three vpgatherdps — the
- * microcoded gather loses despite touching all eight lanes at once.)
- */
-inline void
-loadXyz(const float *pack, const std::uint32_t *idx, Simd<float, 8> &x,
-        Simd<float, 8> &y, Simd<float, 8> &z)
-{
-    const __m128 a0 = _mm_loadu_ps(pack + 4u * idx[0]);
-    const __m128 a1 = _mm_loadu_ps(pack + 4u * idx[1]);
-    const __m128 a2 = _mm_loadu_ps(pack + 4u * idx[2]);
-    const __m128 a3 = _mm_loadu_ps(pack + 4u * idx[3]);
-    const __m128 a4 = _mm_loadu_ps(pack + 4u * idx[4]);
-    const __m128 a5 = _mm_loadu_ps(pack + 4u * idx[5]);
-    const __m128 a6 = _mm_loadu_ps(pack + 4u * idx[6]);
-    const __m128 a7 = _mm_loadu_ps(pack + 4u * idx[7]);
-    const __m256 r04 = _mm256_set_m128(a4, a0);
-    const __m256 r15 = _mm256_set_m128(a5, a1);
-    const __m256 r26 = _mm256_set_m128(a6, a2);
-    const __m256 r37 = _mm256_set_m128(a7, a3);
-    const __m256 t0 = _mm256_unpacklo_ps(r04, r15); // x0 x1 y0 y1 | ...
-    const __m256 t1 = _mm256_unpackhi_ps(r04, r15); // z0 z1 w0 w1 | ...
-    const __m256 t2 = _mm256_unpacklo_ps(r26, r37); // x2 x3 y2 y3 | ...
-    const __m256 t3 = _mm256_unpackhi_ps(r26, r37); // z2 z3 w2 w3 | ...
-    x.v = _mm256_shuffle_ps(t0, t2, _MM_SHUFFLE(1, 0, 1, 0));
-    y.v = _mm256_shuffle_ps(t0, t2, _MM_SHUFFLE(3, 2, 3, 2));
-    z.v = _mm256_shuffle_ps(t1, t3, _MM_SHUFFLE(1, 0, 1, 0));
 }
 
 /** Pairwise three-stripe horizontal sum (see the generic template). */
@@ -1722,278 +1350,214 @@ sumPair(const Simd<float, 8> &a, const Simd<float, 8> &b, float &sa,
 
 #if defined(MDBENCH_SIMD_AVX512)
 
-/** AVX-512 mask: a real predicate register. */
+namespace detail {
+
+/** 16 x u32 indices in a ZMM register (AVX-512 float width). */
 template <>
-struct SimdMask<double, 8>
+struct IndexRegs<16>
 {
-    __mmask8 m = 0;
+    using I = __m512i;
+    using U = std::uint32_t;
 
-    bool lane(int l) const { return (m >> l) & 1; }
+    static I set1(U s) { return _mm512_set1_epi32(static_cast<int>(s)); }
+    static void loadu(I &r, const U *p) { r = _mm512_loadu_si512(p); }
+    static void storeu(U *p, I a) { _mm512_storeu_si512(p, a); }
 
-    int bits() const { return m; }
-
-    SimdMask
-    operator&(const SimdMask &o) const
+    static void
+    gather32(I &r, const int *base, I idx)
     {
-        SimdMask r;
-        r.m = static_cast<__mmask8>(m & o.m);
-        return r;
+        r = _mm512_i32gather_epi32(idx, base, 4);
     }
 
-    SimdMask
-    operator|(const SimdMask &o) const
+    static void mullo(I &r, I a, U s) { r = _mm512_mullo_epi32(a, set1(s)); }
+    static void add(I &r, I a, U s) { r = _mm512_add_epi32(a, set1(s)); }
+    static void min(I &r, I a, U s) { r = _mm512_min_epu32(a, set1(s)); }
+};
+
+/** AVX-512 double: `__m512d` lanes, a real predicate register. */
+template <>
+struct SimdRegs<double, 8>
+{
+    using V = __m512d;
+    using M = __mmask8;
+    using I8 = SimdIndex<8>;
+
+    static void set1(V &r, double s) { r = _mm512_set1_pd(s); }
+    static void loadu(V &r, const double *p) { r = _mm512_loadu_pd(p); }
+    static void storeu(double *p, V a) { _mm512_storeu_pd(p, a); }
+
+    static void
+    gather(V &r, const double *base, const I8 &idx)
     {
-        SimdMask r;
-        r.m = static_cast<__mmask8>(m | o.m);
-        return r;
+        r = _mm512_i32gather_pd(idx.v, base, 8);
     }
 
-    /** Lanes of @p o with this mask's lanes cleared: ~this & o. */
-    SimdMask
-    andnot(const SimdMask &o) const
+    static void add(V &r, V a, V b) { r = _mm512_add_pd(a, b); }
+    static void sub(V &r, V a, V b) { r = _mm512_sub_pd(a, b); }
+    static void mul(V &r, V a, V b) { r = _mm512_mul_pd(a, b); }
+    static void div(V &r, V a, V b) { r = _mm512_div_pd(a, b); }
+    static void sqrt(V &r, V a) { r = _mm512_sqrt_pd(a); }
+    static void fmadd(V &r, V a, V b, V c) { r = _mm512_fmadd_pd(a, b, c); }
+    static void fmsub(V &r, V a, V b, V c) { r = _mm512_fmsub_pd(a, b, c); }
+    static void min(V &r, V a, V b) { r = _mm512_min_pd(a, b); }
+    static void max(V &r, V a, V b) { r = _mm512_max_pd(a, b); }
+
+    static void
+    cmp_lt(M &r, V a, V b)
     {
-        SimdMask r;
-        r.m = static_cast<__mmask8>(~m & o.m);
-        return r;
+        r = _mm512_cmp_pd_mask(a, b, _CMP_LT_OQ);
     }
+
+    static void
+    cmp_gt(M &r, V a, V b)
+    {
+        r = _mm512_cmp_pd_mask(a, b, _CMP_GT_OQ);
+    }
+
+    static void
+    cmp_ne(M &r, V a, V b)
+    {
+        r = _mm512_cmp_pd_mask(a, b, _CMP_NEQ_UQ);
+    }
+
+    static void
+    cmp_eq(M &r, V a, V b)
+    {
+        r = _mm512_cmp_pd_mask(a, b, _CMP_EQ_OQ);
+    }
+
+    static void
+    cmp_ge(M &r, V a, V b)
+    {
+        r = _mm512_cmp_pd_mask(a, b, _CMP_GE_OQ);
+    }
+
+    static void
+    blend(V &r, M m, V a, V b)
+    {
+        r = _mm512_mask_blend_pd(m, b, a);
+    }
+
+    static void maskz(V &r, M m, V a) { r = _mm512_maskz_mov_pd(m, a); }
+    static int movemask(M m) { return m; }
+    static void mand(M &r, M a, M b) { r = static_cast<M>(a & b); }
+    static void mor(M &r, M a, M b) { r = static_cast<M>(a | b); }
+    static void mandnot(M &r, M a, M b) { r = static_cast<M>(~a & b); }
 
     // Index-domain compares, widened to 64-bit so the 8 id lanes line
     // up with the 8 double lanes.
-    static SimdMask
-    fromIndexGT(const SimdIndex<8> &idx, std::uint32_t s)
+    static void
+    idx_gt(M &r, const I8 &idx, std::uint32_t s)
     {
-        SimdMask r;
-        r.m = _mm512_cmp_epu64_mask(_mm512_cvtepu32_epi64(idx.v),
-                                    _mm512_set1_epi64(s), _MM_CMPINT_NLE);
-        return r;
+        r = _mm512_cmp_epu64_mask(_mm512_cvtepu32_epi64(idx.v),
+                                  _mm512_set1_epi64(s), _MM_CMPINT_NLE);
     }
 
-    static SimdMask
-    fromIndexEQ(const SimdIndex<8> &idx, std::uint32_t s)
+    static void
+    idx_eq(M &r, const I8 &idx, std::uint32_t s)
     {
-        SimdMask r;
-        r.m = _mm512_cmp_epu64_mask(_mm512_cvtepu32_epi64(idx.v),
-                                    _mm512_set1_epi64(s), _MM_CMPINT_EQ);
-        return r;
+        r = _mm512_cmp_epu64_mask(_mm512_cvtepu32_epi64(idx.v),
+                                  _mm512_set1_epi64(s), _MM_CMPINT_EQ);
     }
+
+    static void cvtt(I8 &r, V a) { r.v = _mm512_cvttpd_epi32(a); }
+    static void cvt(V &r, const I8 &idx) { r = _mm512_cvtepi32_pd(idx.v); }
+    static void round(V &r, V a) { r = _mm512_roundscale_pd(a, kRoundNearest); }
+    static void ldexp(V &r, V a, V k) { r = _mm512_scalef_pd(a, k); }
 };
 
+/** AVX-512 float: twice the lanes of `SimdRegs<double, 8>`. */
 template <>
-struct Simd<double, 8>
+struct SimdRegs<float, 16>
 {
-    __m512d v = _mm512_setzero_pd();
+    using V = __m512;
+    using M = __mmask16;
+    using I16 = SimdIndex<16>;
 
-    Simd() = default;
+    static void set1(V &r, float s) { r = _mm512_set1_ps(s); }
+    static void loadu(V &r, const float *p) { r = _mm512_loadu_ps(p); }
+    static void storeu(float *p, V a) { _mm512_storeu_ps(p, a); }
 
-    /* implicit */ Simd(double s) : v(_mm512_set1_pd(s)) {}
-
-    static Simd
-    loadu(const double *p)
+    static void
+    gather(V &r, const float *base, const I16 &idx)
     {
-        Simd r;
-        r.v = _mm512_loadu_pd(p);
-        return r;
+        r = _mm512_i32gather_ps(idx.v, base, 4);
     }
 
-    void storeu(double *p) const { _mm512_storeu_pd(p, v); }
+    static void add(V &r, V a, V b) { r = _mm512_add_ps(a, b); }
+    static void sub(V &r, V a, V b) { r = _mm512_sub_ps(a, b); }
+    static void mul(V &r, V a, V b) { r = _mm512_mul_ps(a, b); }
+    static void div(V &r, V a, V b) { r = _mm512_div_ps(a, b); }
+    static void sqrt(V &r, V a) { r = _mm512_sqrt_ps(a); }
+    static void fmadd(V &r, V a, V b, V c) { r = _mm512_fmadd_ps(a, b, c); }
+    static void fmsub(V &r, V a, V b, V c) { r = _mm512_fmsub_ps(a, b, c); }
+    static void min(V &r, V a, V b) { r = _mm512_min_ps(a, b); }
+    static void max(V &r, V a, V b) { r = _mm512_max_ps(a, b); }
 
-    static Simd
-    gather(const double *base, const SimdIndex<8> &idx)
+    static void
+    cmp_lt(M &r, V a, V b)
     {
-        Simd r;
-        r.v = _mm512_i32gather_pd(idx.v, base, 8);
-        return r;
+        r = _mm512_cmp_ps_mask(a, b, _CMP_LT_OQ);
     }
 
-    double
-    lane(int l) const
+    static void
+    cmp_gt(M &r, V a, V b)
     {
-        alignas(64) double tmp[8];
-        _mm512_store_pd(tmp, v);
-        return tmp[l];
+        r = _mm512_cmp_ps_mask(a, b, _CMP_GT_OQ);
     }
 
-    Simd
-    operator+(const Simd &o) const
+    static void
+    cmp_ne(M &r, V a, V b)
     {
-        Simd r;
-        r.v = _mm512_add_pd(v, o.v);
-        return r;
+        r = _mm512_cmp_ps_mask(a, b, _CMP_NEQ_UQ);
     }
 
-    Simd
-    operator-(const Simd &o) const
+    static void
+    cmp_eq(M &r, V a, V b)
     {
-        Simd r;
-        r.v = _mm512_sub_pd(v, o.v);
-        return r;
+        r = _mm512_cmp_ps_mask(a, b, _CMP_EQ_OQ);
     }
 
-    Simd
-    operator*(const Simd &o) const
+    static void
+    cmp_ge(M &r, V a, V b)
     {
-        Simd r;
-        r.v = _mm512_mul_pd(v, o.v);
-        return r;
+        r = _mm512_cmp_ps_mask(a, b, _CMP_GE_OQ);
     }
 
-    Simd
-    operator/(const Simd &o) const
+    static void
+    blend(V &r, M m, V a, V b)
     {
-        Simd r;
-        r.v = _mm512_div_pd(v, o.v);
-        return r;
+        r = _mm512_mask_blend_ps(m, b, a);
     }
 
-    Simd &
-    operator+=(const Simd &o)
+    static void maskz(V &r, M m, V a) { r = _mm512_maskz_mov_ps(m, a); }
+    static int movemask(M m) { return m; }
+    static void mand(M &r, M a, M b) { r = static_cast<M>(a & b); }
+    static void mor(M &r, M a, M b) { r = static_cast<M>(a | b); }
+    static void mandnot(M &r, M a, M b) { r = static_cast<M>(~a & b); }
+
+    // Index-domain compares (lane counts already match at 32 bits).
+    static void
+    idx_gt(M &r, const I16 &idx, std::uint32_t s)
     {
-        v = _mm512_add_pd(v, o.v);
-        return *this;
+        r = _mm512_cmp_epu32_mask(idx.v, IndexRegs<16>::set1(s),
+                                  _MM_CMPINT_NLE);
     }
 
-    static Simd
-    sqrt(const Simd &a)
+    static void
+    idx_eq(M &r, const I16 &idx, std::uint32_t s)
     {
-        Simd r;
-        r.v = _mm512_sqrt_pd(a.v);
-        return r;
+        r = _mm512_cmp_epu32_mask(idx.v, IndexRegs<16>::set1(s),
+                                  _MM_CMPINT_EQ);
     }
 
-    /** Fused a*b + c (per-ISA determinism permits fusing here). */
-    static Simd
-    fma(const Simd &a, const Simd &b, const Simd &c)
-    {
-        Simd r;
-        r.v = _mm512_fmadd_pd(a.v, b.v, c.v);
-        return r;
-    }
-
-    /** Fused a*b - c. */
-    static Simd
-    fms(const Simd &a, const Simd &b, const Simd &c)
-    {
-        Simd r;
-        r.v = _mm512_fmsub_pd(a.v, b.v, c.v);
-        return r;
-    }
-
-    static Simd
-    min(const Simd &a, const Simd &b)
-    {
-        Simd r;
-        r.v = _mm512_min_pd(a.v, b.v);
-        return r;
-    }
-
-    static Simd
-    max(const Simd &a, const Simd &b)
-    {
-        Simd r;
-        r.v = _mm512_max_pd(a.v, b.v);
-        return r;
-    }
-
-    SimdMask<double, 8>
-    operator<(const Simd &o) const
-    {
-        SimdMask<double, 8> r;
-        r.m = _mm512_cmp_pd_mask(v, o.v, _CMP_LT_OQ);
-        return r;
-    }
-
-    SimdMask<double, 8>
-    operator>(const Simd &o) const
-    {
-        SimdMask<double, 8> r;
-        r.m = _mm512_cmp_pd_mask(v, o.v, _CMP_GT_OQ);
-        return r;
-    }
-
-    SimdMask<double, 8>
-    operator!=(const Simd &o) const
-    {
-        SimdMask<double, 8> r;
-        r.m = _mm512_cmp_pd_mask(v, o.v, _CMP_NEQ_UQ);
-        return r;
-    }
-
-    SimdMask<double, 8>
-    operator==(const Simd &o) const
-    {
-        SimdMask<double, 8> r;
-        r.m = _mm512_cmp_pd_mask(v, o.v, _CMP_EQ_OQ);
-        return r;
-    }
-
-    SimdMask<double, 8>
-    operator>=(const Simd &o) const
-    {
-        SimdMask<double, 8> r;
-        r.m = _mm512_cmp_pd_mask(v, o.v, _CMP_GE_OQ);
-        return r;
-    }
-
-    static Simd
-    select(const SimdMask<double, 8> &mask, const Simd &a, const Simd &b)
-    {
-        Simd r;
-        r.v = _mm512_mask_blend_pd(mask.m, b.v, a.v);
-        return r;
-    }
-
-    static Simd
-    maskZero(const SimdMask<double, 8> &mask, const Simd &a)
-    {
-        Simd r;
-        r.v = _mm512_maskz_mov_pd(mask.m, a.v);
-        return r;
-    }
-
-    static SimdIndex<8>
-    truncToIndex(const Simd &a)
-    {
-        SimdIndex<8> r;
-        r.v = _mm512_cvttpd_epi32(a.v);
-        return r;
-    }
-
-    static Simd
-    fromIndex(const SimdIndex<8> &idx)
-    {
-        Simd r;
-        r.v = _mm512_cvtepi32_pd(idx.v);
-        return r;
-    }
-
-    static Simd
-    round(const Simd &a)
-    {
-        Simd r;
-        r.v = _mm512_roundscale_pd(a.v, _MM_FROUND_TO_NEAREST_INT |
-                                           _MM_FROUND_NO_EXC);
-        return r;
-    }
-
-    static Simd
-    ldexp(const Simd &a, const Simd &k)
-    {
-        Simd r;
-        r.v = _mm512_scalef_pd(a.v, k.v);
-        return r;
-    }
-
-    double
-    sum() const
-    {
-        alignas(64) double tmp[8];
-        _mm512_store_pd(tmp, v);
-        double total = tmp[0];
-        for (int l = 1; l < 8; ++l)
-            total += tmp[l];
-        return total;
-    }
+    static void cvtt(I16 &r, V a) { r.v = _mm512_cvttps_epi32(a); }
+    static void cvt(V &r, const I16 &idx) { r = _mm512_cvtepi32_ps(idx.v); }
+    static void round(V &r, V a) { r = _mm512_roundscale_ps(a, kRoundNearest); }
+    static void ldexp(V &r, V a, V k) { r = _mm512_scalef_ps(a, k); }
 };
+
+} // namespace detail
 
 /**
  * AVX-512 loadXyzw: four gathers off a single pre-scaled index vector
@@ -2023,61 +1587,6 @@ loadXyz(const double *pack, const std::uint32_t *idx, Simd<double, 8> &x,
     z.v = _mm512_i32gather_pd(rec, pack + 2, 8);
 }
 
-/** AVX-512 backend: 16 x u32 indices in a ZMM register. */
-template <>
-struct SimdIndex<16>
-{
-    __m512i v = _mm512_setzero_si512();
-
-    static SimdIndex
-    load(const std::uint32_t *p)
-    {
-        SimdIndex r;
-        r.v = _mm512_loadu_si512(p);
-        return r;
-    }
-
-    static SimdIndex
-    gather32(const int *base, const SimdIndex &idx)
-    {
-        SimdIndex r;
-        r.v = _mm512_i32gather_epi32(idx.v, base, 4);
-        return r;
-    }
-
-    SimdIndex
-    operator*(std::uint32_t s) const
-    {
-        SimdIndex r;
-        r.v = _mm512_mullo_epi32(v, _mm512_set1_epi32(static_cast<int>(s)));
-        return r;
-    }
-
-    SimdIndex
-    operator+(std::uint32_t s) const
-    {
-        SimdIndex r;
-        r.v = _mm512_add_epi32(v, _mm512_set1_epi32(static_cast<int>(s)));
-        return r;
-    }
-
-    static SimdIndex
-    min(const SimdIndex &a, std::uint32_t s)
-    {
-        SimdIndex r;
-        r.v = _mm512_min_epu32(a.v, _mm512_set1_epi32(static_cast<int>(s)));
-        return r;
-    }
-
-    std::uint32_t
-    lane(int l) const
-    {
-        alignas(64) std::uint32_t tmp[16];
-        _mm512_store_si512(reinterpret_cast<__m512i *>(tmp), v);
-        return tmp[l];
-    }
-};
-
 /** AVX-512 compressStore over 16 ids: the native compress. */
 inline int
 compressStore(std::uint32_t *dst, const SimdIndex<16> &ids, int maskBits)
@@ -2087,279 +1596,6 @@ compressStore(std::uint32_t *dst, const SimdIndex<16> &ids, int maskBits)
                                      ids.v);
     return std::popcount(mask);
 }
-
-/** AVX-512 float mask: a 16-bit predicate register. */
-template <>
-struct SimdMask<float, 16>
-{
-    __mmask16 m = 0;
-
-    bool lane(int l) const { return (m >> l) & 1; }
-
-    int bits() const { return m; }
-
-    SimdMask
-    operator&(const SimdMask &o) const
-    {
-        SimdMask r;
-        r.m = static_cast<__mmask16>(m & o.m);
-        return r;
-    }
-
-    SimdMask
-    operator|(const SimdMask &o) const
-    {
-        SimdMask r;
-        r.m = static_cast<__mmask16>(m | o.m);
-        return r;
-    }
-
-    /** Lanes of @p o with this mask's lanes cleared: ~this & o. */
-    SimdMask
-    andnot(const SimdMask &o) const
-    {
-        SimdMask r;
-        r.m = static_cast<__mmask16>(~m & o.m);
-        return r;
-    }
-
-    // Index-domain compares (lane counts already match at 32 bits).
-    static SimdMask
-    fromIndexGT(const SimdIndex<16> &idx, std::uint32_t s)
-    {
-        SimdMask r;
-        r.m = _mm512_cmp_epu32_mask(
-            idx.v, _mm512_set1_epi32(static_cast<int>(s)), _MM_CMPINT_NLE);
-        return r;
-    }
-
-    static SimdMask
-    fromIndexEQ(const SimdIndex<16> &idx, std::uint32_t s)
-    {
-        SimdMask r;
-        r.m = _mm512_cmp_epu32_mask(
-            idx.v, _mm512_set1_epi32(static_cast<int>(s)), _MM_CMPINT_EQ);
-        return r;
-    }
-};
-
-/** AVX-512 float backend: twice the lanes of `Simd<double, 8>`. */
-template <>
-struct Simd<float, 16>
-{
-    __m512 v = _mm512_setzero_ps();
-
-    Simd() = default;
-
-    /* implicit */ Simd(float s) : v(_mm512_set1_ps(s)) {}
-
-    static Simd
-    loadu(const float *p)
-    {
-        Simd r;
-        r.v = _mm512_loadu_ps(p);
-        return r;
-    }
-
-    void storeu(float *p) const { _mm512_storeu_ps(p, v); }
-
-    static Simd
-    gather(const float *base, const SimdIndex<16> &idx)
-    {
-        Simd r;
-        r.v = _mm512_i32gather_ps(idx.v, base, 4);
-        return r;
-    }
-
-    float
-    lane(int l) const
-    {
-        alignas(64) float tmp[16];
-        _mm512_store_ps(tmp, v);
-        return tmp[l];
-    }
-
-    Simd
-    operator+(const Simd &o) const
-    {
-        Simd r;
-        r.v = _mm512_add_ps(v, o.v);
-        return r;
-    }
-
-    Simd
-    operator-(const Simd &o) const
-    {
-        Simd r;
-        r.v = _mm512_sub_ps(v, o.v);
-        return r;
-    }
-
-    Simd
-    operator*(const Simd &o) const
-    {
-        Simd r;
-        r.v = _mm512_mul_ps(v, o.v);
-        return r;
-    }
-
-    Simd
-    operator/(const Simd &o) const
-    {
-        Simd r;
-        r.v = _mm512_div_ps(v, o.v);
-        return r;
-    }
-
-    Simd &
-    operator+=(const Simd &o)
-    {
-        v = _mm512_add_ps(v, o.v);
-        return *this;
-    }
-
-    static Simd
-    sqrt(const Simd &a)
-    {
-        Simd r;
-        r.v = _mm512_sqrt_ps(a.v);
-        return r;
-    }
-
-    /** Fused a*b + c (per-ISA determinism permits fusing here). */
-    static Simd
-    fma(const Simd &a, const Simd &b, const Simd &c)
-    {
-        Simd r;
-        r.v = _mm512_fmadd_ps(a.v, b.v, c.v);
-        return r;
-    }
-
-    /** Fused a*b - c. */
-    static Simd
-    fms(const Simd &a, const Simd &b, const Simd &c)
-    {
-        Simd r;
-        r.v = _mm512_fmsub_ps(a.v, b.v, c.v);
-        return r;
-    }
-
-    static Simd
-    min(const Simd &a, const Simd &b)
-    {
-        Simd r;
-        r.v = _mm512_min_ps(a.v, b.v);
-        return r;
-    }
-
-    static Simd
-    max(const Simd &a, const Simd &b)
-    {
-        Simd r;
-        r.v = _mm512_max_ps(a.v, b.v);
-        return r;
-    }
-
-    SimdMask<float, 16>
-    operator<(const Simd &o) const
-    {
-        SimdMask<float, 16> r;
-        r.m = _mm512_cmp_ps_mask(v, o.v, _CMP_LT_OQ);
-        return r;
-    }
-
-    SimdMask<float, 16>
-    operator>(const Simd &o) const
-    {
-        SimdMask<float, 16> r;
-        r.m = _mm512_cmp_ps_mask(v, o.v, _CMP_GT_OQ);
-        return r;
-    }
-
-    SimdMask<float, 16>
-    operator!=(const Simd &o) const
-    {
-        SimdMask<float, 16> r;
-        r.m = _mm512_cmp_ps_mask(v, o.v, _CMP_NEQ_UQ);
-        return r;
-    }
-
-    SimdMask<float, 16>
-    operator==(const Simd &o) const
-    {
-        SimdMask<float, 16> r;
-        r.m = _mm512_cmp_ps_mask(v, o.v, _CMP_EQ_OQ);
-        return r;
-    }
-
-    SimdMask<float, 16>
-    operator>=(const Simd &o) const
-    {
-        SimdMask<float, 16> r;
-        r.m = _mm512_cmp_ps_mask(v, o.v, _CMP_GE_OQ);
-        return r;
-    }
-
-    static Simd
-    select(const SimdMask<float, 16> &mask, const Simd &a, const Simd &b)
-    {
-        Simd r;
-        r.v = _mm512_mask_blend_ps(mask.m, b.v, a.v);
-        return r;
-    }
-
-    static Simd
-    maskZero(const SimdMask<float, 16> &mask, const Simd &a)
-    {
-        Simd r;
-        r.v = _mm512_maskz_mov_ps(mask.m, a.v);
-        return r;
-    }
-
-    static SimdIndex<16>
-    truncToIndex(const Simd &a)
-    {
-        SimdIndex<16> r;
-        r.v = _mm512_cvttps_epi32(a.v);
-        return r;
-    }
-
-    static Simd
-    fromIndex(const SimdIndex<16> &idx)
-    {
-        Simd r;
-        r.v = _mm512_cvtepi32_ps(idx.v);
-        return r;
-    }
-
-    static Simd
-    round(const Simd &a)
-    {
-        Simd r;
-        r.v = _mm512_roundscale_ps(a.v, _MM_FROUND_TO_NEAREST_INT |
-                                           _MM_FROUND_NO_EXC);
-        return r;
-    }
-
-    static Simd
-    ldexp(const Simd &a, const Simd &k)
-    {
-        Simd r;
-        r.v = _mm512_scalef_ps(a.v, k.v);
-        return r;
-    }
-
-    float
-    sum() const
-    {
-        alignas(64) float tmp[16];
-        _mm512_store_ps(tmp, v);
-        float total = tmp[0];
-        for (int l = 1; l < 16; ++l)
-            total += tmp[l];
-        return total;
-    }
-};
 
 /**
  * AVX-512 float loadXyzw: four gathers off a single pre-scaled index
