@@ -432,18 +432,20 @@ struct ArrayRegs
             r[l] = (a[l] * b[l]) - c[l];
     }
 
+    // The x86 min/max rule: b unless a is strictly smaller (larger),
+    // so a NaN in either operand and a ±0 tie return b.
     static void
     min(V &r, CV a, CV b)
     {
         for (int l = 0; l < W; ++l)
-            r[l] = b[l] < a[l] ? b[l] : a[l];
+            r[l] = a[l] < b[l] ? a[l] : b[l];
     }
 
     static void
     max(V &r, CV a, CV b)
     {
         for (int l = 0; l < W; ++l)
-            r[l] = a[l] < b[l] ? b[l] : a[l];
+            r[l] = a[l] > b[l] ? a[l] : b[l];
     }
 
     static void cmp_lt(M &r, CV a, CV b) { zip(r, a, b, std::less<>()); }
@@ -722,12 +724,14 @@ struct Simd
         return make<Regs::fmsub>(a.v, b.v, c.v);
     }
 
+    /** a < b ? a : b per lane: b when either is NaN or on a ±0 tie. */
     static Simd
     min(const Simd &a, const Simd &b)
     {
         return make<Regs::min>(a.v, b.v);
     }
 
+    /** a > b ? a : b per lane: b when either is NaN or on a ±0 tie. */
     static Simd
     max(const Simd &a, const Simd &b)
     {

@@ -14,10 +14,13 @@
 #include <array>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <random>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -254,38 +257,257 @@ TEST(SimdOps, SumIsAscendingLaneOrder)
     EXPECT_EQ(v.sum(), expected);
 }
 
-TEST(SimdOps, CompiledBackendMatchesGenericSemantics)
+// ------------------------------------------------ backend equivalence
+
+/** Element type and width of one register trait under test. */
+template <typename T, int W>
+struct Lanes
 {
-    // On an ISA build this exercises the intrinsic specializations; on
-    // a scalar build it degenerates to the generic template (and the
-    // fma check switches to the unfused contract).
-    constexpr int W = kSimdCompiledWidth;
-    using D = Simd<double, W>;
-    std::array<double, W> a{}, b{}, c{};
-    std::mt19937_64 rng(42);
-    std::uniform_real_distribution<double> dist(0.5, 2.0);
-    for (int l = 0; l < W; ++l) {
-        a[l] = dist(rng);
-        b[l] = dist(rng);
-        c[l] = dist(rng);
+    using Elem = T;
+    static constexpr int kWidth = W;
+};
+
+template <typename P>
+class SimdBackend : public testing::Test
+{};
+
+/** "double4", "float16", ...: stable test names on every build. */
+struct LanesName
+{
+    template <typename P>
+    static std::string
+    GetName(int)
+    {
+        return (std::is_same_v<typename P::Elem, double> ? "double"
+                                                          : "float") +
+               std::to_string(P::kWidth);
     }
-    const D va = D::loadu(a.data());
-    const D vb = D::loadu(b.data());
-    const D vc = D::loadu(c.data());
-    for (int l = 0; l < W; ++l) {
-        EXPECT_EQ((va + vb).lane(l), a[l] + b[l]);
-        EXPECT_EQ((va * vb).lane(l), a[l] * b[l]);
-        EXPECT_EQ((va / vb).lane(l), a[l] / b[l]);
-        EXPECT_EQ(D::sqrt(va).lane(l), std::sqrt(a[l]));
-        const double expectFma = W > 1 ? std::fma(a[l], b[l], c[l])
-                                       : (a[l] * b[l]) + c[l];
-        EXPECT_EQ(D::fma(va, vb, vc).lane(l), expectFma);
+};
+
+// Every (T, W) an ISA build specializes. Where this build has no ISA
+// trait for one, the class body is checked against its own generic
+// trait.
+using TraitLanes = testing::Types<Lanes<double, 4>, Lanes<float, 8>,
+                                  Lanes<double, 8>, Lanes<float, 16>>;
+TYPED_TEST_SUITE(SimdBackend, TraitLanes, LanesName);
+
+/** Same lane value: both NaN, or equal bit for bit (-0 is not +0). */
+template <typename T>
+bool
+sameLane(T x, T y)
+{
+    if (std::isnan(x) || std::isnan(y))
+        return std::isnan(x) && std::isnan(y);
+    return std::memcmp(&x, &y, sizeof(T)) == 0;
+}
+
+/**
+ * Every op of Simd, SimdMask and SimdIndex at (T, W), lane for lane
+ * against the generic trait detail::ArrayRegs<T, W> at the same W, on
+ * every pair of NaN, ±0, ±inf, extremes, a subnormal and plain values.
+ * fma/fms are expected fused on an ISA trait, unfused on the generic.
+ */
+TYPED_TEST(SimdBackend, EveryOpMatchesTheGenericTraitLaneForLane)
+{
+    using T = typename TypeParam::Elem;
+    constexpr int W = TypeParam::kWidth;
+    using D = Simd<T, W>;
+    using M = SimdMask<T, W>;
+    using I = SimdIndex<W>;
+    using G = detail::ArrayRegs<T, W>;
+    using GI = detail::ArrayIndexRegs<W>;
+    constexpr bool kFused = !std::is_base_of_v<G, detail::SimdRegs<T, W>>;
+    using Limits = std::numeric_limits<T>;
+    // The generic trait's result of op(r, args...).
+    const auto gv = [](auto op, const auto &...args) {
+        typename G::V r{};
+        op(r, args...);
+        return r;
+    };
+    const auto gm = [](auto op, const auto &...args) {
+        typename G::M r{};
+        op(r, args...);
+        return r;
+    };
+    const auto gi = [](auto op, const auto &...args) {
+        typename GI::I r{};
+        op(r, args...);
+        return r;
+    };
+
+    constexpr int kSpecials = 16;
+    const T specials[kSpecials] = {
+        Limits::quiet_NaN(), T(-0.0), T(0.0), Limits::infinity(),
+        -Limits::infinity(), T(1), T(-1), T(0.5), T(-2.5), T(1.5), T(3),
+        Limits::max(), Limits::min(), Limits::denorm_min(), T(-7.25),
+        T(1) + Limits::epsilon()};
+    // Every (a, b) pair of specials; c cycles through them out of step.
+    std::vector<T> a, b, c;
+    for (int i = 0; i < kSpecials * kSpecials; ++i) {
+        a.push_back(specials[i % kSpecials]);
+        b.push_back(specials[i / kSpecials]);
+        c.push_back(specials[(7 * i + 3) % kSpecials]);
     }
-    const auto mask = va < vb;
-    int expectBits = 0;
-    for (int l = 0; l < W; ++l)
-        expectBits |= (a[l] < b[l] ? 1 : 0) << l;
-    EXPECT_EQ(mask.bits(), expectBits);
+
+    const auto expectLanes = [](const D &got, const typename G::V &want,
+                                const char *op, std::size_t at) {
+        for (int l = 0; l < W; ++l)
+            EXPECT_TRUE(sameLane(got.lane(l), want[l]))
+                << op << " at " << at + l << ": " << got.lane(l)
+                << " vs generic " << want[l];
+    };
+    const auto expectMask = [](const M &got, const typename G::M &want,
+                               const char *op, std::size_t at) {
+        EXPECT_EQ(got.bits(), G::movemask(want)) << op << " at " << at;
+        for (int l = 0; l < W; ++l)
+            EXPECT_EQ(got.lane(l), want[l]) << op << " at " << at + l;
+    };
+
+    for (std::size_t i = 0; i < a.size(); i += W) {
+        const D va = D::loadu(&a[i]);
+        const D vb = D::loadu(&b[i]);
+        const D vc = D::loadu(&c[i]);
+        const auto ga = gv(G::loadu, &a[i]);
+        const auto gb = gv(G::loadu, &b[i]);
+        const auto gc = gv(G::loadu, &c[i]);
+
+        T stored[W];
+        va.storeu(stored);
+        for (int l = 0; l < W; ++l)
+            EXPECT_TRUE(sameLane(stored[l], a[i + l])) << "storeu";
+        expectLanes(D(a[i]), gv(G::set1, a[i]), "broadcast", i);
+        expectLanes(va + vb, gv(G::add, ga, gb), "+", i);
+        expectLanes(va - vb, gv(G::sub, ga, gb), "-", i);
+        expectLanes(va * vb, gv(G::mul, ga, gb), "*", i);
+        expectLanes(va / vb, gv(G::div, ga, gb), "/", i);
+        D acc = va;
+        acc += vb;
+        expectLanes(acc, gv(G::add, ga, gb), "+=", i);
+        expectLanes(D::sqrt(va), gv(G::sqrt, ga), "sqrt", i);
+        if constexpr (kFused) {
+            for (int l = 0; l < W; ++l) {
+                const std::size_t k = i + static_cast<std::size_t>(l);
+                EXPECT_TRUE(sameLane(D::fma(va, vb, vc).lane(l),
+                                     std::fma(a[k], b[k], c[k])))
+                    << "fma at " << k;
+                EXPECT_TRUE(sameLane(D::fms(va, vb, vc).lane(l),
+                                     std::fma(a[k], b[k], -c[k])))
+                    << "fms at " << k;
+            }
+        } else {
+            expectLanes(D::fma(va, vb, vc), gv(G::fmadd, ga, gb, gc), "fma", i);
+            expectLanes(D::fms(va, vb, vc), gv(G::fmsub, ga, gb, gc), "fms", i);
+        }
+        expectLanes(D::min(va, vb), gv(G::min, ga, gb), "min", i);
+        expectLanes(D::max(va, vb), gv(G::max, ga, gb), "max", i);
+        expectLanes(D::round(va), gv(G::round, ga), "round", i);
+
+        expectMask(va < vb, gm(G::cmp_lt, ga, gb), "<", i);
+        expectMask(va > vb, gm(G::cmp_gt, ga, gb), ">", i);
+        expectMask(va != vb, gm(G::cmp_ne, ga, gb), "!=", i);
+        expectMask(va == vb, gm(G::cmp_eq, ga, gb), "==", i);
+        expectMask(va >= vb, gm(G::cmp_ge, ga, gb), ">=", i);
+        const M m1 = va < vb;
+        const M m2 = vb >= vc;
+        const auto gm1 = gm(G::cmp_lt, ga, gb);
+        const auto gm2 = gm(G::cmp_ge, gb, gc);
+        expectMask(m1 & m2, gm(G::mand, gm1, gm2), "&", i);
+        expectMask(m1 | m2, gm(G::mor, gm1, gm2), "|", i);
+        expectMask(m1.andnot(m2), gm(G::mandnot, gm1, gm2), "andnot", i);
+        expectLanes(D::select(m1, va, vb), gv(G::blend, gm1, ga, gb),
+                    "select", i);
+        expectLanes(D::maskZero(m2, va), gv(G::maskz, gm2, ga), "maskZero",
+                    i);
+
+        T fold = a[i];
+        for (int l = 1; l < W; ++l)
+            fold += a[i + l];
+        EXPECT_TRUE(sameLane(va.sum(), fold)) << "sum at " << i;
+    }
+
+    // ldexp: every special scaled by the exponent limits and between.
+    const int kMax = Limits::max_exponent - 1;
+    const int kMin = Limits::min_exponent - 1;
+    const int exps[kSpecials] = {kMin,     kMax,     0,        1,
+                                 -1,       2,        -2,       7,
+                                 -9,       31,       -40,      60,
+                                 kMin + 1, kMax - 1, kMin / 2, kMax / 2};
+    for (int e = 0; e < kSpecials; ++e) {
+        std::vector<T> k;
+        for (int l = 0; l < kSpecials; ++l)
+            k.push_back(static_cast<T>(exps[(e + l) % kSpecials]));
+        for (int s = 0; s < kSpecials; s += W) {
+            const D got = D::ldexp(D::loadu(&specials[s]), D::loadu(&k[s]));
+            const auto want = gv(G::ldexp, gv(G::loadu, &specials[s]),
+                                 gv(G::loadu, &k[s]));
+            expectLanes(got, want, "ldexp", static_cast<std::size_t>(e));
+        }
+    }
+
+    // Index lanes: unsigned wrap in * and +, ids < 2^31 where the
+    // contract requires it (fromIndex*, truncToIndex, fromIndex).
+    const std::uint32_t big[16] = {0,  1,          2,          3,
+                                   5,  8,          13,         0x7fffffffu,
+                                   0x80000000u, 0xffffffffu, 1u << 20,
+                                   77, 4096,       65535,      9, 10};
+    const std::uint32_t small[16] = {3, 0, 7, 1, 6, 2, 5, 4,
+                                     2, 2, 0, 7, 1, 3, 6, 5};
+    const int types[8] = {2, 0, 3, 1, 9, -4, 11, 6};
+    const T table[8] = {T(0), T(10), T(-20), T(30),
+                        T(40), T(-0.0), T(60), T(70)};
+    const T toTrunc[16] = {T(0),   T(0.5),  T(0.99), T(1),
+                           T(2.75), T(3.5), T(1e6),  T(1 << 30),
+                           T(7),   T(8.25), T(9.9),  T(11),
+                           T(12),  T(13.5), T(14),   T(15.75)};
+    for (int at = 0; at < 16; at += W) {
+        const I idx = I::load(&big[at]);
+        const I ids = I::load(&small[at]);
+        const auto gidx = gi(GI::loadu, &big[at]);
+        const auto gids = gi(GI::loadu, &small[at]);
+        for (int l = 0; l < W; ++l)
+            EXPECT_EQ(idx.lane(l), big[at + l]) << "load";
+        for (const std::uint32_t s : {0u, 3u, 6u, 0x9e3779b9u}) {
+            const auto mullo = gi(GI::mullo, gidx, s);
+            const auto add = gi(GI::add, gidx, s);
+            const auto min = gi(GI::min, gidx, s);
+            for (int l = 0; l < W; ++l) {
+                EXPECT_EQ((idx * s).lane(l), mullo[l]) << "*" << s;
+                EXPECT_EQ((idx + s).lane(l), add[l]) << "+" << s;
+                EXPECT_EQ(I::min(idx, s).lane(l), min[l]) << "min" << s;
+            }
+            if (s < 8) {
+                expectMask(M::fromIndexGT(ids, s), gm(G::idx_gt, ids, s),
+                           "fromIndexGT", static_cast<std::size_t>(at));
+                expectMask(M::fromIndexEQ(ids, s), gm(G::idx_eq, ids, s),
+                           "fromIndexEQ", static_cast<std::size_t>(at));
+            }
+        }
+        const auto types32 = gi(GI::gather32, types, gids);
+        for (int l = 0; l < W; ++l)
+            EXPECT_EQ(I::gather32(types, ids).lane(l), types32[l]);
+        expectLanes(D::gather(table, ids), gv(G::gather, table, ids), "gather",
+                    static_cast<std::size_t>(at));
+        expectLanes(D::fromIndex(ids), gv(G::cvt, ids), "fromIndex",
+                    static_cast<std::size_t>(at));
+        const I trunc = D::truncToIndex(D::loadu(&toTrunc[at]));
+        I gtrunc;
+        G::cvtt(gtrunc, gv(G::loadu, &toTrunc[at]));
+        for (int l = 0; l < W; ++l)
+            EXPECT_EQ(trunc.lane(l), gtrunc.lane(l)) << "truncToIndex";
+
+        // compressStore: the compiled overload against the generic
+        // template, exactly popcount lanes written.
+        for (int bits = 0; bits < (1 << W); bits += W == 16 ? 97 : 1) {
+            std::uint32_t got[17], want[17];
+            std::fill(std::begin(got), std::end(got), 0xdeadu);
+            std::fill(std::begin(want), std::end(want), 0xdeadu);
+            const int n = compressStore(got, idx, bits);
+            EXPECT_EQ(n, compressStore<W>(want, idx, bits));
+            EXPECT_TRUE(std::equal(std::begin(got), std::end(got),
+                                   std::begin(want)))
+                << "compressStore bits " << bits;
+        }
+    }
 }
 
 // ---------------------------------------------------- padded packing
