@@ -121,14 +121,6 @@ Fft3d::inverse(std::vector<Complex> &data) const
     TraceScope trace("kspace", "fft_inverse");
     counterAdd(Counter::KspaceFfts);
     transform(data, 1);
-    const double norm = 1.0 / static_cast<double>(size());
-    Complex *grid = data.data();
-    ThreadPool::global().parallelFor(
-        0, data.size(), 4096,
-        [&](std::size_t begin, std::size_t end, int) {
-            for (std::size_t i = begin; i < end; ++i)
-                grid[i] *= norm;
-        });
 }
 
 } // namespace mdbench

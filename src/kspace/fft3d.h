@@ -60,7 +60,11 @@ class Fft3d
     /** Forward transform (sign -1), in place. */
     void forward(std::vector<Complex> &data) const;
 
-    /** Inverse transform with 1/(nx ny nz) normalization, in place. */
+    /**
+     * Unnormalized inverse transform (sign +1), in place: forward then
+     * inverse scales the data by size(), as in FFTW. Callers fold the
+     * 1/size() into a factor they apply anyway.
+     */
     void inverse(std::vector<Complex> &data) const;
 
   private:

@@ -322,8 +322,9 @@ Pppm::computeImpl(Simulation &sim)
         fft_->forward(rho_);
         ++stats_.fftCount;
 
-        const double fieldScale =
-            static_cast<double>(fft_->size()) / volume; // unnorm. inverse
+        // The inverse FFTs are unnormalized, so 1/volume is the whole
+        // field scale.
+        const double fieldScale = 1.0 / volume;
         const Complex *rho = rho_.data();
         const double *influence = influence_.data();
         const Vec3 *kvec = kvec_.data();

@@ -126,10 +126,11 @@ TEST(Fft3d, RoundTrip)
         value = Complex(rng.uniform(-1, 1), rng.uniform(-1, 1));
     const auto original = data;
     fft.forward(data);
-    fft.inverse(data);
+    fft.inverse(data); // unnormalized: size() times the input
+    const double n = static_cast<double>(fft.size());
     for (std::size_t i = 0; i < data.size(); ++i) {
-        EXPECT_NEAR(data[i].real(), original[i].real(), 1e-10);
-        EXPECT_NEAR(data[i].imag(), original[i].imag(), 1e-10);
+        EXPECT_NEAR(data[i].real() / n, original[i].real(), 1e-10);
+        EXPECT_NEAR(data[i].imag() / n, original[i].imag(), 1e-10);
     }
 }
 
@@ -218,10 +219,11 @@ TEST(Fft3d, NonPowerOfTwoRoundTrip)
         value = Complex(rng.uniform(-1, 1), rng.uniform(-1, 1));
     const auto original = data;
     fft.forward(data);
-    fft.inverse(data);
+    fft.inverse(data); // unnormalized: size() times the input
+    const double n = static_cast<double>(fft.size());
     for (std::size_t i = 0; i < data.size(); ++i) {
-        EXPECT_NEAR(data[i].real(), original[i].real(), 1e-10);
-        EXPECT_NEAR(data[i].imag(), original[i].imag(), 1e-10);
+        EXPECT_NEAR(data[i].real() / n, original[i].real(), 1e-10);
+        EXPECT_NEAR(data[i].imag() / n, original[i].imag(), 1e-10);
     }
 }
 
