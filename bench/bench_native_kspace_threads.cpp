@@ -16,7 +16,6 @@
  * size (CI).
  */
 
-#include <cstring>
 #include <iostream>
 #include <sstream>
 #include <vector>
@@ -84,10 +83,7 @@ int
 main(int argc, char **argv)
 {
     BenchRun run(argc, argv, "bench_native_kspace_threads");
-    bool quick = false;
-    for (int i = 1; i < argc; ++i)
-        if (std::strcmp(argv[i], "--quick") == 0)
-            quick = true;
+    const bool quick = run.options().quick;
 
     const int molecules = quick ? 8 : 12;
     const long warmup = quick ? 2 : 5;

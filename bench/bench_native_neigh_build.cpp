@@ -1,13 +1,14 @@
 /**
  * @file
  * Throughput of the neighbor-list build pipeline (DESIGN.md §14):
- * sweeps system × size × SIMD filter width (0 = scalar oracle walk,
- * -1 = native width) × thread count and reports best-of-N build time,
+ * sweeps system × size × SIMD filter width (0 = the W = 1 fill, the
+ * reference every wider fill matches row for row; -1 = native width) ×
+ * thread count and reports best-of-N build time,
  * ns/atom, and the bytes/atom of the packing the pair kernels traverse.
  * The systems are the LJ melt (no exclusions) and the Rhodo proxy,
  * whose solute rows drop their bonded partners through the special
  * lists. The `vs_scalar_serial` column is the speedup against the
- * scalar single-thread build of the same system — the number the
+ * width-0 single-thread build of the same system — the number the
  * vectorized + threaded build is accountable to.
  *
  * Usage: bench_native_neigh_build [--quick] [shared flags]
@@ -15,7 +16,6 @@
  */
 
 #include <algorithm>
-#include <cstring>
 #include <iostream>
 #include <memory>
 #include <sstream>
@@ -113,10 +113,7 @@ int
 main(int argc, char **argv)
 {
     BenchRun run(argc, argv, "bench_native_neigh_build");
-    bool quick = false;
-    for (int i = 1; i < argc; ++i)
-        if (std::strcmp(argv[i], "--quick") == 0)
-            quick = true;
+    const bool quick = run.options().quick;
 
     const int reps = quick ? 2 : 3;
     // buildLJ(c) is 4c³ atoms: the full sweep ends at the paper's

@@ -18,7 +18,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <functional>
 #include <iostream>
 #include <memory>
@@ -172,10 +171,7 @@ int
 main(int argc, char **argv)
 {
     BenchRun run(argc, argv, "bench_native_precision");
-    bool quick = false;
-    for (int i = 1; i < argc; ++i)
-        if (std::strcmp(argv[i], "--quick") == 0)
-            quick = true;
+    const bool quick = run.options().quick;
 
     ThreadPool::setThreads(1); // isolate kernel throughput from threading
     const double target = quick ? 0.02 : 0.25;

@@ -19,7 +19,6 @@
  * `--quick` drops the large rank counts to smoke-test size (CI).
  */
 
-#include <cstring>
 #include <iostream>
 #include <vector>
 
@@ -47,9 +46,7 @@ int
 main(int argc, char **argv)
 {
     BenchRun run(argc, argv, "bench_native_rank_overlap");
-    bool quick = false;
-    for (int i = 1; i < argc; ++i)
-        quick = quick || std::strcmp(argv[i], "--quick") == 0;
+    const bool quick = run.options().quick;
 
     printFigureHeader(std::cout, "Rank overlap",
                       "Concurrent rank execution: blocking vs overlapped "

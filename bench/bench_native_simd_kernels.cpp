@@ -14,7 +14,6 @@
  * `--quick` shrinks systems and the timing target to smoke-test size.
  */
 
-#include <cstring>
 #include <functional>
 #include <iostream>
 #include <memory>
@@ -102,10 +101,7 @@ int
 main(int argc, char **argv)
 {
     BenchRun run(argc, argv, "bench_native_simd_kernels");
-    bool quick = false;
-    for (int i = 1; i < argc; ++i)
-        if (std::strcmp(argv[i], "--quick") == 0)
-            quick = true;
+    const bool quick = run.options().quick;
 
     ThreadPool::setThreads(1); // isolate kernel throughput from threading
     const double target = quick ? 0.02 : 0.25;

@@ -15,7 +15,6 @@
  * `--quick` shrinks systems and step counts to smoke-test size (CI).
  */
 
-#include <cstring>
 #include <iostream>
 #include <sstream>
 #include <vector>
@@ -111,10 +110,7 @@ int
 main(int argc, char **argv)
 {
     BenchRun run(argc, argv, "bench_native_sort_locality");
-    bool quick = false;
-    for (int i = 1; i < argc; ++i)
-        if (std::strcmp(argv[i], "--quick") == 0)
-            quick = true;
+    const bool quick = run.options().quick;
 
     const std::vector<Config> configs =
         quick ? std::vector<Config>{{BenchmarkId::LJ, 4000, 20, 30},

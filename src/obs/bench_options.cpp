@@ -65,6 +65,11 @@ parseBenchOptions(int &argc, char **argv)
             ++i;
             continue;
         }
+        if (std::strcmp(argv[i], "--quick") == 0) {
+            options.quick = true;
+            ++i;
+            continue;
+        }
         if (std::strcmp(argv[i], "--help") == 0) {
             options.help = true;
             // keep --help visible to wrapped parsers (google-benchmark)
@@ -103,18 +108,28 @@ benchOptionsUsage()
            "(overrides MDBENCH_LOG_LEVEL)\n"
            "  --no-simd         SIMD off: double W = 1 pair kernels "
            "(overrides MDBENCH_SIMD)\n"
+           "  --quick           smoke-test size, for benches that have "
+           "one\n"
            "  --precision TIER  double|mixed|single|default native "
            "compute tier (overrides MDBENCH_PRECISION)\n";
 }
 
 namespace {
 
-/** parseBenchOptions, with misuse reported as a usage error (exit 2). */
+/**
+ * parseBenchOptions, with misuse reported as a usage error (exit 2): a
+ * bench with no parser of its own takes no argument but the shared
+ * flags, so a typo cannot silently run the full sweep.
+ */
 BenchOptions
-parseOrExit(int &argc, char **argv, const std::string &program)
+parseOrExit(int &argc, char **argv, const std::string &program,
+            BenchHelp help)
 {
     try {
-        return parseBenchOptions(argc, argv);
+        BenchOptions options = parseBenchOptions(argc, argv);
+        if (help == BenchHelp::Exit && !options.help && argc > 1)
+            fatal(std::string("unknown argument '") + argv[1] + "'");
+        return options;
     } catch (const FatalError &error) {
         std::fprintf(stderr, "%s: %s\n%s", program.c_str(), error.what(),
                      benchOptionsUsage());
@@ -126,7 +141,7 @@ parseOrExit(int &argc, char **argv, const std::string &program)
 
 BenchRun::BenchRun(int &argc, char **argv, const std::string &program,
                    BenchHelp help)
-    : options_(parseOrExit(argc, argv, program)), manifest_(program)
+    : options_(parseOrExit(argc, argv, program, help)), manifest_(program)
 {
     if (options_.help) {
         std::fputs(benchOptionsUsage(), stdout);

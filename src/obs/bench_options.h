@@ -1,12 +1,13 @@
 /**
  * @file
  * Shared command-line options for every bench binary: `--trace FILE`,
- * `--manifest FILE`, `--log-level LEVEL`, `--precision TIER` (and
- * `--help` for the shared flags). BenchRun is the one-liner each bench
- * main creates; it parses
- * and strips the shared flags (leaving unknown flags, e.g. google-
- * benchmark's, untouched), enables the tracer, installs the active
- * manifest, and writes both output files when the run ends.
+ * `--manifest FILE`, `--log-level LEVEL`, `--precision TIER`,
+ * `--no-simd`, `--quick` (and `--help` for the shared flags). BenchRun
+ * is the one-liner each bench main creates; it parses and strips the
+ * shared flags, rejects any other argument (unless the bench passes
+ * them on to a wrapped parser, e.g. google-benchmark's), enables the
+ * tracer, installs the active manifest, and writes both output files
+ * when the run ends.
  */
 
 #ifndef MDBENCH_OBS_BENCH_OPTIONS_H
@@ -27,6 +28,7 @@ struct BenchOptions
     std::string precision;    ///< --precision TIER (empty = unchanged)
     bool help = false;        ///< --help seen
     bool noSimd = false;      ///< --no-simd seen (SIMD width 0)
+    bool quick = false;       ///< --quick seen (smoke-test size)
 };
 
 /**
@@ -40,11 +42,11 @@ BenchOptions parseBenchOptions(int &argc, char **argv);
 /** Usage text for the shared flags. */
 const char *benchOptionsUsage();
 
-/** What BenchRun does after printing the usage for `--help`. */
+/** Whether a bench wraps another parser (`--help`, unknown flags). */
 enum class BenchHelp
 {
-    Exit,   ///< exit 0: the bench has no parser of its own
-    PassOn, ///< continue, `--help` left in argv for a wrapped parser
+    Exit,   ///< no parser of its own: `--help` exits 0, unknown flags 2
+    PassOn, ///< continue with `--help` and unknown flags left in argv
 };
 
 /**
@@ -53,7 +55,8 @@ enum class BenchHelp
  * writes the requested output files.
  *
  * A misused shared flag (missing value, invalid --log-level or
- * --precision) prints the error and the usage to stderr and exits 2.
+ * --precision) or, under BenchHelp::Exit, an argument that is no
+ * shared flag prints the error and the usage to stderr and exits 2.
  */
 class BenchRun
 {
