@@ -354,7 +354,11 @@ fillRowSimdImpl(const BuildCtx &c, std::size_t i, const StencilRuns &runs,
     const std::uint32_t i32 = static_cast<std::uint32_t>(i);
     const auto [special, specialEnd] = c.special(i);
     std::uint32_t n = 0;
-    const auto chunk = [&](std::uint32_t at, int laneMask) {
+    // Forced inline: at W = 1 gcc otherwise leaves the chunk out of
+    // line, and the width-0 build ran twice as slow as the row walk the
+    // W = 1 fill replaced.
+    const auto chunk = [&](std::uint32_t at,
+                           int laneMask) __attribute__((always_inline)) {
         const I ids = I::load(c.binAtoms + at);
         const D xj = D::loadu(c.sx + at);
         const D yj = D::loadu(c.sy + at);
@@ -364,6 +368,13 @@ fillRowSimdImpl(const BuildCtx &c, std::size_t i, const StencilRuns &runs,
         const D ddz = zj - ziV;
         const D rsq = D::fma(ddz, ddz, D::fma(ddy, ddy, ddx * ddx));
         const M dist = rsq < cutSqV;
+        // Most candidates fail the distance test (the acceptance ratio
+        // is ~0.2), so one lane at a time skips the ownership algebra
+        // for them; wider chunks rarely have every lane out of range.
+        if constexpr (W == 1) {
+            if (dist.bits() == 0)
+                return;
+        }
         M inc;
         if constexpr (Full) {
             // Full list: every in-range candidate except i itself.
