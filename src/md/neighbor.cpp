@@ -318,9 +318,7 @@ stencilRuns(const BuildCtx &c, const mdbench::Vec3 &xi)
  * compressStore in ascending lane order, so every W emits the rows of
  * the W = 1 instantiation — the reference the wider ones are tested
  * against — in the same order (modulo the documented 1-ulp ISA fma
- * contraction at the build cutoff). Widths 0 and 1 run W = 1 itself;
- * its generic fma is unfused, so it adds the three squares exactly as
- * written.
+ * contraction at the build cutoff). Widths 0 and 1 run W = 1 itself.
  *
  * Half-list ownership: j is kept when it lies in the upper half-space
  * of i — greater z, then greater y, then greater x — with j > i

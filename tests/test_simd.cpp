@@ -259,38 +259,6 @@ TEST(SimdOps, SumIsAscendingLaneOrder)
 
 // ------------------------------------------------ backend equivalence
 
-/** Element type and width of one register trait under test. */
-template <typename T, int W>
-struct Lanes
-{
-    using Elem = T;
-    static constexpr int kWidth = W;
-};
-
-template <typename P>
-class SimdBackend : public testing::Test
-{};
-
-/** "double4", "float16", ...: stable test names on every build. */
-struct LanesName
-{
-    template <typename P>
-    static std::string
-    GetName(int)
-    {
-        return (std::is_same_v<typename P::Elem, double> ? "double"
-                                                          : "float") +
-               std::to_string(P::kWidth);
-    }
-};
-
-// Every (T, W) an ISA build specializes. Where this build has no ISA
-// trait for one, the class body is checked against its own generic
-// trait.
-using TraitLanes = testing::Types<Lanes<double, 4>, Lanes<float, 8>,
-                                  Lanes<double, 8>, Lanes<float, 16>>;
-TYPED_TEST_SUITE(SimdBackend, TraitLanes, LanesName);
-
 /** Same lane value: both NaN, or equal bit for bit (-0 is not +0). */
 template <typename T>
 bool
@@ -306,11 +274,13 @@ sameLane(T x, T y)
  * against the generic trait detail::ArrayRegs<T, W> at the same W, on
  * every pair of NaN, ±0, ±inf, extremes, a subnormal and plain values.
  * fma/fms are expected fused on an ISA trait, unfused on the generic.
+ * Where the build has no ISA trait for (T, W), the class body is
+ * checked against its own generic trait.
  */
-TYPED_TEST(SimdBackend, EveryOpMatchesTheGenericTraitLaneForLane)
+template <typename T, int W>
+void
+expectEveryOpMatchesGenericTrait()
 {
-    using T = typename TypeParam::Elem;
-    constexpr int W = TypeParam::kWidth;
     using D = Simd<T, W>;
     using M = SimdMask<T, W>;
     using I = SimdIndex<W>;
@@ -508,6 +478,26 @@ TYPED_TEST(SimdBackend, EveryOpMatchesTheGenericTraitLaneForLane)
                 << "compressStore bits " << bits;
         }
     }
+}
+
+TEST(SimdBackend, EveryOpMatchesGenericTraitDouble4)
+{
+    expectEveryOpMatchesGenericTrait<double, 4>();
+}
+
+TEST(SimdBackend, EveryOpMatchesGenericTraitFloat8)
+{
+    expectEveryOpMatchesGenericTrait<float, 8>();
+}
+
+TEST(SimdBackend, EveryOpMatchesGenericTraitDouble8)
+{
+    expectEveryOpMatchesGenericTrait<double, 8>();
+}
+
+TEST(SimdBackend, EveryOpMatchesGenericTraitFloat16)
+{
+    expectEveryOpMatchesGenericTrait<float, 16>();
 }
 
 // ---------------------------------------------------- padded packing
