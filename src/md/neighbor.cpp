@@ -352,11 +352,7 @@ fillRowSimdImpl(const BuildCtx &c, std::size_t i, const StencilRuns &runs,
     const std::uint32_t i32 = static_cast<std::uint32_t>(i);
     const auto [special, specialEnd] = c.special(i);
     std::uint32_t n = 0;
-    // Forced inline: at W = 1 gcc otherwise leaves the chunk out of
-    // line, and the width-0 build ran twice as slow as the row walk the
-    // W = 1 fill replaced.
-    const auto chunk = [&](std::uint32_t at,
-                           int laneMask) __attribute__((always_inline)) {
+    const auto chunk = [&](std::uint32_t at, int laneMask) {
         const I ids = I::load(c.binAtoms + at);
         const D xj = D::loadu(c.sx + at);
         const D yj = D::loadu(c.sy + at);
@@ -409,9 +405,12 @@ fillRowSimdImpl(const BuildCtx &c, std::size_t i, const StencilRuns &runs,
         // Whole chunks need no lane-validity mask; the single tail
         // chunk keeps only its first runEnd - idx lanes (the rest read
         // the next bin's staged records, or the pad at the array end).
+        // W = 1 has no tail, and its single call site lets gcc inline
+        // the chunk (out of line, the width-0 build ran twice as slow
+        // as the row walk the W = 1 fill replaced).
         for (; idx + W <= runEnd; idx += W)
             chunk(idx, kFullMask);
-        if (idx < runEnd)
+        if (W > 1 && idx < runEnd)
             chunk(idx, (1 << (runEnd - idx)) - 1);
     }
     return n;
