@@ -103,8 +103,10 @@ PairEAM::computeSimdImpl(Simulation &sim, const NeighborList &list)
     TraceScope trace("pair", "eam");
     counterAdd(Counter::PairComputes);
     counterAdd(Counter::PairInteractions, list.pairCount());
-    // Both radial passes traverse the packed list, so the SIMD lane
-    // accounting charges each pair (and each padded slot) twice.
+    // Both radial passes traverse the list, so the SIMD lane accounting
+    // charges each pair (and each padded slot) twice. Each pass runs its
+    // arithmetic over the cutoff-compacted rows only (CutoffRows); those
+    // slots go to pair.compacted_slots, once per slice and pass.
     countSimdLaneUse(list, 2);
     if constexpr (!kDoubleTier)
         counterAdd(Counter::PairFloatComputes);
@@ -140,9 +142,8 @@ PairEAM::computeSimdImpl(Simulation &sim, const NeighborList &list)
         rhoTab = tables_.rho.viewF();
         phiTab = tables_.phi.viewF();
     }
-    const D cutSqV(static_cast<real>(cutSq));
-    const D zero(real(0));
-    const D minusOne(real(-1));
+    const bool packed = list.padWidth != 0;
+    const std::uint32_t sentinel = list.sentinel;
 
     // Stage positions as 4-element records in the tier's `real` type
     // (md/xpack.h) so both radial passes use transpose loads instead
@@ -154,12 +155,12 @@ PairEAM::computeSimdImpl(Simulation &sim, const NeighborList &list)
     const real *xpackPtr =
         xpack_.get<real>().stage(atoms.x.data(), nullptr, nallPad);
 
-    // Pass 1: host electron densities, W pairs at a time. The masked
-    // contribution is an exact zero for rejected and sentinel lanes, so
-    // they add nothing to the row sum and the per-lane scatter skips
-    // them. Densities always accumulate in the double
-    // scratch: the row sum and the per-lane scatters widen float-tier
-    // contributions at the store.
+    // Pass 1: host electron densities, W in-cutoff pairs at a time. The
+    // masked contribution is an exact zero for the sentinel lanes that
+    // pad a compacted row (and for rejected pairs at W = 1), so they add
+    // nothing to the row sum and the per-lane scatter skips them.
+    // Densities always accumulate in the double scratch: the row sum and
+    // the per-lane scatters widen float-tier contributions at the store.
     rhoBar_.assign(nall, 0.0);
     rhoScratch_.runAndReduce(pool, slices, nall, rhoBar_.data(), [&](
         std::size_t sliceBegin, std::size_t sliceEnd, int, int buffer) {
@@ -171,36 +172,48 @@ PairEAM::computeSimdImpl(Simulation &sim, const NeighborList &list)
         const SpView rhoSp = rhoTab;
         const D cutSqL(static_cast<real>(cutSq));
         const D zeroL(real(0));
+        CutoffRows<real, W> inCut(xpk, pk, static_cast<real>(cutSq),
+                                  sentinel);
         for (std::size_t i = sliceBegin; i < sliceEnd; ++i) {
             const real *xiRec = xpk + 4 * i;
             const D xiX(xiRec[0]), xiY(xiRec[1]), xiZ(xiRec[2]);
             D rhoI(real(0));
-            const std::uint32_t begin = po[i], end = po[i + 1];
-            for (std::uint32_t k = begin; k < end; k += W) {
-                D xjX, xjY, xjZ, xjW;
-                loadXyzw(xpk, pk + k, xjX, xjY, xjZ, xjW);
-                const D dx = xiX - xjX;
-                const D dy = xiY - xjY;
-                const D dz = xiZ - xjZ;
-                // fma association matches Vec3::normSq bitwise on the
-                // generic backend (addition order is commutative).
-                const D r2 = D::fma(dz, dz, D::fma(dy, dy, dx * dx));
-                const M mask = r2 < cutSqL;
-                const int active = mask.bits();
-                // All lanes rejected (or pure padding): the masked
-                // contribution would be an exact zero everywhere, so
-                // skipping the spline eval is bitwise free.
-                if (active == 0)
-                    continue;
-                const D r = D::sqrt(r2);
-                D rhoV, rhoD;
-                evalSplineSimd<real, W>(rhoSp, r, rhoV, rhoD);
-                const D contribution = D::select(mask, rhoV, zeroL);
-                rhoI += contribution;
-                newtonScatter(rho, pk, k, active, contribution);
+            const std::uint32_t end = po[i + 1];
+            for (std::uint32_t c = po[i]; c < end;) {
+                const CompactedRow row =
+                    inCut.compact(c, end, xiX, xiY, xiZ);
+                c = row.next;
+                const std::uint32_t *const ids = row.ids;
+                for (std::uint32_t k = 0; k < row.count; k += W) {
+                    D xjX, xjY, xjZ, xjW;
+                    loadXyzw(xpk, ids + k, xjX, xjY, xjZ, xjW);
+                    const D dx = xiX - xjX;
+                    const D dy = xiY - xjY;
+                    const D dz = xiZ - xjZ;
+                    // fma association matches Vec3::normSq bitwise on
+                    // the generic backend (addition order is
+                    // commutative).
+                    const D r2 = D::fma(dz, dz, D::fma(dy, dy, dx * dx));
+                    const M mask = r2 < cutSqL;
+                    const int active = mask.bits();
+                    // All lanes rejected (W = 1 rows are not
+                    // compacted): the masked contribution would be an
+                    // exact zero everywhere, so skipping the spline
+                    // eval is bitwise free.
+                    if (active == 0)
+                        continue;
+                    const D r = D::sqrt(r2);
+                    D rhoV, rhoD;
+                    evalSplineSimd<real, W>(rhoSp, r, rhoV, rhoD);
+                    const D contribution = D::select(mask, rhoV, zeroL);
+                    rhoI += contribution;
+                    newtonScatter(rho, ids, k, active, contribution);
+                }
             }
             rho.at(i) += rhoI.sum();
         }
+        if (packed)
+            counterAdd(Counter::PairCompactedSlots, inCut.slots());
     });
     sim.comm->reverseScalar(sim, rhoBar_);
 
@@ -251,9 +264,11 @@ PairEAM::computeSimdImpl(Simulation &sim, const NeighborList &list)
     energy_ = embedSlice.fold(slices, energy_);
     sim.comm->forwardScalar(sim, fp_);
 
-    // Pass 2: forces. fScalar is masked (not the accumulators), so
-    // rejected and sentinel lanes contribute exact zeros to fi, the
-    // energies, and the virial, and are skipped by the Newton scatter.
+    // Pass 2: forces, compacted the same way on the fly (keeping pass
+    // 1's compacted rows would cost a list-sized buffer). fScalar is
+    // masked (not the accumulators), so rejected and sentinel lanes
+    // contribute exact zeros to fi, the energies, and the virial, and
+    // are skipped by the Newton scatter.
     const double *fp = fp_.data();
     xpackPtr = xpack_.get<real>().setPayload(fp, nallPad);
     fscratch_.runAndReduce(pool, slices, nall, atoms.f.data(), [&](
@@ -267,47 +282,58 @@ PairEAM::computeSimdImpl(Simulation &sim, const NeighborList &list)
         const D cutSqL(static_cast<real>(cutSq));
         const D zeroL(real(0));
         const D minusOneL(real(-1));
+        CutoffRows<real, W> inCut(xpk, pk, static_cast<real>(cutSq),
+                                  sentinel);
         TierSums<P, W, 2> sums; // [0] energy, [1] virial
         for (std::size_t i = sliceBegin; i < sliceEnd; ++i) {
             const real *xiRec = xpk + 4 * i;
             const D xiX(xiRec[0]), xiY(xiRec[1]), xiZ(xiRec[2]);
             const D fpI(xiRec[3]);
             D fiX(real(0)), fiY(real(0)), fiZ(real(0));
-            const std::uint32_t begin = po[i], end = po[i + 1];
-            for (std::uint32_t k = begin; k < end; k += W) {
-                D xjX, xjY, xjZ, fpJ;
-                loadXyzw(xpk, pk + k, xjX, xjY, xjZ, fpJ);
-                const D dx = xiX - xjX;
-                const D dy = xiY - xjY;
-                const D dz = xiZ - xjZ;
-                const D r2 = D::fma(dz, dz, D::fma(dy, dy, dx * dx));
-                const M mask = r2 < cutSqL;
-                const int active = mask.bits();
-                if (active == 0)
-                    continue;
-                const D r = D::sqrt(r2);
-                D phiV, phiD;
-                evalSplineSimd<real, W>(phiSp, r, phiV, phiD);
-                D rhoV, rhoD;
-                evalSplineSimd<real, W>(rhoSp, r, rhoV, rhoD);
-                // -x as (-1.0) * x: bitwise identical to a unary
-                // minus for every finite value including zeros.
-                const D fScalar = D::select(
-                    mask, minusOneL * ((fpI + fpJ) * rhoD + phiD), zeroL);
-                const D fOverR = fScalar / r;
-                const D fpx = dx * fOverR;
-                const D fpy = dy * fOverR;
-                const D fpz = dz * fOverR;
-                fiX += fpx;
-                fiY += fpy;
-                fiZ += fpz;
-                newtonScatter(fw, pk, k, active, fpx, fpy, fpz);
-                sums[0] += D::select(mask, phiV, zeroL);
-                sums[1] += fScalar * r;
+            const std::uint32_t end = po[i + 1];
+            for (std::uint32_t c = po[i]; c < end;) {
+                const CompactedRow row =
+                    inCut.compact(c, end, xiX, xiY, xiZ);
+                c = row.next;
+                const std::uint32_t *const ids = row.ids;
+                for (std::uint32_t k = 0; k < row.count; k += W) {
+                    D xjX, xjY, xjZ, fpJ;
+                    loadXyzw(xpk, ids + k, xjX, xjY, xjZ, fpJ);
+                    const D dx = xiX - xjX;
+                    const D dy = xiY - xjY;
+                    const D dz = xiZ - xjZ;
+                    const D r2 = D::fma(dz, dz, D::fma(dy, dy, dx * dx));
+                    const M mask = r2 < cutSqL;
+                    const int active = mask.bits();
+                    if (active == 0)
+                        continue;
+                    const D r = D::sqrt(r2);
+                    D phiV, phiD;
+                    evalSplineSimd<real, W>(phiSp, r, phiV, phiD);
+                    D rhoV, rhoD;
+                    evalSplineSimd<real, W>(rhoSp, r, rhoV, rhoD);
+                    // -x as (-1.0) * x: bitwise identical to a unary
+                    // minus for every finite value including zeros.
+                    const D fScalar = D::select(
+                        mask, minusOneL * ((fpI + fpJ) * rhoD + phiD),
+                        zeroL);
+                    const D fOverR = fScalar / r;
+                    const D fpx = dx * fOverR;
+                    const D fpy = dy * fOverR;
+                    const D fpz = dz * fOverR;
+                    fiX += fpx;
+                    fiY += fpy;
+                    fiZ += fpz;
+                    newtonScatter(fw, ids, k, active, fpx, fpy, fpz);
+                    sums[0] += D::select(mask, phiV, zeroL);
+                    sums[1] += fScalar * r;
+                }
             }
             flushRowForce(fw.at(i), fiX, fiY, fiZ);
             sums.endRow();
         }
+        if (packed)
+            counterAdd(Counter::PairCompactedSlots, inCut.slots());
         energySlice[s] = sums.total(0);
         virialSlice[s] = sums.total(1);
     });

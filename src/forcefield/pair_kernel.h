@@ -15,6 +15,7 @@
 #ifndef MDBENCH_FORCEFIELD_PAIR_KERNEL_H
 #define MDBENCH_FORCEFIELD_PAIR_KERNEL_H
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <cstdint>
@@ -181,6 +182,96 @@ newtonScatter(ReduceScratch<double>::Accumulator &sum,
     v.storeu(sv);
     forEachLane(active, [&](int l) { sum.at(pk[k + l]) += sv[l]; });
 }
+
+/**
+ * One chunk of a cutoff-compacted row: the arithmetic loop runs
+ * ids[0, count) (count a multiple of W) and the next chunk starts at
+ * packed slot `next`.
+ */
+struct CompactedRow
+{
+    const std::uint32_t *ids;
+    std::uint32_t count;
+    std::uint32_t next;
+};
+
+/**
+ * Per-row cutoff compaction for kernels whose per-pair arithmetic is
+ * heavy enough to pay for a second position load (EAM splines, charmm
+ * erfc and switching; lj/cut is not). compact() walks W-groups of the
+ * packed row, keeps the ids with r² < cutSq — the kernels' own test
+ * and fma association — in ascending order through compressStore, and
+ * pads the tail with the sentinel, so the kernel runs its masked
+ * arithmetic on in-cutoff pairs only. Rows longer than kChunk come back
+ * in chunks of the fixed buffer, each padded on its own. W = 1 hands
+ * back the row itself: its whole-group skip already drops every
+ * rejected pair, so widths 0 and 1 run exactly the uncompacted loop.
+ * slots() is the padded length handed back so far, which the kernels
+ * charge to pair.compacted_slots once per slice.
+ */
+template <typename T, int W>
+class CutoffRows
+{
+    using D = Simd<T, W>;
+
+  public:
+    /**
+     * Packed slots compacted per call: the fixed buffer's length, above
+     * every row of the suite's workloads (the Rhodo proxy's half rows
+     * reach ~530 as its NPT box contracts).
+     */
+    static constexpr std::uint32_t kChunk = 1024;
+    static_assert(kChunk % W == 0);
+
+    CutoffRows(const T *xpk, const std::uint32_t *pk, T cutSq,
+               std::uint32_t sentinel)
+        : xpk_(xpk), pk_(pk), cutSq_(cutSq), sentinel_(sentinel)
+    {
+    }
+
+    /**
+     * The in-cutoff ids of pk[begin, end) around the atom at (xi, yi,
+     * zi), at most kChunk packed slots of it per call.
+     */
+    CompactedRow
+    compact(std::uint32_t begin, std::uint32_t end, const D &xi,
+            const D &yi, const D &zi)
+    {
+        if constexpr (W == 1) {
+            slots_ += end - begin;
+            return {pk_ + begin, end - begin, end};
+        } else {
+            const std::uint32_t stop = begin + std::min(end - begin, kChunk);
+            std::uint32_t n = 0;
+            for (std::uint32_t k = begin; k < stop; k += W) {
+                D xj, yj, zj;
+                loadXyz(xpk_, pk_ + k, xj, yj, zj);
+                const D dx = xi - xj;
+                const D dy = yi - yj;
+                const D dz = zi - zj;
+                const D r2 = D::fma(dz, dz, D::fma(dy, dy, dx * dx));
+                // Unqualified: the ISA overloads are not templates.
+                n += static_cast<std::uint32_t>(compressStore(
+                    buf_ + n, SimdIndex<W>::load(pk_ + k),
+                    (r2 < cutSq_).bits()));
+            }
+            for (; n % W != 0; ++n)
+                buf_[n] = sentinel_;
+            slots_ += n;
+            return {buf_, n, stop};
+        }
+    }
+
+    std::uint64_t slots() const { return slots_; }
+
+  private:
+    const T *xpk_;
+    const std::uint32_t *pk_;
+    D cutSq_;
+    std::uint32_t sentinel_;
+    std::uint64_t slots_ = 0;
+    alignas(64) std::uint32_t buf_[W == 1 ? 1 : kChunk];
+};
 
 /**
  * Add a row's force stripes to @p fi. Per-atom forces are always

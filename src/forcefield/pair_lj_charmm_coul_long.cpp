@@ -157,6 +157,8 @@ PairLJCharmmCoulLong::computeSimdImpl(Simulation &sim,
         coeffBase = coeffsF_.data();
     const Coeff cSingle = coeff(1, 1);
     const NeighborList::Rows rows = list.rows();
+    const bool packed = list.padWidth != 0;
+    const std::uint32_t sentinel = list.sentinel;
     Vec3 *f = atoms.f.data();
 
     // Stage positions + charge as 4-element [x, y, z, q] records in the
@@ -193,6 +195,8 @@ PairLJCharmmCoulLong::computeSimdImpl(Simulation &sim,
         const D lj2S(static_cast<real>(cSingle.lj2));
         const D lj3S(static_cast<real>(cSingle.lj3));
         const D lj4S(static_cast<real>(cSingle.lj4));
+        CutoffRows<real, W> inCut(xpk, pk, static_cast<real>(cutAllSq),
+                                  sentinel);
         TierSums<P, W, 3> sums; // [0] ecoul, [1] evdwl, [2] virial
         for (std::size_t i = sliceBegin; i < sliceEnd; ++i) {
             const real *xiRec = xpk + 4 * i;
@@ -209,98 +213,110 @@ PairLJCharmmCoulLong::computeSimdImpl(Simulation &sim,
                                   static_cast<std::uint32_t>(ntypes_ + 1);
             const D xiX(xiRec[0]), xiY(xiRec[1]), xiZ(xiRec[2]);
             D fiX(real(0)), fiY(real(0)), fiZ(real(0));
-            const std::uint32_t begin = po[i], end = po[i + 1];
-            for (std::uint32_t k = begin; k < end; k += W) {
-                D xjX, xjY, xjZ, qj;
-                loadXyzw(xpk, pk + k, xjX, xjY, xjZ, qj);
-                const D dx = xiX - xjX;
-                const D dy = xiY - xjY;
-                const D dz = xiZ - xjZ;
-                // fma association matches Vec3::normSq bitwise on the
-                // generic backend (addition order is commutative).
-                const D rsq = D::fma(dz, dz, D::fma(dy, dy, dx * dx));
-                // Every term below is masked through this (or a
-                // tighter) cutoff mask, so lanes past cutAllSq and the
-                // sentinel contribute exact zeros.
-                const M anyMask = rsq < cutAllSqV;
-                const int anyBits = anyMask.bits();
-                // All lanes rejected (or pure padding): every term below
-                // would be an exact zero, so skipping is bitwise free.
-                if (anyBits == 0)
-                    continue;
-                const D r2inv = one / rsq;
+            const std::uint32_t end = po[i + 1];
+            for (std::uint32_t c = po[i]; c < end;) {
+                const CompactedRow row =
+                    inCut.compact(c, end, xiX, xiY, xiZ);
+                c = row.next;
+                const std::uint32_t *const ids = row.ids;
+                for (std::uint32_t k = 0; k < row.count; k += W) {
+                    D xjX, xjY, xjZ, qj;
+                    loadXyzw(xpk, ids + k, xjX, xjY, xjZ, qj);
+                    const D dx = xiX - xjX;
+                    const D dy = xiY - xjY;
+                    const D dz = xiZ - xjZ;
+                    // fma association matches Vec3::normSq bitwise on
+                    // the generic backend (addition order is
+                    // commutative).
+                    const D rsq = D::fma(dz, dz, D::fma(dy, dy, dx * dx));
+                    // Every term below is masked through this (or a
+                    // tighter) cutoff mask, so the sentinel lanes that
+                    // pad a compacted row (and, at W = 1, lanes past
+                    // cutAllSq) contribute exact zeros.
+                    const M anyMask = rsq < cutAllSqV;
+                    const int anyBits = anyMask.bits();
+                    // All lanes rejected (W = 1 rows are not compacted):
+                    // every term below would be an exact zero, so
+                    // skipping is bitwise free.
+                    if (anyBits == 0)
+                        continue;
+                    const D r2inv = one / rsq;
 
-                D forcecoul = zero;
-                const M coulMask = (rsq < cutCoulSqV) & (qj != zero);
-                if (qiNonzero && coulMask.bits() != 0) {
-                    const D r = D::sqrt(rsq);
-                    const D grij = gV * r;
-                    // erfc and exp(-grij^2) over the whole group. Lanes
-                    // outside coulMask (the sentinel included) stay
-                    // finite, since expNonPositive clamps its argument
-                    // and returns exact zeros far out, and the masks
-                    // below drop them.
-                    D erfcV = one;
-                    D expm2 = zero;
-                    if (ewald) {
-                        const auto e = erfcExpm2(grij);
-                        erfcV = e.erfc;
-                        expm2 = e.expm2;
+                    D forcecoul = zero;
+                    const M coulMask = (rsq < cutCoulSqV) & (qj != zero);
+                    if (qiNonzero && coulMask.bits() != 0) {
+                        const D r = D::sqrt(rsq);
+                        const D grij = gV * r;
+                        // erfc and exp(-grij^2) over the whole group.
+                        // Lanes outside coulMask (the sentinel included)
+                        // stay finite, since expNonPositive clamps its
+                        // argument and returns exact zeros far out, and
+                        // the masks below drop them.
+                        D erfcV = one;
+                        D expm2 = zero;
+                        if (ewald) {
+                            const auto e = erfcExpm2(grij);
+                            erfcV = e.erfc;
+                            expm2 = e.expm2;
+                        }
+                        const D prefactor = qqr2eQiV * qj / r;
+                        forcecoul = D::maskZero(
+                            coulMask, prefactor * (erfcV + kSqrtPiInv2V *
+                                                               grij * expm2));
+                        sums[0] += D::maskZero(coulMask, prefactor * erfcV);
                     }
-                    const D prefactor = qqr2eQiV * qj / r;
-                    forcecoul = D::maskZero(
-                        coulMask,
-                        prefactor * (erfcV + kSqrtPiInv2V * grij * expm2));
-                    sums[0] += D::maskZero(coulMask, prefactor * erfcV);
-                }
 
-                const M ljMask = rsq < cutLJSqV;
-                D lj1, lj2, lj3, lj4;
-                if constexpr (kSingleType) {
-                    lj1 = lj1S; lj2 = lj2S; lj3 = lj3S; lj4 = lj4S;
-                } else {
-                    const I j = I::load(pk + k);
-                    const I cidx =
-                        (I::gather32(type, j) + rowBase) * kCoeffStride;
-                    lj1 = D::gather(coeffBase, cidx);
-                    lj2 = D::gather(coeffBase, cidx + 1u);
-                    lj3 = D::gather(coeffBase, cidx + 2u);
-                    lj4 = D::gather(coeffBase, cidx + 3u);
-                }
-                const D r6inv = r2inv * r2inv * r2inv;
-                D forcelj = r6inv * (lj1 * r6inv - lj2);
-                D philj = r6inv * (lj3 * r6inv - lj4);
-                // Switching region: compute the switched values for
-                // every lane and select; out-of-range lanes are finite
-                // (the pad slot sits ~1e6 box lengths out, far below
-                // the overflow threshold of these polynomials).
-                const M switchMask = rsq > cutLJInnerSqV;
-                const D rsw = cutLJSqV - rsq;
-                const D switch1 = rsw * rsw *
-                                  (cutLJSqV + two * rsq - threeInnerV) /
-                                  denomLJV;
-                const D switch2 =
-                    twelve * rsq * rsw * (rsq - cutLJInnerSqV) / denomLJV;
-                forcelj = D::select(
-                    switchMask, forcelj * switch1 + philj * switch2,
-                    forcelj);
-                philj = D::select(switchMask, philj * switch1, philj);
-                forcelj = D::select(ljMask, forcelj, zero);
-                sums[1] += D::select(ljMask, philj, zero);
+                    const M ljMask = rsq < cutLJSqV;
+                    D lj1, lj2, lj3, lj4;
+                    if constexpr (kSingleType) {
+                        lj1 = lj1S; lj2 = lj2S; lj3 = lj3S; lj4 = lj4S;
+                    } else {
+                        const I j = I::load(ids + k);
+                        const I cidx = (I::gather32(type, j) + rowBase) *
+                                       kCoeffStride;
+                        lj1 = D::gather(coeffBase, cidx);
+                        lj2 = D::gather(coeffBase, cidx + 1u);
+                        lj3 = D::gather(coeffBase, cidx + 2u);
+                        lj4 = D::gather(coeffBase, cidx + 3u);
+                    }
+                    const D r6inv = r2inv * r2inv * r2inv;
+                    D forcelj = r6inv * (lj1 * r6inv - lj2);
+                    D philj = r6inv * (lj3 * r6inv - lj4);
+                    // Switching region: compute the switched values for
+                    // every lane and select; out-of-range lanes are
+                    // finite (the pad slot sits ~1e6 box lengths out,
+                    // far below the overflow threshold of these
+                    // polynomials).
+                    const M switchMask = rsq > cutLJInnerSqV;
+                    const D rsw = cutLJSqV - rsq;
+                    const D switch1 =
+                        rsw * rsw * (cutLJSqV + two * rsq - threeInnerV) /
+                        denomLJV;
+                    const D switch2 = twelve * rsq * rsw *
+                                      (rsq - cutLJInnerSqV) / denomLJV;
+                    forcelj = D::select(
+                        switchMask, forcelj * switch1 + philj * switch2,
+                        forcelj);
+                    philj = D::select(switchMask, philj * switch1, philj);
+                    forcelj = D::select(ljMask, forcelj, zero);
+                    sums[1] += D::select(ljMask, philj, zero);
 
-                const D fpair = (forcecoul + forcelj) * r2inv;
-                const D fpx = dx * fpair;
-                const D fpy = dy * fpair;
-                const D fpz = dz * fpair;
-                fiX = D::select(anyMask, fiX + fpx, fiX);
-                fiY = D::select(anyMask, fiY + fpy, fiY);
-                fiZ = D::select(anyMask, fiZ + fpz, fiZ);
-                newtonScatter(fw, pk, k, anyBits, fpx, fpy, fpz);
-                sums[2] += D::select(anyMask, fpair * rsq, zero);
+                    const D fpair = (forcecoul + forcelj) * r2inv;
+                    const D fpx = dx * fpair;
+                    const D fpy = dy * fpair;
+                    const D fpz = dz * fpair;
+                    fiX = D::select(anyMask, fiX + fpx, fiX);
+                    fiY = D::select(anyMask, fiY + fpy, fiY);
+                    fiZ = D::select(anyMask, fiZ + fpz, fiZ);
+                    newtonScatter(fw, ids, k, anyBits, fpx, fpy, fpz);
+                    sums[2] += D::select(anyMask, fpair * rsq, zero);
+                }
             }
             flushRowForce(fw.at(i), fiX, fiY, fiZ);
             sums.endRow();
         }
+        if (packed)
+            counterAdd(Counter::PairCompactedSlots, inCut.slots());
         ecoulSlice[s] = sums.total(0);
         evdwlSlice[s] = sums.total(1);
         virialSlice[s] = sums.total(2);

@@ -26,6 +26,7 @@ counterName(Counter counter)
       case Counter::PairInteractions: return "pair.interactions";
       case Counter::PairSimdLanesActive: return "pair.simd_lanes_active";
       case Counter::PairSimdPaddingWaste: return "pair.simd_padding_waste";
+      case Counter::PairCompactedSlots: return "pair.compacted_slots";
       case Counter::PairFloatComputes: return "pair.float_computes";
       case Counter::PairInteriorPairs: return "pair.interior_pairs";
       case Counter::PairBoundaryPairs: return "pair.boundary_pairs";

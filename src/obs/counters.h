@@ -40,6 +40,7 @@ enum class Counter : std::size_t {
     PairInteractions,   ///< neighbor pairs visited by pair kernels
     PairSimdLanesActive,  ///< real-pair lanes processed by SIMD kernels
     PairSimdPaddingWaste, ///< sentinel lanes processed by SIMD kernels
+    PairCompactedSlots,   ///< cutoff-compacted slots run by EAM/charmm
     PairFloatComputes,    ///< pair compute() calls run at a float tier
     PairInteriorPairs,    ///< pairs computed in interior (pre-halo) passes
     PairBoundaryPairs,    ///< pairs computed in boundary (post-halo) passes

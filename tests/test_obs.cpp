@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <set>
 #include <sstream>
@@ -25,8 +26,9 @@
 #include "obs/manifest.h"
 #include "obs/task_scope.h"
 #include "obs/trace.h"
-#include "util/simd.h"
 #include "util/logging.h"
+#include "util/precision.h"
+#include "util/simd.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
 
@@ -169,6 +171,7 @@ TEST(Counters, NamesAreStableAndDistinct)
     EXPECT_EQ(names.count("neigh.builds"), 1u);
     EXPECT_EQ(names.count("neigh.excluded_pairs"), 1u);
     EXPECT_EQ(names.count("pair.interactions"), 1u);
+    EXPECT_EQ(names.count("pair.compacted_slots"), 1u);
     EXPECT_EQ(names.count("kspace.ffts"), 1u);
     EXPECT_EQ(names.count("pool.slices"), 1u);
     EXPECT_EQ(names.count("mpi.modeled_bytes"), 1u);
@@ -238,6 +241,48 @@ TEST(Counters, SimdKernelLaneAccounting)
     EXPECT_EQ(waste, list.paddedSlots);
     EXPECT_EQ(counterValue(Counter::NeighPaddedSlots), list.paddedSlots);
     EXPECT_EQ((lanes + waste) % 4, 0u);
+    resetCounters();
+    setSimdWidth(-1);
+}
+
+TEST(Counters, CompactedSlotsTileEamInCutoffGroups)
+{
+    // setup() runs one EAM compute. Both radial passes run the
+    // cutoff-compacted rows, so pair.compacted_slots is, over the
+    // owned atoms, 2 * ceil(n_i / W) * W for n_i the row's pairs inside
+    // the cutoff (every row here is shorter than one compaction chunk).
+    setSimdWidth(4);
+    resetCounters();
+    auto sim = buildEAM(4);
+    sim->thermoEvery = 0;
+    sim->setup();
+    const NeighborList &list = sim->neighbor.list();
+    ASSERT_TRUE(list.packedFor(4));
+    ASSERT_EQ(list.packTier, Precision::Double);
+    const double cutSq = sim->pair->cutoff() * sim->pair->cutoff();
+    std::uint64_t expected = 0;
+    for (std::size_t i = 0; i < sim->atoms.nlocal(); ++i) {
+        std::uint64_t inCut = 0;
+        const auto [begin, end] = list.range(i);
+        for (std::uint32_t k = begin; k < end; ++k) {
+            const Vec3 d =
+                sim->atoms.x[i] - sim->atoms.x[list.neighbors[k]];
+            if (d.normSq() < cutSq)
+                ++inCut;
+        }
+        expected += 2 * ((inCut + 3) / 4) * 4;
+    }
+    EXPECT_EQ(counterValue(Counter::PairCompactedSlots), expected);
+    // The skin shell is real work the compaction saves.
+    EXPECT_LT(expected, 2 * (list.pairCount() + list.paddedSlots));
+
+    // Width 0 is no SIMD traversal: nothing is charged.
+    setSimdWidth(0);
+    resetCounters();
+    auto plain = buildEAM(4);
+    plain->thermoEvery = 0;
+    plain->setup();
+    EXPECT_EQ(counterValue(Counter::PairCompactedSlots), 0u);
     resetCounters();
     setSimdWidth(-1);
 }

@@ -2,7 +2,8 @@
  * @file
  * The portable SIMD compute layer (DESIGN.md §12): wrapper-op semantics
  * of the generic and compiled backends, the padded neighbor packing,
- * kernel agreement with the width-0 reference at every width, the
+ * the per-row cutoff compaction of forcefield/pair_kernel.h, kernel
+ * agreement with the width-0 reference at every width, the
  * width-0 rows against the width-1 packing, thread-count
  * invariance of the vector kernels, the sort-interaction regression,
  * the width-selection API, and the exp/erfc of util/simd_math.h.
@@ -26,6 +27,7 @@
 
 #include "core/suite.h"
 #include "env_guard.h"
+#include "forcefield/pair_kernel.h"
 #include "md/neighbor.h"
 #include "md/simulation.h"
 #include "obs/counters.h"
@@ -592,6 +594,179 @@ TEST(PackedList, SimdFullListMatchesScalarFullList)
     }
 }
 
+// ------------------------------------------------ cutoff compaction
+
+/** All chunks of one row through CutoffRows, concatenated. */
+struct CompactedChunks
+{
+    std::vector<std::uint32_t> ids; ///< every slot handed back, in order
+    std::vector<std::uint32_t> counts; ///< slots per chunk
+};
+
+template <typename T, int W>
+CompactedChunks
+compactWholeRow(CutoffRows<T, W> &rows, const std::vector<std::uint32_t> &pk,
+                std::uint32_t begin, std::uint32_t end)
+{
+    using D = Simd<T, W>;
+    const D origin(T(0));
+    CompactedChunks out;
+    for (std::uint32_t c = begin; c < end;) {
+        const CompactedRow row = rows.compact(c, end, origin, origin, origin);
+        if (W == 1) {
+            // W = 1 hands back the row itself, in one piece.
+            EXPECT_EQ(row.ids, pk.data() + c);
+            EXPECT_EQ(row.next, end);
+        } else {
+            EXPECT_EQ(row.next - c,
+                      std::min(end - c, CutoffRows<T, W>::kChunk));
+        }
+        EXPECT_EQ(row.count % W, 0u);
+        out.ids.insert(out.ids.end(), row.ids, row.ids + row.count);
+        out.counts.push_back(row.count);
+        c = row.next;
+    }
+    return out;
+}
+
+/**
+ * CutoffRows<T, W> around an atom at the origin, over rows of atoms
+ * placed well inside the cutoff, well outside it, and exactly on it.
+ */
+template <typename T, int W>
+void
+expectCompactRowKeepsInCutoffIdsInOrder()
+{
+    SCOPED_TRACE(std::string(std::is_same_v<T, double> ? "double" : "float") +
+                 " W = " + std::to_string(W));
+    using Rows = CutoffRows<T, W>;
+    constexpr std::uint32_t kAtoms = 2 * Rows::kChunk + 40;
+    const std::uint32_t sentinel = kAtoms;
+    // Records [x, y, z, w]; atom ids 0..kAtoms-1, then the sentinel far
+    // out. Atoms with id % 5 == 3 sit exactly on the cutoff (r² = 4 =
+    // cutSq along one axis), id % 5 == 1 or 4 outside, the rest inside.
+    std::vector<T> xpk(4 * (kAtoms + 1), T(0));
+    std::mt19937_64 rng(7);
+    std::uniform_real_distribution<double> dir(-1.0, 1.0);
+    std::vector<bool> inside(kAtoms);
+    for (std::uint32_t a = 0; a < kAtoms; ++a) {
+        T *rec = xpk.data() + 4 * a;
+        if (a % 5 == 3) {
+            rec[a % 3] = (a % 2) ? T(2) : T(-2);
+            continue;
+        }
+        inside[a] = a % 5 != 1 && a % 5 != 4;
+        const double radius = inside[a] ? 1.8 : 2.2;
+        double v[3];
+        double norm = 0.0;
+        do {
+            for (double &c : v)
+                c = dir(rng);
+            norm = std::sqrt(v[0] * v[0] + v[1] * v[1] + v[2] * v[2]);
+        } while (norm < 0.1);
+        for (int c = 0; c < 3; ++c)
+            rec[c] = static_cast<T>(radius * v[c] / norm);
+    }
+    for (int c = 0; c < 3; ++c)
+        xpk[4 * sentinel + c] = T(1e6);
+
+    // One packed row of every atom, a second row of in-cutoff atoms
+    // only, a third of on-cutoff and outside atoms only; each padded
+    // to a multiple of W with the sentinel, as packing pads it.
+    std::vector<std::uint32_t> pk;
+    std::vector<std::uint32_t> offsets = {0};
+    std::vector<std::uint32_t> expected;
+    const auto endRow = [&] {
+        while (pk.size() % W != 0)
+            pk.push_back(sentinel);
+        offsets.push_back(static_cast<std::uint32_t>(pk.size()));
+    };
+    for (std::uint32_t a = 0; a < kAtoms; ++a) {
+        pk.push_back(a);
+        if (inside[a])
+            expected.push_back(a);
+    }
+    endRow();
+    for (std::uint32_t a = 0; a < 8 * W; ++a) {
+        if (inside[a])
+            pk.push_back(a);
+    }
+    endRow();
+    for (std::uint32_t a = 0; a < 8 * W; ++a) {
+        if (!inside[a])
+            pk.push_back(a);
+    }
+    endRow();
+    ASSERT_GT(offsets[1] - offsets[0], Rows::kChunk);
+
+    Rows rows(xpk.data(), pk.data(), T(4), sentinel);
+    std::uint64_t slots = 0;
+    for (std::size_t r = 0; r + 1 < offsets.size(); ++r) {
+        SCOPED_TRACE("row " + std::to_string(r));
+        const CompactedChunks got =
+            compactWholeRow(rows, pk, offsets[r], offsets[r + 1]);
+        for (std::uint32_t n : got.counts)
+            slots += n;
+        if (W == 1) {
+            // Nothing dropped: the W = 1 kernel skips rejected pairs.
+            EXPECT_EQ(got.ids, std::vector<std::uint32_t>(
+                                   pk.begin() + offsets[r],
+                                   pk.begin() + offsets[r + 1]));
+            continue;
+        }
+        if (r == 1) {
+            // Entirely inside: the row comes back unchanged.
+            EXPECT_EQ(got.ids, std::vector<std::uint32_t>(
+                                   pk.begin() + offsets[1],
+                                   pk.begin() + offsets[2]));
+        }
+        if (r == 2) {
+            // On or outside the cutoff only: zero groups.
+            EXPECT_TRUE(got.ids.empty());
+        }
+        // Each chunk is its kept ids ascending, then fewer than W
+        // sentinels; the kept ids together are the row's in-cutoff
+        // subset.
+        std::vector<std::uint32_t> kept;
+        std::size_t at = 0;
+        for (std::uint32_t n : got.counts) {
+            std::uint32_t pad = 0;
+            for (std::uint32_t l = 0; l < n; ++l) {
+                const std::uint32_t id = got.ids[at + l];
+                if (id == sentinel) {
+                    ++pad;
+                } else {
+                    EXPECT_EQ(pad, 0u) << "sentinel before a kept id";
+                    kept.push_back(id);
+                }
+            }
+            EXPECT_LT(pad, static_cast<std::uint32_t>(W));
+            at += n;
+        }
+        if (r == 0) {
+            EXPECT_EQ(kept, expected);
+        }
+    }
+    EXPECT_EQ(rows.slots(), slots);
+}
+
+template <int W>
+void
+expectCompactRowAtWidth()
+{
+    expectCompactRowKeepsInCutoffIdsInOrder<double, W>();
+    expectCompactRowKeepsInCutoffIdsInOrder<float, W>();
+}
+
+TEST(PairKernel, CompactRowKeepsInCutoffIdsInOrder)
+{
+    expectCompactRowAtWidth<1>();
+    expectCompactRowAtWidth<2>();
+    expectCompactRowAtWidth<4>();
+    expectCompactRowAtWidth<8>();
+    expectCompactRowAtWidth<16>();
+}
+
 // ------------------------------------------------- kernel agreement
 
 TEST(Kernels, LjCutMatchesWidthOneReferenceAtEveryWidth)
@@ -684,22 +859,39 @@ TEST(Kernels, UnsupportedPackedWidthPanics)
 
 TEST(Kernels, SimdForcesAreThreadCountInvariant)
 {
+    // Forced width 4 runs the generic traits on builds without an ISA
+    // one, so EAM's and charmm's cutoff compaction runs there too; -1
+    // is the build's default width.
     WidthGuard guard;
     const int before = ThreadPool::threads();
-    setSimdWidth(4);
-    ThreadPool::setThreads(1);
-    auto ref = builtLJ();
-    ThreadPool::setThreads(3);
-    auto sim = builtLJ();
-    ThreadPool::setThreads(before);
-    ASSERT_EQ(ref->atoms.nlocal(), sim->atoms.nlocal());
-    for (std::size_t i = 0; i < sim->atoms.nlocal(); ++i) {
-        EXPECT_EQ(ref->atoms.f[i].x, sim->atoms.f[i].x);
-        EXPECT_EQ(ref->atoms.f[i].y, sim->atoms.f[i].y);
-        EXPECT_EQ(ref->atoms.f[i].z, sim->atoms.f[i].z);
+    const std::pair<const char *, Builder> styles[] = {
+        {"lj/cut", builtLJ},
+        {"eam", builtEAM},
+        {"charmm", builtCharmm},
+    };
+    for (int width : {4, -1}) {
+        setSimdWidth(width);
+        for (const auto &[name, build] : styles) {
+            SCOPED_TRACE(std::string(name) + ", width " +
+                         std::to_string(width));
+            ThreadPool::setThreads(1);
+            auto ref = build();
+            ThreadPool::setThreads(3);
+            auto sim = build();
+            ASSERT_EQ(ref->atoms.nlocal(), sim->atoms.nlocal());
+            std::size_t differ = 0;
+            for (std::size_t i = 0; i < sim->atoms.nlocal(); ++i) {
+                const Vec3 a = ref->atoms.f[i];
+                const Vec3 b = sim->atoms.f[i];
+                if (a.x != b.x || a.y != b.y || a.z != b.z)
+                    ++differ;
+            }
+            EXPECT_EQ(differ, 0u);
+            EXPECT_EQ(ref->pair->energy(), sim->pair->energy());
+            EXPECT_EQ(ref->pair->virial(), sim->pair->virial());
+        }
     }
-    EXPECT_EQ(ref->pair->energy(), sim->pair->energy());
-    EXPECT_EQ(ref->pair->virial(), sim->pair->virial());
+    ThreadPool::setThreads(before);
 }
 
 TEST(Kernels, SortEveryRebuildKeepsPackingConsistent)
