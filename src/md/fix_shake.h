@@ -3,10 +3,13 @@
  * SHAKE/RATTLE holonomic constraints (LAMMPS `fix shake`), used by the
  * Rhodopsin workload to keep solvent molecules rigid.
  *
- * After the unconstrained position update, SHAKE iteratively projects the
- * positions of each cluster back onto the constraint manifold; after the
- * final velocity update, RATTLE removes velocity components along the
- * constrained directions.
+ * After the unconstrained position update, SHAKE moves the positions of
+ * each cluster back onto the constraint manifold along the saved bond
+ * directions; after the final velocity update, RATTLE removes the
+ * velocity components along the constrained directions. Both solve all
+ * of a cluster's Lagrange multipliers together (LAMMPS `shake3angle`,
+ * `vrattle3angle`, generalised to any cluster of up to
+ * kMaxClusterConstraints constraints).
  */
 
 #ifndef MDBENCH_MD_FIX_SHAKE_H
@@ -21,13 +24,18 @@
 
 namespace mdbench {
 
+class Box;
+
 /**
  * Constrains the clusters listed in Topology::shakeClusters.
  *
  * The clusters are resolved from tags to local atom indices once per
  * reneighbor (LAMMPS `shake_atom`/`shake_flag`) and solved in parallel
- * over the thread pool. Clusters share no atoms and each one is solved
- * by a single thread in its fixed Gauss-Seidel order, so positions,
+ * over the thread pool. Per cluster of m constraints, SHAKE runs a
+ * Newton iteration on the m multipliers alone (an m x m dense solve
+ * per iteration, built from the cluster's Gram terms) and then moves
+ * the atoms once; RATTLE is one m x m linear solve. Clusters share no
+ * atoms and each one is solved by a single thread, so positions,
  * velocities and maxResidual() are bitwise identical at any thread
  * count.
  *
@@ -38,8 +46,14 @@ class FixShake : public Fix
 {
   public:
     /**
+     * Most constraints one cluster may have (a fully rigid 4-atom
+     * cluster); larger clusters are fatal() at resolve time.
+     */
+    static constexpr std::size_t kMaxClusterConstraints = 6;
+
+    /**
      * @param tolerance Relative tolerance on squared distances.
-     * @param maxIterations Iteration cap per cluster per step.
+     * @param maxIterations Newton iteration cap per cluster per step.
      */
     explicit FixShake(double tolerance = 1e-8, int maxIterations = 100);
 
@@ -54,6 +68,9 @@ class FixShake : public Fix
 
     /** Largest relative constraint violation after the last solve. */
     double maxResidual() const { return maxResidual_; }
+
+    /** The relative tolerance on squared distances. */
+    double tolerance() const { return tolerance_; }
 
   private:
     /** A constraint between two slots of the resolved atom arrays. */
@@ -72,6 +89,17 @@ class FixShake : public Fix
     void savePositions(const Simulation &sim);
     void solvePositions(Simulation &sim);
     void solveVelocities(Simulation &sim);
+    /**
+     * SHAKE cluster @p c; returns its Newton iteration count and raises
+     * @p worst to its largest relative residual.
+     */
+    int solveClusterPositions(std::size_t c, const Box &box, Vec3 *x,
+                              Vec3 *v, double invDt, double &worst) const;
+    /** RATTLE cluster @p c. */
+    void solveClusterVelocities(std::size_t c, const Box &box,
+                                const Vec3 *x, Vec3 *v) const;
+    /** Mass coupling of constraints @p p and @p k (symmetric). */
+    double coupling(const SlotConstraint &p, const SlotConstraint &k) const;
 
     double tolerance_;
     int maxIterations_;
@@ -88,12 +116,6 @@ class FixShake : public Fix
     std::vector<SlotConstraint> constraints_;
     /** reneighborCount() at the last resolve; -1 = stale. */
     long resolvedAt_ = -1;
-
-    // Per-constraint sweep invariants of the running solve: SHAKE's
-    // displacement at the saved positions, or RATTLE's (fixed) current
-    // displacement and its denominator |rab|^2 (1/ma + 1/mb).
-    std::vector<Vec3> rabFixed_;
-    std::vector<double> rattleDenom_;
 };
 
 } // namespace mdbench

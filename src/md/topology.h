@@ -39,7 +39,10 @@ struct ShakeCluster
 {
     /** Atom tags; tags[0] is the central atom. */
     std::vector<std::int64_t> tags;
-    /** Constrained distances: pairs (i, j) of indices into tags + target. */
+    /**
+     * Constrained distances: pairs (i, j) of indices into tags + target.
+     * At most FixShake::kMaxClusterConstraints (6) per cluster.
+     */
     struct Constraint
     {
         int i = 0;

@@ -52,6 +52,7 @@ enum class Counter : std::size_t {
     KspaceFft1dLines,   ///< 1-D line transforms batched by 3-D FFTs
     KspacePlanCacheHits,///< FFT plan cache lookups served from cache
     KspaceSolves,       ///< k-space solver compute() calls
+    ModifyShakeIterations, ///< SHAKE Newton iterations, summed over clusters
     PoolRegions,        ///< thread-pool parallel regions dispatched
     PoolSlices,         ///< slices executed across all regions
     MpiMessages,        ///< modeled MPI messages (ranked runs)

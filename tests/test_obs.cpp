@@ -173,6 +173,7 @@ TEST(Counters, NamesAreStableAndDistinct)
     EXPECT_EQ(names.count("pair.interactions"), 1u);
     EXPECT_EQ(names.count("pair.compacted_slots"), 1u);
     EXPECT_EQ(names.count("kspace.ffts"), 1u);
+    EXPECT_EQ(names.count("modify.shake_iterations"), 1u);
     EXPECT_EQ(names.count("pool.slices"), 1u);
     EXPECT_EQ(names.count("mpi.modeled_bytes"), 1u);
     // Hybrid rank×thread runtime counters (DESIGN.md §17).

@@ -1,14 +1,17 @@
 /**
  * @file
- * SHAKE/RATTLE constraint correctness: rigid 3-site molecules stay
- * rigid under dynamics, velocities stay on the constraint manifold,
- * degrees of freedom are removed, and energy behaves.
+ * SHAKE/RATTLE constraint correctness: rigid clusters of every supported
+ * shape (bond, water triangle, 4-atom star, rigid tetrahedron) stay rigid
+ * under dynamics, velocities stay on the constraint manifold, degrees of
+ * freedom are removed, energy behaves, and oversized or malformed
+ * clusters fail loudly.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "forcefield/pair_lj_cut.h"
@@ -16,6 +19,7 @@
 #include "md/fix_shake.h"
 #include "md/simulation.h"
 #include "md/velocity.h"
+#include "obs/counters.h"
 #include "util/error.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
@@ -26,35 +30,75 @@ namespace {
 constexpr double kBondOH = 0.9572; // TIP3P-like geometry (arbitrary units)
 constexpr double kAngleHOH = 104.52 * M_PI / 180.0;
 
-/** Add one rigid 3-site molecule at @p center; returns the first tag. */
-std::int64_t
-addWater(Simulation &sim, const Vec3 &center, std::int64_t firstTag)
+/**
+ * A rigid cluster shape: its site positions about the cluster's center
+ * and the site pairs it constrains. Site 0 is the heavy, LJ-interacting
+ * atom (type 1); the others are light and inert (type 2).
+ */
+struct Shape
 {
-    const double hh =
-        2.0 * kBondOH * std::sin(kAngleHOH / 2.0); // H-H distance
-    const std::size_t o = sim.atoms.addAtom(firstTag, 1, center);
-    const std::size_t h1 = sim.atoms.addAtom(
-        firstTag + 1, 2,
-        center + Vec3{kBondOH * std::sin(kAngleHOH / 2),
-                      kBondOH * std::cos(kAngleHOH / 2), 0});
-    const std::size_t h2 = sim.atoms.addAtom(
-        firstTag + 2, 2,
-        center + Vec3{-kBondOH * std::sin(kAngleHOH / 2),
-                      kBondOH * std::cos(kAngleHOH / 2), 0});
-    sim.atoms.molecule[o] = firstTag;
-    sim.atoms.molecule[h1] = firstTag;
-    sim.atoms.molecule[h2] = firstTag;
+    std::vector<Vec3> sites;
+    std::vector<std::pair<int, int>> edges;
+};
 
-    ShakeCluster cluster;
-    cluster.tags = {firstTag, firstTag + 1, firstTag + 2};
-    cluster.constraints = {{0, 1, kBondOH}, {0, 2, kBondOH}, {1, 2, hh}};
-    sim.topology.shakeClusters.push_back(cluster);
-    return firstTag + 3;
+/** Rigid 3-site water: two O-H bonds and the H-H distance (shake3angle). */
+Shape
+waterShape()
+{
+    const double sx = kBondOH * std::sin(kAngleHOH / 2);
+    const double sy = kBondOH * std::cos(kAngleHOH / 2);
+    return {{{0, 0, 0}, {sx, sy, 0}, {-sx, sy, 0}},
+            {{0, 1}, {0, 2}, {1, 2}}};
 }
 
-/** Grid of rigid molecules with LJ on the central site. */
+/** One bond (LAMMPS shake2). */
+Shape
+bondShape()
+{
+    return {{{0, 0, 0}, {0.6, 0.5, 0.55}}, {{0, 1}}};
+}
+
+/** A center bonded to three arms, e.g. CH3 (LAMMPS shake4). */
+Shape
+starShape()
+{
+    const double arm = kBondOH / std::sqrt(3.0);
+    return {{{0, 0, 0}, {arm, arm, arm}, {arm, -arm, -arm},
+             {-arm, arm, -arm}},
+            {{0, 1}, {0, 2}, {0, 3}}};
+}
+
+/** Four atoms with all six distances fixed: a rigid tetrahedron. */
+Shape
+tetrahedronShape()
+{
+    return {{{0, 0, 0}, {1.0, 0, 0}, {0.3, 0.95, 0}, {0.35, 0.3, 0.9}},
+            {{0, 1}, {0, 2}, {0, 3}, {1, 2}, {1, 3}, {2, 3}}};
+}
+
+/** Add one @p shape cluster at @p center; returns the next free tag. */
+std::int64_t
+addCluster(Simulation &sim, const Shape &shape, const Vec3 &center,
+           std::int64_t firstTag)
+{
+    ShakeCluster cluster;
+    for (std::size_t s = 0; s < shape.sites.size(); ++s) {
+        const std::int64_t tag = firstTag + static_cast<std::int64_t>(s);
+        const std::size_t i =
+            sim.atoms.addAtom(tag, s == 0 ? 1 : 2, center + shape.sites[s]);
+        sim.atoms.molecule[i] = firstTag;
+        cluster.tags.push_back(tag);
+    }
+    for (const auto &[i, j] : shape.edges)
+        cluster.constraints.push_back(
+            {i, j, (shape.sites[i] - shape.sites[j]).norm()});
+    sim.topology.shakeClusters.push_back(cluster);
+    return firstTag + static_cast<std::int64_t>(shape.sites.size());
+}
+
+/** Grid of rigid @p shape clusters with LJ on the heavy site. */
 Simulation
-makeWaterBox(int n, double spacing)
+makeClusterBox(const Shape &shape, int n, double spacing)
 {
     Simulation sim;
     const double length = n * spacing;
@@ -66,10 +110,11 @@ makeWaterBox(int n, double spacing)
     for (int iz = 0; iz < n; ++iz)
         for (int iy = 0; iy < n; ++iy)
             for (int ix = 0; ix < n; ++ix)
-                tag = addWater(sim,
-                               {(ix + 0.35) * spacing, (iy + 0.35) * spacing,
-                                (iz + 0.35) * spacing},
-                               tag);
+                tag = addCluster(sim, shape,
+                                 {(ix + 0.35) * spacing,
+                                  (iy + 0.35) * spacing,
+                                  (iz + 0.35) * spacing},
+                                 tag);
     auto pair = std::make_unique<PairLJCut>(2, 2.8);
     pair->setCoeff(1, 1, 0.15, 2.2);
     pair->setCoeff(2, 2, 0.0, 1.0);
@@ -79,6 +124,13 @@ makeWaterBox(int n, double spacing)
     sim.dt = 0.002;
     sim.thermoEvery = 0;
     return sim;
+}
+
+/** Grid of rigid 3-site molecules with LJ on the central site. */
+Simulation
+makeWaterBox(int n, double spacing)
+{
+    return makeClusterBox(waterShape(), n, spacing);
 }
 
 double
@@ -274,6 +326,123 @@ TEST(Shake, IndicesFollowReneighborAndSort)
                     sim.atoms.tag[i] != static_cast<std::int64_t>(i) + 1;
     EXPECT_TRUE(reordered);
     EXPECT_LT(maxConstraintViolation(sim), 1e-4);
+}
+
+/**
+ * Largest |r . (v_a - v_b)| / (|r| |v_a - v_b|) over all constraints:
+ * the relative velocity left along the bonds after RATTLE.
+ */
+double
+maxBondVelocity(const Simulation &sim)
+{
+    double worst = 0.0;
+    for (const auto &cluster : sim.topology.shakeClusters) {
+        for (const auto &con : cluster.constraints) {
+            const auto a = sim.topology.indexOf(cluster.tags[con.i]);
+            const auto b = sim.topology.indexOf(cluster.tags[con.j]);
+            const Vec3 rab =
+                sim.box.minimumImage(sim.atoms.x[a] - sim.atoms.x[b]);
+            const Vec3 vab = sim.atoms.v[a] - sim.atoms.v[b];
+            const double scale = rab.norm() * vab.norm();
+            if (scale > 0.0)
+                worst = std::max(worst, std::fabs(rab.dot(vab)) / scale);
+        }
+    }
+    return worst;
+}
+
+/**
+ * Through setup and 200 NVE steps of a box of @p shape clusters, the
+ * positions stay within the SHAKE tolerance and RATTLE leaves no
+ * velocity along any bond after any step.
+ */
+void
+expectRigidThroughDynamics(const Shape &shape)
+{
+    constexpr double kTolerance = 1e-8;
+    Simulation sim = makeClusterBox(shape, 3, 3.2);
+    Rng rng(43);
+    createVelocities(sim, 0.5, rng);
+    sim.addFix<FixNVE>();
+    auto &shake = sim.addFix<FixShake>(kTolerance);
+    sim.setup();
+    EXPECT_LE(shake.maxResidual(), kTolerance);
+    EXPECT_LE(maxBondVelocity(sim), 1e-10);
+    for (int step = 1; step <= 200; ++step) {
+        SCOPED_TRACE(step);
+        sim.run(1);
+        ASSERT_LE(shake.maxResidual(), kTolerance);
+        ASSERT_LE(maxBondVelocity(sim), 1e-10);
+    }
+    EXPECT_LT(maxConstraintViolation(sim), 1e-6);
+}
+
+TEST(Shake, BondClusterStaysRigid)
+{
+    expectRigidThroughDynamics(bondShape());
+}
+
+TEST(Shake, StarClusterStaysRigid)
+{
+    expectRigidThroughDynamics(starShape());
+}
+
+TEST(Shake, TetrahedronClusterStaysRigid)
+{
+    expectRigidThroughDynamics(tetrahedronShape());
+}
+
+TEST(Shake, OversizedClusterIsFatal)
+{
+    // Five atoms with all ten distances fixed: more constraints than
+    // one cluster may have.
+    Shape shape{{{0, 0, 0}, {1.0, 0, 0}, {0.3, 0.95, 0}, {0.35, 0.3, 0.9},
+                 {0.5, 0.5, -0.6}},
+                {}};
+    for (int i = 0; i < 5; ++i)
+        for (int j = i + 1; j < 5; ++j)
+            shape.edges.emplace_back(i, j);
+    ASSERT_GT(shape.edges.size(), FixShake::kMaxClusterConstraints);
+    Simulation sim = makeClusterBox(shape, 2, 3.2);
+    sim.addFix<FixNVE>();
+    sim.addFix<FixShake>(1e-8);
+    EXPECT_THROW(sim.setup(), FatalError);
+}
+
+TEST(Shake, DegenerateClusterPanics)
+{
+    // Three collinear atoms with all three distances fixed: the
+    // constraint directions are linearly dependent, so the cluster's
+    // matrix is singular.
+    const Shape shape{{{0, 0, 0}, {1.0, 0, 0}, {2.0, 0, 0}},
+                      {{0, 1}, {0, 2}, {1, 2}}};
+    Simulation sim = makeClusterBox(shape, 2, 3.2);
+    sim.addFix<FixNVE>();
+    sim.addFix<FixShake>(1e-8);
+    EXPECT_THROW(sim.setup(), PanicError);
+}
+
+TEST(Shake, FewIterationsPerClusterSolve)
+{
+    // The Newton iteration on the multipliers converges quadratically:
+    // a few iterations per water cluster and step, where a Gauss-Seidel
+    // sweep to the same tolerance needs about twenty.
+    Simulation sim = makeWaterBox(4, 3.2);
+    Rng rng(47);
+    createVelocities(sim, 0.6, rng);
+    sim.addFix<FixNVE>();
+    sim.addFix<FixShake>(1e-8);
+    sim.setup();
+    resetCounters();
+    constexpr long kSteps = 100;
+    sim.run(kSteps);
+    const double solves = static_cast<double>(
+        kSteps * static_cast<long>(sim.topology.shakeClusters.size()));
+    const double perSolve =
+        static_cast<double>(counterValue(Counter::ModifyShakeIterations)) /
+        solves;
+    EXPECT_GT(perSolve, 0.0);
+    EXPECT_LE(perSolve, 4.0);
 }
 
 } // namespace
