@@ -38,11 +38,11 @@ counterName(Counter counter)
       case Counter::KspaceFft1dLines: return "kspace.fft1d_lines";
       case Counter::KspacePlanCacheHits: return "kspace.plan_cache_hits";
       case Counter::KspaceSolves: return "kspace.solves";
-      case Counter::ModifyShakeIterations: return "modify.shake_iterations";
       case Counter::PoolRegions: return "pool.regions";
       case Counter::PoolSlices: return "pool.slices";
       case Counter::MpiMessages: return "mpi.messages";
       case Counter::MpiModeledBytes: return "mpi.modeled_bytes";
+      case Counter::ModifyShakeIterations: return "modify.shake_iterations";
       default: panic("invalid Counter enumerator");
     }
 }

@@ -52,11 +52,11 @@ enum class Counter : std::size_t {
     KspaceFft1dLines,   ///< 1-D line transforms batched by 3-D FFTs
     KspacePlanCacheHits,///< FFT plan cache lookups served from cache
     KspaceSolves,       ///< k-space solver compute() calls
-    ModifyShakeIterations, ///< SHAKE Newton iterations, summed over clusters
     PoolRegions,        ///< thread-pool parallel regions dispatched
     PoolSlices,         ///< slices executed across all regions
     MpiMessages,        ///< modeled MPI messages (ranked runs)
     MpiModeledBytes,    ///< modeled MPI payload bytes (ranked runs)
+    ModifyShakeIterations, ///< SHAKE Newton iterations, summed over clusters
     NumCounters
 };
 
