@@ -382,6 +382,11 @@ TEST(Shake, BondClusterStaysRigid)
     expectRigidThroughDynamics(bondShape());
 }
 
+TEST(Shake, WaterClusterStaysRigid)
+{
+    expectRigidThroughDynamics(waterShape());
+}
+
 TEST(Shake, StarClusterStaysRigid)
 {
     expectRigidThroughDynamics(starShape());
