@@ -31,7 +31,7 @@ main(int argc, char **argv)
     // host wall column next to the modeled shares.
     std::cout << "\n-- native decomposed companion (measured wall) --\n";
     std::vector<ExperimentSpec> nativeSpecs;
-    for (int overlap : {0, 1}) {
+    for (const bool overlap : {false, true}) {
         ExperimentSpec spec;
         spec.mode = ExperimentMode::NativeRanked;
         spec.benchmark = BenchmarkId::LJ;

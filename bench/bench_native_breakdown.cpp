@@ -50,7 +50,7 @@ emitThreadScaling(std::ostream &os)
             const ExperimentRecord record = runExperiment(spec);
             if (threads == 1)
                 baseline = record.timestepsPerSecond;
-            table.addRow({benchmarkName(id), std::to_string(spec.threads),
+            table.addRow({benchmarkName(id), std::to_string(*spec.threads),
                           formatDouble(record.timestepsPerSecond, 2),
                           formatDouble(baseline > 0.0
                                            ? record.timestepsPerSecond /

@@ -2,9 +2,9 @@
  * @file
  * Throughput of the neighbor-list build pipeline (DESIGN.md §14):
  * sweeps system × size × SIMD filter width (0 = the W = 1 fill, the
- * reference every wider fill matches row for row; -1 = native width) ×
- * thread count and reports best-of-N build time,
- * ns/atom, and the bytes/atom of the packing the pair kernels traverse.
+ * reference every wider fill matches row for row, then the default
+ * width) × thread count and reports best-of-N build time, ns/atom,
+ * and the bytes/atom of the packing the pair kernels traverse.
  * The systems are the LJ melt (no exclusions) and the Rhodo proxy,
  * whose solute rows drop their bonded partners through the special
  * lists. The `vs_scalar_serial` column is the speedup against the
@@ -60,6 +60,7 @@ packedListBytes(const NeighborList &list)
 
 struct Cell
 {
+    int width = 0; ///< double-lane SIMD width the cell ran at
     std::size_t natoms = 0;
     std::size_t pairs = 0;
     double buildMs = 0.0;
@@ -75,20 +76,23 @@ struct System
 };
 
 /**
- * Best-of-@p reps rebuild time with the requested knobs applied for
- * the whole cell (positions are frozen, so every rebuild does
- * identical work and the minimum is the clean measurement).
+ * Best-of-@p reps rebuild time at the default SIMD width, or with the
+ * SIMD layer off unless @p simd (positions are frozen, so every
+ * rebuild does identical work and the minimum is the clean
+ * measurement).
  */
 Cell
-runCell(const System &system, int size, int width, int threads, int reps)
+runCell(const System &system, int size, bool simd, int threads, int reps)
 {
-    setSimdWidth(width);
     ThreadPool::setThreads(threads);
     auto sim = system.build(size);
+    if (!simd)
+        sim->config.simdWidth = 0;
     sim->thermoEvery = 0;
     sim->setup();
 
     Cell cell;
+    cell.width = sim->config.laneWidth(false);
     cell.natoms = sim->atoms.nlocal();
     double best = -1.0;
     for (int rep = 0; rep < reps; ++rep) {
@@ -103,7 +107,6 @@ runCell(const System &system, int size, int width, int threads, int reps)
     cell.bytesPerAtom =
         static_cast<double>(packedListBytes(sim->neighbor.list())) /
         static_cast<double>(cell.natoms);
-    setSimdWidth(-1);
     return cell;
 }
 
@@ -140,17 +143,15 @@ main(int argc, char **argv)
     for (const System &system : systems) {
         for (const int size : system.sizes) {
             double scalarSerialMs = 0.0;
-            for (const int width : {0, -1}) {
+            for (const bool simd : {false, true}) {
                 for (const int threads : threadCounts) {
                     const Cell cell =
-                        runCell(system, size, width, threads, reps);
-                    if (width == 0 && threads == 1)
+                        runCell(system, size, simd, threads, reps);
+                    if (!simd && threads == 1)
                         scalarSerialMs = cell.buildMs;
-                    const int resolvedWidth =
-                        width == 0 ? 0 : simdWidthFor(false);
                     table.addRow(
-                        {system.name, std::to_string(resolvedWidth),
-                         simdBackendName(resolvedWidth),
+                        {system.name, std::to_string(cell.width),
+                         simdBackendName(cell.width),
                          std::to_string(threads),
                          std::to_string(cell.natoms),
                          std::to_string(cell.pairs),

@@ -75,22 +75,19 @@ struct Cell
 /**
  * Time pair->compute on a frozen neighbor list packed at @p tier and
  * @p width (both are baked in at setup's build; the compute dispatch
- * reads them back off the list, so the globals are restored before
- * timing starts). Iterations double until the measurement exceeds
- * @p targetSeconds, so each cell self-calibrates.
+ * reads them back off the list). Iterations double until the
+ * measurement exceeds @p targetSeconds, so each cell self-calibrates.
  */
 Cell
 runCell(const Config &config, Precision tier, int width,
         double targetSeconds)
 {
-    setPrecisionTier(tier);
-    setSimdWidth(width);
     auto sim = config.build();
+    sim->config.precision = tier;
+    sim->config.simdWidth = width;
     sim->thermoEvery = 0;
     sim->neighbor.full = config.fullList;
     sim->setup();
-    setSimdWidth(-1);
-    setPrecisionTier(Precision::EngineDefault);
 
     Cell cell;
     cell.natoms = sim->atoms.nlocal();
@@ -134,14 +131,15 @@ struct Accuracy
 Accuracy
 runAccuracy(Precision tier, int cells, long steps)
 {
-    setPrecisionTier(tier);
-    // Pin the tier's native width for the whole run (rebuilds repack):
-    // the engine default resolves to width 0 on a generic build, which
-    // runs the double kernels at every tier and would hide the float
-    // tiers entirely.
-    setSimdWidth(tier == Precision::Double ? kSimdCompiledWidth
-                                           : kSimdCompiledFloatWidth);
     auto sim = buildLJ(cells);
+    sim->config.precision = tier;
+    // Pin the tier's compiled width for the whole run: the engine
+    // default resolves to width 0 on a generic build, which runs the
+    // double kernels at every tier and would hide the float tiers
+    // entirely.
+    sim->config.simdWidth = tier == Precision::Double
+                                ? kSimdCompiledWidth
+                                : kSimdCompiledFloatWidth;
     sim->thermoEvery = 0;
     sim->setup();
     const double e0 = sim->kineticEnergy() + sim->potentialEnergy();
@@ -151,8 +149,6 @@ runAccuracy(Precision tier, int cells, long steps)
     Accuracy accuracy;
     accuracy.drift = std::fabs(e1 - e0) / std::fabs(e0);
     accuracy.g = computeRdf(*sim, 2.5, 100).g;
-    setSimdWidth(-1);
-    setPrecisionTier(Precision::EngineDefault);
     return accuracy;
 }
 

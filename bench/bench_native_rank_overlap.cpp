@@ -73,7 +73,7 @@ main(int argc, char **argv)
                  "speedup vs blocking"});
     for (const Config &config : configs) {
         double blockingWall = 0.0;
-        for (int overlap : {0, 1}) {
+        for (const bool overlap : {false, true}) {
             ExperimentSpec spec;
             spec.mode = ExperimentMode::NativeRanked;
             spec.benchmark = BenchmarkId::LJ;
@@ -82,9 +82,9 @@ main(int argc, char **argv)
             spec.threads = config.threads;
             spec.steps = config.steps;
             spec.commOverlap = overlap;
-            spec.rankExec = 1;
+            spec.rankExec = RankExecution::Concurrent;
             const ExperimentRecord record = runExperiment(spec);
-            if (overlap == 0)
+            if (!overlap)
                 blockingWall = record.wallSeconds;
             const double msPerStep = record.wallSeconds /
                                      static_cast<double>(config.steps) *

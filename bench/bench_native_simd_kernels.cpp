@@ -65,12 +65,11 @@ struct Cell
 Cell
 runCell(const Config &config, int width, double targetSeconds)
 {
-    setSimdWidth(width);
     auto sim = config.build();
+    sim->config.simdWidth = width;
     sim->thermoEvery = 0;
     sim->neighbor.full = config.fullList;
     sim->setup();
-    setSimdWidth(-1);
 
     Cell cell;
     cell.natoms = sim->atoms.nlocal();

@@ -82,7 +82,7 @@ runSegment(const Config &config, int sortEvery)
 {
     auto sim = buildNative(config.id, config.natoms);
     sim->thermoEvery = 0;
-    sim->setSortEvery(sortEvery);
+    sim->config.sortEvery = sortEvery;
     shuffleAtoms(*sim, 777);
     const auto skippedBefore = counterValue(Counter::SortSkipped);
     sim->setup();

@@ -4,8 +4,6 @@
 #include "parallel/ranked_sim.h"
 #include "perf/power.h"
 #include "util/error.h"
-#include "util/precision.h"
-#include "util/simd.h"
 #include "util/stats.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
@@ -49,45 +47,24 @@ configureRankFor(Simulation &sim, BenchmarkId id,
 }
 
 /**
- * The shared-memory thread count, SIMD width and precision tier of one
- * native experiment: applies the spec's values and, on scope exit,
- * puts back the caller's (the raw overrides, not the resolved values),
- * also when the run throws, so experiments in a sweep do not leak
- * configuration into each other or into the caller.
+ * Resizes the shared pool to a native run's thread count and puts the
+ * caller's size back on scope exit, also when the run throws.
  */
-class ExperimentKnobs
+class RunThreads
 {
   public:
-    explicit ExperimentKnobs(const ExperimentSpec &spec)
+    explicit RunThreads(std::optional<int> threads)
     {
-        if (spec.threads > 0)
-            ThreadPool::setThreads(spec.threads);
-        if (spec.simdWidth >= 0)
-            setSimdWidth(spec.simdWidth);
-        if (spec.precision != Precision::EngineDefault)
-            setPrecisionTier(spec.precision);
+        if (threads)
+            ThreadPool::setThreads(*threads);
     }
+    ~RunThreads() { ThreadPool::setThreads(saved_); }
+
+    RunThreads(const RunThreads &) = delete;
+    RunThreads &operator=(const RunThreads &) = delete;
 
   private:
-    // Saved before the constructor body runs, and as a member restored
-    // even when that body throws.
-    struct Saved
-    {
-        int threads = ThreadPool::threads();
-        int simdWidth = simdWidthOverride();
-        Precision tier = precisionTierOverride();
-
-        Saved() = default;
-        Saved(const Saved &) = delete;
-        Saved &operator=(const Saved &) = delete;
-
-        ~Saved()
-        {
-            setPrecisionTier(tier);
-            setSimdWidth(simdWidth);
-            ThreadPool::setThreads(threads);
-        }
-    } saved_;
+    int saved_ = ThreadPool::threads();
 };
 
 ExperimentRecord
@@ -97,10 +74,9 @@ runNativeSerial(const ExperimentSpec &spec)
     options.kspaceAccuracy = spec.kspaceAccuracy;
     auto sim = buildNative(spec.benchmark, spec.natoms, options);
     sim->thermoEvery = 0;
-    if (spec.sortEvery >= 0)
-        sim->setSortEvery(spec.sortEvery);
+    sim->config = spec.engineConfig();
 
-    const ExperimentKnobs knobs(spec);
+    const RunThreads threads(spec.threads);
     sim->setup();
 
     WallTimer wall;
@@ -128,20 +104,13 @@ runNativeRanked(const ExperimentSpec &spec)
     global->angleStyle.reset();
     global->kspace.reset();
     global->fixes.clear();
+    // Every rank, and the driver's execution knobs, take this config.
+    global->config = spec.engineConfig();
 
-    RankedSimulation ranked(
-        *global, spec.resources,
-        [&](Simulation &sim) {
-            configureRankFor(sim, spec.benchmark, options);
-            if (spec.sortEvery >= 0)
-                sim.setSortEvery(spec.sortEvery);
-        });
-    if (spec.commOverlap >= 0)
-        ranked.setCommOverlap(spec.commOverlap != 0);
-    if (spec.rankExec >= 0)
-        ranked.setExecution(spec.rankExec != 0 ? RankExecution::Concurrent
-                                               : RankExecution::Sequential);
-    const ExperimentKnobs knobs(spec);
+    RankedSimulation ranked(*global, spec.resources, [&](Simulation &sim) {
+        configureRankFor(sim, spec.benchmark, options);
+    });
+    const RunThreads threads(spec.threads);
     ranked.setup();
     WallTimer wall;
     ranked.run(spec.steps);

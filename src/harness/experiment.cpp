@@ -25,6 +25,19 @@ ExperimentSpec::label() const
     return strprintf("%s-%ldk", benchmarkName(benchmark), natoms / 1000);
 }
 
+EngineConfig
+ExperimentSpec::engineConfig() const
+{
+    EngineConfig config = EngineConfig::fromEnv();
+    if (simdWidth)
+        config.simdWidth = *simdWidth;
+    config.precision = precision.value_or(config.precision);
+    config.sortEvery = sortEvery.value_or(config.sortEvery);
+    config.commOverlap = commOverlap.value_or(config.commOverlap);
+    config.rankExec = rankExec.value_or(config.rankExec);
+    return config;
+}
+
 double
 ExperimentRecord::mpiFunctionFraction(MpiFunction fn) const
 {
@@ -42,7 +55,8 @@ runModelExperiment(const ExperimentSpec &spec)
     ExperimentRecord record;
     record.spec = spec;
     const WorkloadInstance workload = WorkloadInstance::make(
-        spec.benchmark, spec.natoms, spec.kspaceAccuracy, spec.precision);
+        spec.benchmark, spec.natoms, spec.kspaceAccuracy,
+        spec.precision.value_or(Precision::Mixed));
 
     if (spec.mode == ExperimentMode::ModelCpu) {
         static const CpuModel model;

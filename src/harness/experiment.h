@@ -7,11 +7,13 @@
 #ifndef MDBENCH_HARNESS_EXPERIMENT_H
 #define MDBENCH_HARNESS_EXPERIMENT_H
 
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "parallel/mpi_model.h"
 #include "perf/workload.h"
+#include "util/engine_config.h"
 #include "util/timer.h"
 
 namespace mdbench {
@@ -36,51 +38,43 @@ struct ExperimentSpec
     double kspaceAccuracy = 1e-4;
 
     /**
-     * Compute precision tier (util/precision.h). EngineDefault defers
-     * to the engine: native modes keep the process-wide tier
-     * (MDBENCH_PRECISION, Double when unset), model modes replay the
-     * paper's default study point (mixed). Any concrete tier applies
-     * to both.
+     * Compute precision tier (util/precision.h). Unset: native modes
+     * keep the environment default (MDBENCH_PRECISION, Double when
+     * unset), model modes replay the paper's default study point
+     * (mixed).
      */
-    Precision precision = Precision::EngineDefault;
+    std::optional<Precision> precision;
     long steps = 10000; ///< modeled run length / native step count
 
     /**
-     * Shared-memory threads for native modes (0 = leave the process-wide
-     * pool as configured; see ThreadPool::setThreads / MDBENCH_THREADS).
-     * Orthogonal to `resources`, which counts simulated MPI ranks.
+     * Shared-memory threads for native modes (unset = the process-wide
+     * pool as configured; see ThreadPool::setThreads). The pool is
+     * resized for the run and put back after it. Orthogonal to
+     * `resources`, which counts simulated MPI ranks.
      */
-    int threads = 0;
+    std::optional<int> threads;
+
+    // Native-mode overrides of the run's EngineConfig
+    // (util/engine_config.h); unset keeps the environment default.
+
+    /** Spatial sort interval in neighbor rebuilds (0 = disabled). */
+    std::optional<int> sortEvery;
 
     /**
-     * Spatial sort interval in neighbor rebuilds for native modes
-     * (-1 = engine default from MDBENCH_SORT_EVERY, 0 = disabled;
-     * see Simulation::setSortEvery).
+     * SIMD width (0 = SIMD off: the double W = 1 kernels over the
+     * plain neighbor rows, otherwise the packing width).
      */
-    int sortEvery = -1;
+    std::optional<int> simdWidth;
 
-    /**
-     * SIMD vector width for native modes (-1 = engine default from
-     * MDBENCH_SIMD, 0 = SIMD off: the double W = 1 kernels over the
-     * plain neighbor rows, otherwise the packing width;
-     * see setSimdWidth in util/simd.h). Takes effect at the run's
-     * first neighbor build.
-     */
-    int simdWidth = -1;
+    /** Overlap the halo exchange with the interior force pass
+     * (NativeRanked; DESIGN.md §17). */
+    std::optional<bool> commOverlap;
 
-    /**
-     * Overlap the halo exchange with the interior force pass in
-     * NativeRanked mode (-1 = engine default from MDBENCH_COMM_OVERLAP,
-     * 0 = blocking exchange, 1 = nonblocking overlap; DESIGN.md §17).
-     */
-    int commOverlap = -1;
+    /** Rank scheduling (NativeRanked). */
+    std::optional<RankExecution> rankExec;
 
-    /**
-     * Rank scheduling for NativeRanked mode (-1 = engine default from
-     * MDBENCH_RANK_EXEC, 0 = sequential oracle, 1 = concurrent over the
-     * shared ThreadPool).
-     */
-    int rankExec = -1;
+    /** The environment default EngineConfig with the overrides above. */
+    EngineConfig engineConfig() const;
 
     /** "<bench>-<size>k" label as the paper's plots use. */
     std::string label() const;

@@ -5,7 +5,6 @@
 #include <atomic>
 #include <bit>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 #include <type_traits>
 #include <utility>
@@ -720,8 +719,8 @@ Neighbor::buildImpl(Simulation &sim)
     // W-wide candidate filter width: the dominant cost of the bin walk
     // is the per-candidate r² check. Widths 0/1 run the W = 1 fill,
     // the reference every wider fill is tested against.
-    const int filterW = [] {
-        const int dw = simdWidthFor(false);
+    const int filterW = [&sim] {
+        const int dw = sim.config.laneWidth(false);
         if (dw >= 8)
             return 8;
         if (dw >= 4)
@@ -794,10 +793,6 @@ Neighbor::packLists(Simulation &sim)
         splitBuilt_ = false;
         packPadded(sim, list_);
     }
-    // Record the knob values the packing was built with so
-    // ensureFreshPacking can detect a stale packing without rebuilding.
-    packedTier_ = precisionTier();
-    packedWidth_ = simdWidthFor(packedTier_ != Precision::Double);
 }
 
 void
@@ -832,12 +827,14 @@ Neighbor::ensureFreshPacking(Simulation &sim)
 {
     if (buildCount_ == 0 || splitGhostPairs)
         return;
-    const Precision tier = precisionTier();
-    const int width = simdWidthFor(tier != Precision::Double);
-    if (width == packedWidth_ && tier == packedTier_)
+    // Width 0 packs nothing and records the double tier.
+    const int width = sim.config.packWidth();
+    const Precision tier =
+        width >= 1 ? sim.config.precision : Precision::Double;
+    if (width == list_.padWidth && tier == list_.packTier)
         return;
-    // A knob changed between builds: re-derive the packing from the
-    // plain list.
+    // The config changed since the build: re-derive the packing from
+    // the plain list.
     packLists(sim);
 }
 
@@ -849,8 +846,8 @@ Neighbor::packPadded(Simulation &sim, NeighborList &list)
     // width at a given ISA level, the precision × SIMD synergy); the
     // tier is recorded on the list so kernels dispatch on the geometry
     // that was actually built.
-    const Precision tier = precisionTier();
-    const int width = simdWidthFor(tier != Precision::Double);
+    const Precision tier = sim.config.precision;
+    const int width = sim.config.packWidth();
     list.padWidth = width;
     list.packTier = tier;
     if (width < 1 || nlocal == 0) {
@@ -901,17 +898,6 @@ Neighbor::packPadded(Simulation &sim, NeighborList &list)
         });
     list.paddedSlots = list.packedNeighbors.size() - list.neighbors.size();
     counterAdd(Counter::NeighPaddedSlots, list.paddedSlots);
-}
-
-int
-Neighbor::defaultSortEvery()
-{
-    if (const char *env = std::getenv("MDBENCH_SORT_EVERY")) {
-        const int every = std::atoi(env);
-        if (every > 0)
-            return every;
-    }
-    return 0;
 }
 
 void

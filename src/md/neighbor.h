@@ -51,11 +51,12 @@ struct NeighborList
     std::size_t paddedSlots = 0;   ///< sentinel entries across all rows
 
     /**
-     * Precision tier the packing was built for (util/precision.h).
-     * Float tiers pack at the float-lane width (twice the double-lane
-     * width at a given ISA level); kernels dispatch on this recorded
-     * tier rather than the live global so a knob change between build
-     * and compute cannot mismatch the padded geometry.
+     * Precision tier the packing was built for (util/precision.h;
+     * Double when padWidth is 0). Float tiers pack at the float-lane
+     * width (twice the double-lane width at a given ISA level); kernels
+     * dispatch on this recorded tier rather than the simulation's
+     * config, so a config change between build and compute cannot
+     * mismatch the padded geometry.
      */
     Precision packTier = Precision::Double;
 
@@ -151,28 +152,17 @@ class Neighbor
     int every = 1;
 
     /**
-     * Spatially reorder the owned atoms every this many neighbor
-     * rebuilds (0 = never). Initialized from the MDBENCH_SORT_EVERY
-     * environment variable; see Simulation::setSortEvery for the
-     * programmatic knob and DESIGN.md §10 for the policy.
-     */
-    int sortEvery = defaultSortEvery();
-
-    /** MDBENCH_SORT_EVERY, or 0 (disabled) when unset/invalid. */
-    static int defaultSortEvery();
-
-    /**
-     * True when the sort policy asks for a reorder before the next
-     * build. The very first build is always due: the initial atom order
-     * is whatever the builder (or a restart file) produced, so an
-     * enabled policy establishes spatial order at setup and then
-     * re-sorts every sortEvery rebuilds.
+     * True when a sort policy of interval @p every (Simulation's
+     * config.sortEvery, > 0) asks for a reorder before the next build.
+     * The very first build is always due: the initial atom order is
+     * whatever the builder (or a restart file) produced, so an enabled
+     * policy establishes spatial order at setup and then re-sorts
+     * every @p every rebuilds.
      */
     bool
-    sortDue() const
+    sortDue(int every) const
     {
-        return sortEvery > 0 &&
-               (buildCount_ == 0 || buildsSinceSort_ >= sortEvery);
+        return every > 0 && (buildCount_ == 0 || buildsSinceSort_ >= every);
     }
 
     /**
@@ -215,10 +205,10 @@ class Neighbor
 
     /**
      * Re-derive the padded packing from the existing plain list when
-     * the SIMD width or precision tier changed since the last build —
-     * called by the force loop before every pair compute, so a knob
-     * change between builds can never leave a kernel traversing
-     * stale-width geometry.
+     * sim.config's pack width or precision tier differs from what the
+     * list records (padWidth, packTier) — called by the force loop
+     * before every pair compute, so a config change between builds can
+     * never leave a kernel traversing stale-width geometry.
      */
     void ensureFreshPacking(Simulation &sim);
 
@@ -232,13 +222,13 @@ class Neighbor
     [[gnu::noinline]] void buildImpl(Simulation &sim);
 
     /**
-     * Build the padded packing of @p list at the current simdWidth() (a
+     * Build the padded packing of @p list at sim.config's pack width (a
      * no-op that clears the packed arrays when the SIMD layer is off)
      * and install the AtomStore pad slot the sentinel ids gather from.
      */
     void packPadded(Simulation &sim, NeighborList &list);
 
-    /** Pack list_ (or the split sublists) + knob bookkeeping. */
+    /** Pack list_ (or the split sublists). */
     void packLists(Simulation &sim);
 
     /** Partition list_ into interiorList_/boundaryList_ by j side. */
@@ -270,10 +260,6 @@ class Neighbor
 
     /** Bin-ordered [x, y, z, 0] records staged for the SIMD filter. */
     XPack<double> buildStage_;
-
-    /** Knob values the current packing was built with. */
-    int packedWidth_ = 0;
-    Precision packedTier_ = Precision::Double;
 
     long buildsSinceSort_ = 0;
     long sortCount_ = 0;

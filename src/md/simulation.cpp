@@ -31,19 +31,12 @@ Simulation::commCutoff() const
     return neighbor.cutoff + neighbor.skin;
 }
 
-void
-Simulation::setSortEvery(int every)
-{
-    require(every >= 0, "sort interval must be >= 0");
-    neighbor.sortEvery = every;
-}
-
 bool
 Simulation::maybeSortAtoms()
 {
-    if (neighbor.sortEvery <= 0)
+    if (config.sortEvery <= 0)
         return false;
-    if (!neighbor.sortDue() || atoms.nghost() != 0) {
+    if (!neighbor.sortDue(config.sortEvery) || atoms.nghost() != 0) {
         counterAdd(Counter::SortSkipped);
         return false;
     }
@@ -122,7 +115,7 @@ Simulation::computeBoundaryForces()
             pair->addAccumulated(pairInteriorEnergy_,
                                  pairInteriorVirial_);
         } else {
-            // Re-derive the SIMD packing if a width/tier/layout knob
+            // Re-derive the SIMD packing if config's width or tier
             // changed since the list was built, so kernels never
             // consume a packing built for a different geometry.
             neighbor.ensureFreshPacking(*this);
@@ -162,6 +155,7 @@ Simulation::setup()
 {
     require(pair || bondStyle || !atoms.x.empty(),
             "simulation has no atoms and no styles");
+    config.validate();
     if (pair) {
         neighbor.cutoff = std::max(neighbor.cutoff, pair->cutoff());
         // Upgrade to a full list when the style demands one, but keep an

@@ -19,6 +19,7 @@
 #include "md/styles.h"
 #include "md/topology.h"
 #include "md/units.h"
+#include "util/engine_config.h"
 #include "util/timer.h"
 
 namespace mdbench {
@@ -64,6 +65,14 @@ class Simulation
 
     Neighbor neighbor;
     std::unique_ptr<CommLayer> comm;
+
+    /**
+     * This simulation's SIMD width, precision tier, sort interval and
+     * rank settings, copied from the environment default at
+     * construction. setup() checks it; the neighbor list follows a
+     * width or tier change at its next build or force call.
+     */
+    EngineConfig config = EngineConfig::fromEnv();
 
     /** Add a fix and return a reference to it. */
     template <typename FixT, typename... Args>
@@ -136,19 +145,13 @@ class Simulation
 
     /**
      * Spatially reorder the owned atoms into neighbor-bin order if the
-     * sort policy is due (see Neighbor::sortEvery). May only run while
-     * no ghosts exist; reneighbor() and the ranked driver call it right
-     * after migration, before ghost/list rebuilds. Fixes are notified
-     * through Fix::onAtomsReordered.
+     * sort policy is due (config.sortEvery; DESIGN.md §10). May only
+     * run while no ghosts exist; reneighbor() and the ranked driver
+     * call it right after migration, before ghost/list rebuilds. Fixes
+     * are notified through Fix::onAtomsReordered.
      * @return true when a reorder was applied.
      */
     bool maybeSortAtoms();
-
-    /** Spatial sort interval in neighbor rebuilds (0 = disabled). */
-    int sortEvery() const { return neighbor.sortEvery; }
-
-    /** Set the sort interval (programmatic MDBENCH_SORT_EVERY). */
-    void setSortEvery(int every);
 
     /** Evaluate all forces for the current positions. */
     void computeForces();

@@ -7,8 +7,6 @@
 #include "obs/trace.h"
 #include "util/error.h"
 #include "util/logging.h"
-#include "util/precision.h"
-#include "util/simd.h"
 
 namespace mdbench {
 
@@ -54,15 +52,8 @@ parseBenchOptions(int &argc, char **argv)
             matchValueFlag(argc, argv, i, "--manifest",
                            options.manifestPath, consumed) ||
             matchValueFlag(argc, argv, i, "--log-level", options.logLevel,
-                           consumed) ||
-            matchValueFlag(argc, argv, i, "--precision",
-                           options.precision, consumed)) {
+                           consumed)) {
             i += consumed;
-            continue;
-        }
-        if (std::strcmp(argv[i], "--no-simd") == 0) {
-            options.noSimd = true;
-            ++i;
             continue;
         }
         if (std::strcmp(argv[i], "--quick") == 0) {
@@ -86,13 +77,6 @@ parseBenchOptions(int &argc, char **argv)
                     "' (want silent|warn|inform|debug or 0-3)");
         setLogLevel(*level);
     }
-    if (!options.precision.empty()) {
-        Precision tier = Precision::EngineDefault;
-        require(parsePrecision(options.precision.c_str(), tier),
-                "invalid --precision '" + options.precision +
-                    "' (want double|mixed|single|default)");
-        setPrecisionTier(tier);
-    }
     return options;
 }
 
@@ -106,12 +90,8 @@ benchOptionsUsage()
            "(mdbench-manifest-v1)\n"
            "  --log-level L     silent|warn|inform|debug or 0-3 "
            "(overrides MDBENCH_LOG_LEVEL)\n"
-           "  --no-simd         SIMD off: double W = 1 pair kernels "
-           "(overrides MDBENCH_SIMD)\n"
            "  --quick           smoke-test size, for benches that have "
-           "one\n"
-           "  --precision TIER  double|mixed|single|default native "
-           "compute tier (overrides MDBENCH_PRECISION)\n";
+           "one\n";
 }
 
 namespace {
@@ -148,8 +128,6 @@ BenchRun::BenchRun(int &argc, char **argv, const std::string &program,
         if (help == BenchHelp::Exit)
             std::exit(0);
     }
-    if (options_.noSimd)
-        setSimdWidth(0);
     if (!options_.tracePath.empty())
         traceEnable();
     setActiveManifest(&manifest_);

@@ -1,8 +1,8 @@
 /**
  * @file
  * Shared command-line options for every bench binary: `--trace FILE`,
- * `--manifest FILE`, `--log-level LEVEL`, `--precision TIER`,
- * `--no-simd`, `--quick` (and `--help` for the shared flags). BenchRun
+ * `--manifest FILE`, `--log-level LEVEL`, `--quick` (and `--help` for
+ * the shared flags). BenchRun
  * is the one-liner each bench main creates; it parses and strips the
  * shared flags, rejects any other argument (unless the bench passes
  * them on to a wrapped parser, e.g. google-benchmark's), enables the
@@ -25,9 +25,7 @@ struct BenchOptions
     std::string tracePath;    ///< --trace FILE (empty = no trace)
     std::string manifestPath; ///< --manifest FILE (empty = no manifest)
     std::string logLevel;     ///< --log-level LEVEL (empty = unchanged)
-    std::string precision;    ///< --precision TIER (empty = unchanged)
     bool help = false;        ///< --help seen
-    bool noSimd = false;      ///< --no-simd seen (SIMD width 0)
     bool quick = false;       ///< --quick seen (smoke-test size)
 };
 
@@ -54,8 +52,7 @@ enum class BenchHelp
  * main(); destruction (normal return) finalizes the manifest and
  * writes the requested output files.
  *
- * A misused shared flag (missing value, invalid --log-level or
- * --precision) or, under BenchHelp::Exit, an argument that is no
+ * A misused shared flag (missing value, invalid --log-level) or, under BenchHelp::Exit, an argument that is no
  * shared flag prints the error and the usage to stderr and exits 2.
  */
 class BenchRun

@@ -7,7 +7,6 @@
 #include "obs/json.h"
 #include "obs/trace.h"
 #include "util/logging.h"
-#include "util/precision.h"
 #include "util/simd.h"
 #include "util/thread_pool.h"
 
@@ -83,7 +82,7 @@ void
 RunManifest::captureRuntime()
 {
     threads_ = ThreadPool::threads();
-    precision_ = precisionName(precisionTier());
+    config_ = EngineConfig::fromEnv();
     const auto tasks = globalTaskSeconds();
     taskSeconds_.assign(tasks.begin(), tasks.end());
     counts_.resize(kNumCounters);
@@ -115,11 +114,20 @@ RunManifest::write(std::ostream &os) const
     json.key("sanitize").value(MDBENCH_BUILD_SANITIZE);
     json.key("native_arch").value(MDBENCH_BUILD_NATIVE_ARCH != 0);
     json.key("simd").value(simdIsaName());
-    json.key("precision").value(precision_.empty() ? "double"
-                                                   : precision_.c_str());
+    json.key("precision").value(precisionName(config_.precision));
     json.endObject();
 
     json.key("threads").value(threads_);
+
+    json.key("engine").beginObject();
+    json.key("simd_width").value(config_.laneWidth(false));
+    json.key("pack_width").value(config_.packWidth());
+    json.key("precision").value(precisionName(config_.precision));
+    json.key("sort_every").value(config_.sortEvery);
+    json.key("rank_exec").value(rankExecutionName(config_.rankExec));
+    json.key("comm_overlap").value(config_.commOverlap);
+    json.key("threads").value(threads_);
+    json.endObject();
 
     json.key("tasks").beginObject();
     for (std::size_t t = 0; t < kNumTasks; ++t) {

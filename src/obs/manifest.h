@@ -16,6 +16,9 @@
  *       "build": { "type", "sanitize", "native_arch", "simd",
  *                  "precision" },
  *       "threads": <thread-pool size>,
+ *       "engine": { "simd_width", "pack_width", "precision",
+ *                   "sort_every", "rank_exec", "comm_overlap",
+ *                   "threads" },
  *       "tasks": { "<Task name>": seconds, ... all 8 },
  *       "counters": { "<counter name>": value, ... all registered },
  *       "trace": { "recorded": n, "dropped": n },
@@ -30,6 +33,7 @@
 #include <string>
 #include <vector>
 
+#include "util/engine_config.h"
 #include "util/table.h"
 
 namespace mdbench {
@@ -60,7 +64,8 @@ class RunManifest
     void addTable(const std::string &tag, const Table &table);
 
     /**
-     * Snapshot the process-wide state: thread-pool size, global task
+     * Snapshot the process-wide state: the default EngineConfig
+     * (EngineConfig::fromEnv()) and thread-pool size, global task
      * seconds, all counters, and trace buffer statistics. Called once,
      * after the run's work is done.
      */
@@ -86,7 +91,7 @@ class RunManifest
     std::string program_;
     HostInfo host_;
     int threads_ = 0;
-    std::string precision_;   ///< active tier at captureRuntime()
+    EngineConfig config_;     ///< default config at captureRuntime()
     std::vector<double> taskSeconds_;   ///< kNumTasks entries
     std::vector<std::uint64_t> counts_; ///< kNumCounters entries
     std::uint64_t traceRecorded_ = 0;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <string>
 #include <unordered_map>
 
@@ -118,34 +117,15 @@ RankComm::reverseScalar(Simulation &, std::vector<double> &)
 
 // -------------------------------------------------------- RankedSimulation
 
-RankExecution
-RankedSimulation::defaultExecution()
-{
-    if (const char *env = std::getenv("MDBENCH_RANK_EXEC")) {
-        const std::string value(env);
-        if (value == "seq" || value == "sequential")
-            return RankExecution::Sequential;
-    }
-    return RankExecution::Concurrent;
-}
-
-bool
-RankedSimulation::defaultCommOverlap()
-{
-    if (const char *env = std::getenv("MDBENCH_COMM_OVERLAP"))
-        return env[0] == '1' || env[0] == 'y' || env[0] == 'Y' ||
-               env[0] == 't' || env[0] == 'T';
-    return false;
-}
-
 RankedSimulation::RankedSimulation(
     Simulation &global, int nranks,
     const std::function<void(Simulation &)> &configureRank,
     MpiMachineModel machine)
     : globalBox_(global.box), globalTopology_(global.topology),
       decomp_(nranks, global.box), machine_(machine), mpiStats_(nranks),
-      clocks_(nranks, 0.0), postClock_(nranks, 0.0), rebuildVote_(nranks, 0),
-      outBytes_(nranks, 0), destCount_(nranks, 0)
+      clocks_(nranks, 0.0), exec_(global.config.rankExec),
+      overlap_(global.config.commOverlap), postClock_(nranks, 0.0),
+      rebuildVote_(nranks, 0), outBytes_(nranks, 0), destCount_(nranks, 0)
 {
     require(nranks >= 1, "need at least one rank");
     require(global.topology.shakeClusters.empty(),
@@ -160,6 +140,7 @@ RankedSimulation::RankedSimulation(
     comms_.reserve(nranks);
     for (int r = 0; r < nranks; ++r) {
         auto sim = std::make_unique<Simulation>();
+        sim->config = global.config;
         sim->box = globalBox_;
         sim->units = global.units;
         sim->dt = global.dt;
@@ -575,6 +556,7 @@ RankedSimulation::setup()
     assignTopology();
     for (int r = 0; r < nranks(); ++r) {
         Simulation *sim = sims_[r].get();
+        sim->config.validate();
         if (sim->pair) {
             sim->neighbor.cutoff =
                 std::max(sim->neighbor.cutoff, sim->pair->cutoff());

@@ -6,20 +6,21 @@
  * Ranks are real execution contexts: by default they run *concurrently*,
  * multiplexed over the shared ThreadPool (one parallel region per
  * timestep phase, the region boundaries standing in for the blocking
- * collectives of a real MPI run); `MDBENCH_RANK_EXEC=seq` retains the
- * one-rank-at-a-time loop as the bitwise oracle. Data movement between
- * subdomains is real (atoms migrate, halos are exchanged, forces fold
- * back), while communication *time* is charged to per-rank virtual
- * clocks through the MpiMachineModel. Physics is therefore bit-honest
+ * collectives of a real MPI run); `EngineConfig::rankExec` Sequential
+ * (`MDBENCH_RANK_EXEC=seq`) retains the one-rank-at-a-time loop as
+ * the bitwise oracle. Data movement between subdomains is real (atoms
+ * migrate, halos are exchanged, forces fold back), while
+ * communication *time* is charged to per-rank virtual clocks through
+ * the MpiMachineModel. Physics is therefore bit-honest
  * (validated against serial runs — and the concurrent driver against
  * the sequential one, bitwise) and timing is modeled.
  *
- * With `MDBENCH_COMM_OVERLAP=1` the halo exchange is nonblocking
- * (modeled Isend/Irecv at the end of each step, Waitall charging only
- * the *exposed* wire time) and overlaps the interior force pass: each
- * rank computes the pairs that read no ghost data while the halo is in
- * flight, then completes the boundary pairs after it lands (DESIGN.md
- * §17). Decomposed ranks always run the split interior/boundary
+ * With `EngineConfig::commOverlap` (`MDBENCH_COMM_OVERLAP=1`) the halo
+ * exchange is nonblocking (modeled Isend/Irecv at the end of each
+ * step, Waitall charging only the *exposed* wire time) and overlaps
+ * the interior force pass: each rank computes the pairs that read no
+ * ghost data while the halo is in flight, then completes the boundary
+ * pairs after it lands (DESIGN.md §17). Decomposed ranks always run the split interior/boundary
  * arithmetic, so overlap on/off and sequential/concurrent execution
  * all produce bitwise-identical trajectories.
  *
@@ -44,12 +45,6 @@
 namespace mdbench {
 
 class RankedSimulation;
-
-/** How the ranked driver schedules its ranks each phase. */
-enum class RankExecution {
-    Sequential, ///< one rank at a time (the bitwise oracle)
-    Concurrent  ///< ranks multiplexed over the shared ThreadPool
-};
 
 /**
  * Communication layer of one rank inside a RankedSimulation.
@@ -132,7 +127,9 @@ class RankedSimulation
   public:
     /**
      * Partition @p global (a fully built serial system: box, atoms,
-     * topology, units, dt) across @p nranks subdomains.
+     * topology, units, dt) across @p nranks subdomains. Every rank
+     * starts from a copy of global.config, whose rankExec and
+     * commOverlap set this driver's execution knobs.
      *
      * @param configureRank Callback that installs the pair/bond styles
      *        and fixes on each rank's Simulation (called once per rank
@@ -162,12 +159,6 @@ class RankedSimulation
     /** Overlap halo exchange with the interior force pass. */
     void setCommOverlap(bool on) { overlap_ = on; }
     bool commOverlap() const { return overlap_; }
-
-    /** MDBENCH_RANK_EXEC=seq|concurrent (default concurrent). */
-    static RankExecution defaultExecution();
-
-    /** MDBENCH_COMM_OVERLAP=0|1 (default off). */
-    static bool defaultCommOverlap();
 
     // -- results -----------------------------------------------------------
 
@@ -247,8 +238,8 @@ class RankedSimulation
     MpiStats mpiStats_;
     std::vector<double> clocks_;
 
-    RankExecution exec_ = defaultExecution();
-    bool overlap_ = defaultCommOverlap();
+    RankExecution exec_; ///< from the global Simulation's config
+    bool overlap_;       ///< from the global Simulation's config
 
     /** Clock snapshot each rank took when posting its halo sends (read
      * by receivers' Waitall in the following region). */

@@ -147,10 +147,7 @@ WorkloadInstance::make(BenchmarkId id, long natoms, double kspaceAccuracy,
     instance.spec = WorkloadSpec::get(id);
     instance.natoms = natoms;
     instance.kspaceAccuracy = kspaceAccuracy;
-    // The cost models know only the three concrete tiers; the request
-    // sentinel resolves to the paper's default study point (mixed).
-    instance.precision =
-        precision == Precision::EngineDefault ? Precision::Mixed : precision;
+    instance.precision = precision;
     const double edge =
         std::cbrt(static_cast<double>(natoms) / instance.spec.numberDensity);
     instance.boxLength = {edge, edge, edge};

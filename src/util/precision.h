@@ -12,10 +12,10 @@
  *  - single: float arithmetic and float row accumulation; per-atom
  *    storage remains double (one widening store per row).
  *
- * The active tier is a process-wide knob mirroring the SIMD width
- * knob in util/simd.h: `MDBENCH_PRECISION` sets the default,
- * `setPrecisionTier()` overrides it at runtime, and kernels template
- * themselves on one of the policy structs below.
+ * A simulation's tier is a field of its EngineConfig
+ * (util/engine_config.h), defaulting to `MDBENCH_PRECISION`; the
+ * neighbor list records the tier it was packed for, and kernels
+ * template themselves on one of the policy structs below.
  */
 
 #ifndef MDBENCH_UTIL_PRECISION_H
@@ -23,44 +23,17 @@
 
 namespace mdbench {
 
-/**
- * Floating-point precision modes of the Section 8 study.
- *
- * `EngineDefault` is a request sentinel only ("inherit the engine
- * default"), used by ExperimentSpec; the active tier resolved by
- * precisionTier() is always one of the three concrete tiers.
- */
-enum class Precision { Mixed = 0, Single, Double, EngineDefault };
+/** Floating-point precision modes of the Section 8 study. */
+enum class Precision { Mixed = 0, Single, Double };
 
-/** Lowercase tier name ("mixed", "single", "double", "default"). */
+/** Lowercase tier name ("mixed", "single", "double"). */
 const char *precisionName(Precision precision);
 
 /**
- * Parse a tier name ("double" | "mixed" | "single", plus "default"
- * for the EngineDefault sentinel). Returns false on unknown text.
+ * Tier of the process default EngineConfig: `MDBENCH_PRECISION`,
+ * Precision::Double when unset (engine_config.cpp).
  */
-bool parsePrecision(const char *text, Precision &out);
-
-/**
- * Default tier from `MDBENCH_PRECISION` (double | mixed | single).
- * Unset or empty means Precision::Double: the native engine computes
- * in full double unless explicitly asked otherwise. Any other value is
- * a fatal() error.
- */
-Precision defaultPrecisionTier();
-
-/** The active tier: the override if set, else defaultPrecisionTier(). */
 Precision precisionTier();
-
-/**
- * Override the active tier for subsequent force computations and
- * neighbor packings. Pass Precision::EngineDefault to clear the
- * override and fall back to the environment default.
- */
-void setPrecisionTier(Precision precision);
-
-/** The raw setPrecisionTier() override: EngineDefault when none is set. */
-Precision precisionTierOverride();
 
 /**
  * Kernel precision policies. `real` is the type of per-pair

@@ -36,18 +36,15 @@
  * widths, and `sum()` is the ascending-lane sequential sum for that
  * reason. Width 0 runs the W = 1 instantiation.
  *
- * Width configuration: `simdWidthFor(floatLanes)` is the packed
- * neighbor-list width the engine should use — 0 disables the SIMD
- * layer (the double W = 1 kernels over the plain rows, no padded
- * packing); `simdWidth()` is the double-lane width. The default comes
- * from the `MDBENCH_SIMD` environment variable (`0`/`off` = disabled,
- * `1`/`on`/unset = native compiled width — double that for float
- * lanes — and an explicit `2`/`4`/`8`/`16` forces that width for both
- * element types, through the generic backend when no matching ISA
- * backend exists) gated by a runtime CPU capability check; any other
- * value is a fatal() error. `setSimdWidth()` overrides it
- * programmatically (benches, tests, ExperimentSpec) and rejects
- * unsupported widths the same way.
+ * Width configuration: a simulation's packed neighbor-list width is
+ * `EngineConfig::packWidth()` (util/engine_config.h) — 0 disables the
+ * SIMD layer (the double W = 1 kernels over the plain rows, no padded
+ * packing). The default comes from the `MDBENCH_SIMD` environment
+ * variable (`0`/`off` = disabled, `1`/`on`/unset = simdNativeWidth(),
+ * which doubles the lane count for float lanes, and an explicit
+ * `2`/`4`/`8`/`16` forces that width for both element types, through
+ * the generic backend when no matching ISA backend exists); any other
+ * value is a fatal() error.
  */
 
 #ifndef MDBENCH_UTIL_SIMD_H
@@ -55,16 +52,9 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
 #include <bit>
 #include <cmath>
 #include <cstdint>
-#include <cstdlib>
-#include <cstring>
-#include <functional>
-#include <string>
-
-#include "util/error.h"
 
 #if !defined(MDBENCH_SIMD_FORCE_SCALAR)
 #if defined(__AVX512F__)
@@ -163,105 +153,25 @@ simdBackendName(int w, [[maybe_unused]] bool floatLanes = false)
     return "generic";
 }
 
-namespace detail {
-
 /**
- * Resolve the MDBENCH_SIMD default against a native width; fatal() on
- * a value that names no width.
+ * The native packed width for float (@p floatLanes) or double lanes:
+ * the compiled ISA backend's lane count when the executing CPU
+ * supports it, else 0 (SIMD off).
  */
 inline int
-simdResolveEnvWidth(int native)
+simdNativeWidth(bool floatLanes)
 {
-    const char *env = std::getenv("MDBENCH_SIMD");
-    if (!env || !*env)
-        return native;
-    if (std::strcmp(env, "0") == 0 || std::strcmp(env, "off") == 0)
-        return 0;
-    if (std::strcmp(env, "1") == 0 || std::strcmp(env, "on") == 0 ||
-        std::strcmp(env, "native") == 0)
-        return native;
-    const int requested = std::atoi(env);
-    if (simdWidthSupported(requested) && std::to_string(requested) == env)
-        return requested;
-    fatal("MDBENCH_SIMD='" + std::string(env) +
-          "' is not supported: use 0|off, 1|on|native, 2, 4, 8 or 16");
-}
-
-} // namespace detail
-
-/** MDBENCH_SIMD environment default for double lanes, cached. */
-inline int
-simdDefaultWidth()
-{
-    static const int width = detail::simdResolveEnvWidth(
-        (kSimdCompiledWidth > 1 && simdRuntimeSupported())
-            ? kSimdCompiledWidth
-            : 0);
-    return width;
-}
-
-/** MDBENCH_SIMD environment default for float lanes, cached. */
-inline int
-simdDefaultFloatWidth()
-{
-    static const int width = detail::simdResolveEnvWidth(
-        (kSimdCompiledFloatWidth > 1 && simdRuntimeSupported())
-            ? kSimdCompiledFloatWidth
-            : 0);
-    return width;
-}
-
-namespace detail {
-/** Programmatic width override; -1 defers to the environment default. */
-inline std::atomic<int> gSimdWidthOverride{-1};
-} // namespace detail
-
-/** The raw setSimdWidth() override: -1 when none is set. */
-inline int
-simdWidthOverride()
-{
-    return detail::gSimdWidthOverride.load(std::memory_order_relaxed);
+    static const bool supported = simdRuntimeSupported();
+    const int compiled =
+        floatLanes ? kSimdCompiledFloatWidth : kSimdCompiledWidth;
+    return compiled > 1 && supported ? compiled : 0;
 }
 
 /**
- * Packed neighbor-list width the engine should use right now for the
- * given lane element type: 0 = SIMD layer off (W = 1 double kernels
- * over the plain rows, no padded packing). An explicit override
- * (setSimdWidth or a numeric MDBENCH_SIMD) forces that lane count for
- * both element types; the native default doubles the lane count for
- * float tiers.
+ * Double-lane width of the process default EngineConfig
+ * (util/engine_config.h): `MDBENCH_SIMD`, the native width when unset.
  */
-inline int
-simdWidthFor(bool floatLanes)
-{
-    const int override_ = simdWidthOverride();
-    if (override_ >= 0)
-        return override_;
-    return floatLanes ? simdDefaultFloatWidth() : simdDefaultWidth();
-}
-
-/** Double-lane packed width (the historical knob). */
-inline int
-simdWidth()
-{
-    return simdWidthFor(false);
-}
-
-/**
- * Override the packed width: 0 disables the SIMD layer, 1/2/4/8/16
- * force that width (through the generic backend when no ISA backend
- * matches), -1 restores the MDBENCH_SIMD environment default; any
- * other value is a fatal() error. Takes effect at the next
- * neighbor-list build.
- */
-inline void
-setSimdWidth(int width)
-{
-    if (width < -1 || (width > 0 && !simdWidthSupported(width)))
-        fatal("setSimdWidth(" + std::to_string(width) +
-              ") is not supported: use -1, 0, 1, 2, 4, 8 or 16");
-    detail::gSimdWidthOverride.store(width, std::memory_order_relaxed);
-}
+int simdWidth();
 
 // ------------------------------------------------------- register traits
 //

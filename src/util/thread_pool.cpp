@@ -1,10 +1,10 @@
 #include "util/thread_pool.h"
 
 #include <algorithm>
-#include <cstdlib>
 
 #include "obs/counters.h"
 #include "obs/trace.h"
+#include "util/engine_config.h"
 
 namespace mdbench {
 
@@ -16,11 +16,8 @@ thread_local bool tlInParallelRegion = false;
 int
 defaultThreadCount()
 {
-    if (const char *env = std::getenv("MDBENCH_THREADS")) {
-        const int n = std::atoi(env);
-        if (n >= 1)
-            return n;
-    }
+    if (const int n = EngineEnv::process().threads)
+        return n;
     const unsigned hw = std::thread::hardware_concurrency();
     return hw >= 1 ? static_cast<int>(hw) : 1;
 }

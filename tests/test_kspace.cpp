@@ -507,12 +507,6 @@ TEST(Pppm, EnergyStableUnderDynamics)
 
 // ------------------------------------------- lj/charmm/coul/long real space
 
-/** Restore the environment-default SIMD width when a test exits. */
-struct WidthGuard
-{
-    ~WidthGuard() { setSimdWidth(-1); }
-};
-
 /**
  * A k-space style that only supplies the splitting parameter: it adds
  * no force or energy, so the pair style's real-space erfc(g r)/r term
@@ -542,13 +536,12 @@ TEST(PairCharmm, NoKspaceIsPlainCutoffCoulomb)
 {
     // Without a k-space solver erfc is exactly 1; the A&S polynomial
     // would give 0.999999999 at g r = 0, a 1e-9 relative error.
-    WidthGuard guard;
     const double qi = 1.0;
     const double qj = -0.5;
     const double r = 1.7;
     for (int width : kCharmmWidths) {
-        setSimdWidth(width);
         Simulation sim;
+        sim.config.simdWidth = width;
         sim.units = Units::real();
         sim.box = Box({0, 0, 0}, {10, 10, 10});
         sim.atoms.setNumTypes(1);
@@ -580,13 +573,12 @@ TEST(PairCharmm, RealSpaceForceIsMinusEnergyGradient)
     // Finite-difference check of the real-space Coulomb (g > 0) plus
     // switched LJ. The erfc polynomial is not the exact antiderivative
     // of its force term, so this bounds that inconsistency too.
-    WidthGuard guard;
     const double length = 8.0;
     const double ljInner = 2.0;
     const double ljOuter = 2.5;
     for (int width : kCharmmWidths) {
-        setSimdWidth(width);
         Simulation sim;
+        sim.config.simdWidth = width;
         sim.box = Box({0, 0, 0}, {length, length, length});
         sim.atoms.setNumTypes(2);
         Rng rng(21);

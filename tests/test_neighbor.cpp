@@ -25,7 +25,6 @@
 #include "util/error.h"
 #include "util/precision.h"
 #include "util/rng.h"
-#include "util/simd.h"
 #include "util/thread_pool.h"
 
 namespace mdbench {
@@ -113,15 +112,14 @@ expectListsMatchBruteForce(const std::function<void(Simulation &)> &make)
         for (const int width : {0, 1, 2, 4, 8}) {
             SCOPED_TRACE(testing::Message()
                          << "full=" << full << " width=" << width);
-            setSimdWidth(width);
             Simulation sim;
+            sim.config.simdWidth = width;
             make(sim);
             sim.neighbor.skin = 0.0;
             sim.neighbor.full = full;
             sim.comm->exchange(sim);
             sim.comm->borders(sim);
             sim.neighbor.build(sim);
-            setSimdWidth(-1);
             const TagPairs brute = bruteForcePairs(sim, sim.neighbor.cutoff);
             EXPECT_EQ(halfListPairs(sim), full ? doubled(brute) : brute);
         }
@@ -233,8 +231,8 @@ TEST(Neighbor, GhostCountScalesWithSurface)
 std::pair<std::vector<std::uint32_t>, std::vector<std::uint32_t>>
 buildListAt(int width, bool full, std::uint64_t seed)
 {
-    setSimdWidth(width);
     Simulation sim;
+    sim.config.simdWidth = width;
     randomSystem(sim, 400, 7.0, seed);
     sim.neighbor.cutoff = 1.5;
     sim.neighbor.skin = 0.3;
@@ -242,7 +240,6 @@ buildListAt(int width, bool full, std::uint64_t seed)
     sim.comm->exchange(sim);
     sim.comm->borders(sim);
     sim.neighbor.build(sim);
-    setSimdWidth(-1);
     return {sim.neighbor.list().offsets, sim.neighbor.list().neighbors};
 }
 
@@ -276,9 +273,9 @@ std::vector<std::pair<std::vector<std::uint32_t>, std::vector<std::uint32_t>>>
 rebuildSequenceAt(int width, int threads, bool full)
 {
     const int before = ThreadPool::threads();
-    setSimdWidth(width);
     ThreadPool::setThreads(threads);
     Simulation sim;
+    sim.config.simdWidth = width;
     randomSystem(sim, 2000, 12.0, 21);
     sim.neighbor.skin = 0.3;
     sim.neighbor.full = full;
@@ -294,7 +291,6 @@ rebuildSequenceAt(int width, int threads, bool full)
                            sim.neighbor.list().neighbors);
     }
     ThreadPool::setThreads(before);
-    setSimdWidth(-1);
     return lists;
 }
 
@@ -325,11 +321,10 @@ TEST(Neighbor, ExclusionSystemListUnaffectedByWidth)
     // Bonded systems drop their special partners inside the row fill;
     // the rows must equal the width-0 build's at every width.
     auto listsAt = [](int width) {
-        setSimdWidth(width);
         auto sim = buildChain(4);
+        sim->config.simdWidth = width;
         sim->thermoEvery = 0;
         sim->setup();
-        setSimdWidth(-1);
         return std::make_pair(sim->neighbor.list().offsets,
                               sim->neighbor.list().neighbors);
     };
@@ -353,11 +348,11 @@ BondedBuild
 buildRhodoListAt(int width, int threads, bool full)
 {
     const int before = ThreadPool::threads();
-    setSimdWidth(width);
     ThreadPool::setThreads(threads);
     BondedBuild build;
     build.sim = buildRhodoProxy(9);
     Simulation &sim = *build.sim;
+    sim.config.simdWidth = width;
     sim.neighbor.cutoff = sim.pair->cutoff();
     sim.neighbor.full = full;
     sim.topology.buildExclusions();
@@ -368,7 +363,6 @@ buildRhodoListAt(int width, int threads, bool full)
     sim.neighbor.build(sim);
     build.excludedCounter = counterValue(Counter::NeighExcludedPairs);
     ThreadPool::setThreads(before);
-    setSimdWidth(-1);
     return build;
 }
 
@@ -456,11 +450,10 @@ TEST(Neighbor, BinGridEdgeCasesMatchBruteForce)
     lattice.neighbor.cutoff = 1.0;
     lattice.neighbor.skin = 0.0;
     for (const int width : {0, 8}) {
-        setSimdWidth(width);
+        lattice.config.simdWidth = width;
         lattice.comm->exchange(lattice);
         lattice.comm->borders(lattice);
         lattice.neighbor.build(lattice);
-        setSimdWidth(-1);
         // Only the 0.5-apart pair (1, 3); (1, 2) is exactly at the cutoff.
         const TagPairs want{{1, 3}};
         EXPECT_EQ(halfListPairs(lattice), want) << "width " << width;
@@ -477,9 +470,9 @@ halfBuildAt(const std::function<void(Simulation &)> &make, int width,
             const std::function<void(AtomStore &)> &addGhosts = {})
 {
     const int before = ThreadPool::threads();
-    setSimdWidth(width);
     ThreadPool::setThreads(threads);
     auto sim = std::make_unique<Simulation>();
+    sim->config.simdWidth = width;
     make(*sim);
     sim->neighbor.skin = 0.0;
     sim->comm->exchange(*sim);
@@ -488,7 +481,6 @@ halfBuildAt(const std::function<void(Simulation &)> &make, int width,
         addGhosts(sim->atoms);
     sim->neighbor.build(*sim);
     ThreadPool::setThreads(before);
-    setSimdWidth(-1);
     return sim;
 }
 
@@ -621,19 +613,20 @@ TEST(Neighbor, PackingRefreshesOnWidthChange)
     // Regression: changing the SIMD width between builds must not let
     // a kernel traverse the stale-width packing — the force loop
     // refreshes the packing before every pair compute.
-    setSimdWidth(4);
     auto sim = buildLJ(4);
+    sim->config.simdWidth = 4;
     sim->thermoEvery = 0;
     sim->setup();
     ASSERT_TRUE(sim->neighbor.list().packedFor(4));
 
-    setSimdWidth(8);
+    sim->config.simdWidth = 8;
     sim->computeForces();
     EXPECT_TRUE(sim->neighbor.list().packedFor(8));
 
     // The refreshed packing and the forces computed through it must
     // match a run that was at width 8 from the start.
     auto reference = buildLJ(4);
+    reference->config.simdWidth = 8;
     reference->thermoEvery = 0;
     reference->setup();
     ASSERT_TRUE(reference->neighbor.list().packedFor(8));
@@ -646,7 +639,6 @@ TEST(Neighbor, PackingRefreshesOnWidthChange)
         EXPECT_EQ(sim->atoms.f[i].y, reference->atoms.f[i].y) << i;
         EXPECT_EQ(sim->atoms.f[i].z, reference->atoms.f[i].z) << i;
     }
-    setSimdWidth(-1);
 }
 
 TEST(Neighbor, PackingRefreshesOnPrecisionChange)
@@ -654,20 +646,22 @@ TEST(Neighbor, PackingRefreshesOnPrecisionChange)
     // Changing the precision tier between builds must re-derive the
     // packing for the new tier: kernels dispatch on the list's recorded
     // packTier, so a stale packing would keep computing at double.
-    setSimdWidth(4);
-    setPrecisionTier(Precision::Double);
     auto sim = buildLJ(4);
+    sim->config.simdWidth = 4;
+    sim->config.precision = Precision::Double;
     sim->thermoEvery = 0;
     sim->setup();
     ASSERT_EQ(sim->neighbor.list().packTier, Precision::Double);
 
-    setPrecisionTier(Precision::Mixed);
+    sim->config.precision = Precision::Mixed;
     sim->computeForces();
     EXPECT_EQ(sim->neighbor.list().packTier, Precision::Mixed);
 
     // The refreshed packing and the forces computed through it must
     // match a run that was mixed from the start.
     auto reference = buildLJ(4);
+    reference->config.simdWidth = 4;
+    reference->config.precision = Precision::Mixed;
     reference->thermoEvery = 0;
     reference->setup();
     ASSERT_EQ(reference->neighbor.list().packTier, Precision::Mixed);
@@ -682,8 +676,6 @@ TEST(Neighbor, PackingRefreshesOnPrecisionChange)
         EXPECT_EQ(sim->atoms.f[i].y, reference->atoms.f[i].y) << i;
         EXPECT_EQ(sim->atoms.f[i].z, reference->atoms.f[i].z) << i;
     }
-    setPrecisionTier(Precision::EngineDefault);
-    setSimdWidth(-1);
 }
 
 TEST(Neighbor, RebuildKeepsPhysicsConsistent)

@@ -26,9 +26,9 @@
 #include "obs/manifest.h"
 #include "obs/task_scope.h"
 #include "obs/trace.h"
+#include "util/engine_config.h"
 #include "util/logging.h"
 #include "util/precision.h"
-#include "util/simd.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
 
@@ -229,9 +229,9 @@ TEST(Counters, SimdKernelLaneAccounting)
     // the SIMD lane counters must come out exactly: every stored pair
     // is one active lane, every sentinel slot one wasted lane, and
     // together they tile the padded rows with no remainder.
-    setSimdWidth(4);
     resetCounters();
     auto sim = buildLJ(4);
+    sim->config.simdWidth = 4;
     sim->thermoEvery = 0;
     sim->setup();
     const NeighborList &list = sim->neighbor.list();
@@ -243,7 +243,6 @@ TEST(Counters, SimdKernelLaneAccounting)
     EXPECT_EQ(counterValue(Counter::NeighPaddedSlots), list.paddedSlots);
     EXPECT_EQ((lanes + waste) % 4, 0u);
     resetCounters();
-    setSimdWidth(-1);
 }
 
 TEST(Counters, CompactedSlotsTileEamInCutoffGroups)
@@ -252,9 +251,9 @@ TEST(Counters, CompactedSlotsTileEamInCutoffGroups)
     // cutoff-compacted rows, so pair.compacted_slots is, over the
     // owned atoms, 2 * ceil(n_i / W) * W for n_i the row's pairs inside
     // the cutoff (every row here is shorter than one compaction chunk).
-    setSimdWidth(4);
     resetCounters();
     auto sim = buildEAM(4);
+    sim->config.simdWidth = 4;
     sim->thermoEvery = 0;
     sim->setup();
     const NeighborList &list = sim->neighbor.list();
@@ -278,37 +277,35 @@ TEST(Counters, CompactedSlotsTileEamInCutoffGroups)
     EXPECT_LT(expected, 2 * (list.pairCount() + list.paddedSlots));
 
     // Width 0 is no SIMD traversal: nothing is charged.
-    setSimdWidth(0);
     resetCounters();
     auto plain = buildEAM(4);
+    plain->config.simdWidth = 0;
     plain->thermoEvery = 0;
     plain->setup();
     EXPECT_EQ(counterValue(Counter::PairCompactedSlots), 0u);
     resetCounters();
-    setSimdWidth(-1);
 }
 
 TEST(Counters, SimdCountersStaySilentOnScalarPath)
 {
-    setSimdWidth(0);
     resetCounters();
     auto sim = buildLJ(4);
+    sim->config.simdWidth = 0;
     sim->thermoEvery = 0;
     sim->setup();
     EXPECT_EQ(counterValue(Counter::PairSimdLanesActive), 0u);
     EXPECT_EQ(counterValue(Counter::PairSimdPaddingWaste), 0u);
     EXPECT_EQ(counterValue(Counter::NeighPaddedSlots), 0u);
     resetCounters();
-    setSimdWidth(-1);
 }
 
 TEST(Trace, SimdKernelScopeAppearsInExport)
 {
-    setSimdWidth(4);
     resetTracer();
     traceEnable();
     {
         auto sim = buildLJ(4);
+        sim->config.simdWidth = 4;
         sim->thermoEvery = 0;
         sim->setup();
     }
@@ -327,7 +324,6 @@ TEST(Trace, SimdKernelScopeAppearsInExport)
     }
     EXPECT_TRUE(sawSimdScope);
     resetTracer();
-    setSimdWidth(-1);
 }
 
 TEST(Counters, NeighborBuildFilterAccounting)
@@ -336,9 +332,9 @@ TEST(Counters, NeighborBuildFilterAccounting)
     // the filter examined, accepted is exactly the stored payload, and
     // neither depends on the filter width (the scalar walk examines the
     // same candidate set).
-    setSimdWidth(4);
     resetCounters();
     auto sim = buildLJ(4);
+    sim->config.simdWidth = 4;
     sim->thermoEvery = 0;
     sim->setup();
     const auto candidates = counterValue(Counter::NeighBuildCandidates);
@@ -346,17 +342,15 @@ TEST(Counters, NeighborBuildFilterAccounting)
     EXPECT_GT(candidates, accepted);
     EXPECT_GT(accepted, 0u);
     EXPECT_EQ(accepted, sim->neighbor.list().pairCount());
-    setSimdWidth(-1);
 
-    setSimdWidth(0);
     resetCounters();
     auto scalar = buildLJ(4);
+    scalar->config.simdWidth = 0;
     scalar->thermoEvery = 0;
     scalar->setup();
     EXPECT_EQ(counterValue(Counter::NeighBuildCandidates), candidates);
     EXPECT_EQ(counterValue(Counter::NeighBuildAccepted), accepted);
     resetCounters();
-    setSimdWidth(-1);
 }
 
 TEST(Counters, NeighborExcludedPairsAccounting)
@@ -365,12 +359,11 @@ TEST(Counters, NeighborExcludedPairsAccounting)
     // build whatever the filter width, and zero for a system without
     // bonds or angles.
     auto excludedAt = [](int width, bool bonded) {
-        setSimdWidth(width);
         resetCounters();
         auto sim = bonded ? buildChain(4) : buildLJ(4);
+        sim->config.simdWidth = width;
         sim->thermoEvery = 0;
         sim->setup();
-        setSimdWidth(-1);
         return counterValue(Counter::NeighExcludedPairs);
     };
     const auto vectorized = excludedAt(4, true);
@@ -574,6 +567,24 @@ TEST(Manifest, TinyLjRunProducesSchemaCompleteManifest)
     ASSERT_NE(build->find("native_arch"), nullptr);
 
     EXPECT_EQ(doc->find("threads")->asNumber(), 1.0);
+
+    // Every field of the default EngineConfig plus the pool size, in
+    // one section beside the older build.precision and threads keys.
+    const EngineConfig config = EngineConfig::fromEnv();
+    EXPECT_EQ(build->find("precision")->asString(),
+              precisionName(config.precision));
+    const JsonValue *engine = doc->find("engine");
+    ASSERT_NE(engine, nullptr);
+    ASSERT_EQ(engine->size(), 7u);
+    EXPECT_EQ(engine->find("simd_width")->asNumber(), config.laneWidth(false));
+    EXPECT_EQ(engine->find("pack_width")->asNumber(), config.packWidth());
+    EXPECT_EQ(engine->find("precision")->asString(),
+              precisionName(config.precision));
+    EXPECT_EQ(engine->find("sort_every")->asNumber(), config.sortEvery);
+    EXPECT_EQ(engine->find("rank_exec")->asString(),
+              rankExecutionName(config.rankExec));
+    EXPECT_EQ(engine->find("comm_overlap")->asBool(), config.commOverlap);
+    EXPECT_EQ(engine->find("threads")->asNumber(), 1.0);
 
     const JsonValue *tasks = doc->find("tasks");
     ASSERT_NE(tasks, nullptr);

@@ -11,6 +11,7 @@
 
 #include <cmath>
 #include <memory>
+#include <optional>
 #include <random>
 #include <vector>
 
@@ -20,6 +21,7 @@
 #include "md/analysis.h"
 #include "md/neighbor.h"
 #include "md/simulation.h"
+#include "util/engine_config.h"
 #include "util/error.h"
 #include "util/precision.h"
 #include "util/simd.h"
@@ -27,16 +29,6 @@
 
 namespace mdbench {
 namespace {
-
-/** Restore the default tier and SIMD width when a test exits. */
-struct TierGuard
-{
-    ~TierGuard()
-    {
-        setPrecisionTier(Precision::EngineDefault);
-        setSimdWidth(-1);
-    }
-};
 
 /** Deterministic displacement so lattice symmetry doesn't hide bugs. */
 void
@@ -51,14 +43,18 @@ jitter(Simulation &sim)
     }
 }
 
-/** A jittered system from @p build, set up at @p tier and @p width. */
+/**
+ * A jittered system from @p build, set up at @p tier (unset: the
+ * config's default) and @p width.
+ */
 template <typename Build>
 std::unique_ptr<Simulation>
-builtAt(Build build, Precision tier, int width)
+builtAt(Build build, std::optional<Precision> tier, int width)
 {
-    setPrecisionTier(tier);
-    setSimdWidth(width);
     auto sim = build();
+    if (tier)
+        sim->config.precision = *tier;
+    sim->config.simdWidth = width;
     jitter(*sim);
     sim->thermoEvery = 0;
     sim->setup();
@@ -95,18 +91,12 @@ nativeWidth(Precision tier)
 
 TEST(PrecisionApi, ParseAndNameRoundTrip)
 {
-    Precision tier = Precision::EngineDefault;
-    ASSERT_TRUE(parsePrecision("double", tier));
-    EXPECT_EQ(tier, Precision::Double);
-    ASSERT_TRUE(parsePrecision("mixed", tier));
-    EXPECT_EQ(tier, Precision::Mixed);
-    ASSERT_TRUE(parsePrecision("single", tier));
-    EXPECT_EQ(tier, Precision::Single);
-    ASSERT_TRUE(parsePrecision("default", tier));
-    EXPECT_EQ(tier, Precision::EngineDefault);
-    EXPECT_FALSE(parsePrecision("half", tier));
-    EXPECT_FALSE(parsePrecision("", tier));
-
+    // Every tier's name reads back as that tier from MDBENCH_PRECISION.
+    for (Precision tier :
+         {Precision::Double, Precision::Mixed, Precision::Single}) {
+        EnvGuard env("MDBENCH_PRECISION", precisionName(tier));
+        EXPECT_EQ(EngineEnv::read().config.precision, tier);
+    }
     EXPECT_STREQ(precisionName(Precision::Double), "double");
     EXPECT_STREQ(precisionName(Precision::Mixed), "mixed");
     EXPECT_STREQ(precisionName(Precision::Single), "single");
@@ -114,13 +104,17 @@ TEST(PrecisionApi, ParseAndNameRoundTrip)
 
 TEST(PrecisionApi, OverrideAndRestore)
 {
-    TierGuard guard;
-    setPrecisionTier(Precision::Single);
-    EXPECT_EQ(precisionTier(), Precision::Single);
-    setPrecisionTier(Precision::Mixed);
-    EXPECT_EQ(precisionTier(), Precision::Mixed);
-    setPrecisionTier(Precision::EngineDefault);
-    EXPECT_EQ(precisionTier(), defaultPrecisionTier());
+    // A tier set on one simulation stays there: the process default
+    // and every other simulation keep theirs.
+    const Precision before = precisionTier();
+    Simulation single;
+    single.config.precision = Precision::Single;
+    Simulation other;
+    EXPECT_EQ(other.config.precision, before);
+    EXPECT_EQ(precisionTier(), before);
+    other.config.precision = Precision::Mixed;
+    EXPECT_EQ(single.config.precision, Precision::Single);
+    EXPECT_EQ(Simulation().config.precision, before);
 }
 
 TEST(PrecisionApi, EnvironmentSelectsTheDefaultTier)
@@ -132,23 +126,23 @@ TEST(PrecisionApi, EnvironmentSelectsTheDefaultTier)
         {"single", Precision::Single}};
     for (const auto &[text, tier] : cases) {
         EnvGuard env("MDBENCH_PRECISION", text);
-        EXPECT_EQ(defaultPrecisionTier(), tier)
+        EXPECT_EQ(EngineEnv::read().config.precision, tier)
             << "MDBENCH_PRECISION=" << text;
     }
 }
 
 TEST(PrecisionApi, EnvironmentRejectsUnknownTier)
 {
-    for (const char *text : {"float", "half", "Double", "default"}) {
+    for (const char *text :
+         {"float", "half", "Double", "default", " mixed"}) {
         EnvGuard env("MDBENCH_PRECISION", text);
-        EXPECT_THROW(defaultPrecisionTier(), FatalError)
+        EXPECT_THROW(EngineEnv::read(), FatalError)
             << "MDBENCH_PRECISION=" << text;
     }
 }
 
-TEST(PrecisionApi, ExperimentSpecRestoresEngineDefault)
+TEST(PrecisionApi, ExperimentSpecLeavesProcessDefault)
 {
-    TierGuard guard;
     const Precision before = precisionTier();
     ExperimentSpec spec;
     spec.mode = ExperimentMode::NativeSerial;
@@ -164,7 +158,6 @@ TEST(PrecisionApi, ExperimentSpecRestoresEngineDefault)
 
 TEST(PrecisionPacking, FloatTiersRecordTierAndWidth)
 {
-    TierGuard guard;
     auto mixed = builtLJ(Precision::Mixed, 8);
     EXPECT_EQ(mixed->neighbor.list().packTier, Precision::Mixed);
     EXPECT_EQ(mixed->neighbor.list().padWidth, 8);
@@ -176,15 +169,14 @@ TEST(PrecisionPacking, FloatTiersRecordTierAndWidth)
 
 TEST(PrecisionPacking, DefaultWidthDoublesLanesOnFloatTiers)
 {
-    TierGuard guard;
-    setPrecisionTier(Precision::Mixed);
-    setSimdWidth(-1);
-    if (simdDefaultFloatWidth() == 0)
+    if (simdNativeWidth(true) == 0)
         GTEST_SKIP() << "SIMD disabled on this build/host";
     auto sim = buildLJ(4);
+    sim->config.precision = Precision::Mixed;
+    sim->config.simdWidth.reset();
     sim->thermoEvery = 0;
     sim->setup();
-    EXPECT_EQ(sim->neighbor.list().padWidth, simdDefaultFloatWidth());
+    EXPECT_EQ(sim->neighbor.list().padWidth, simdNativeWidth(true));
     EXPECT_EQ(sim->neighbor.list().packTier, Precision::Mixed);
 }
 
@@ -202,7 +194,6 @@ void
 expectFloatTiersMatchDouble(std::unique_ptr<Simulation> (*built)(Precision,
                                                                  int))
 {
-    TierGuard guard;
     auto ref = built(Precision::Double, 0);
     for (Precision tier : {Precision::Mixed, Precision::Single}) {
         auto sim = built(tier, nativeWidth(tier));
@@ -250,8 +241,7 @@ TEST(PrecisionForces, DoubleTierIsUnchangedByTheKnob)
 {
     // Explicitly selecting the double tier must reproduce the
     // engine-default double path bit for bit at the same width.
-    TierGuard guard;
-    auto def = builtLJ(Precision::EngineDefault, 4);
+    auto def = builtAt([] { return buildLJ(4); }, std::nullopt, 4);
     auto dbl = builtLJ(Precision::Double, 4);
     ASSERT_EQ(def->atoms.nlocal(), dbl->atoms.nlocal());
     for (std::size_t i = 0; i < dbl->atoms.nlocal(); ++i) {
@@ -269,7 +259,6 @@ TEST(PrecisionDeterminism, ForcesAreThreadCountInvariantAtEveryTier)
     // Row-bounded accumulation makes every tier's forces and energies
     // independent of the slice decomposition: 1 vs 3 pool threads must
     // agree bitwise, not just within tolerance.
-    TierGuard guard;
     const int before = ThreadPool::threads();
     for (auto *built : {builtLJ, builtEAM, builtCharmm}) {
         for (Precision tier :
@@ -310,9 +299,9 @@ struct TierRun
 TierRun
 nveRun(Precision tier, long steps)
 {
-    setPrecisionTier(tier);
-    setSimdWidth(nativeWidth(tier));
     auto sim = buildLJ(4);
+    sim->config.precision = tier;
+    sim->config.simdWidth = nativeWidth(tier);
     sim->thermoEvery = 0;
     sim->setup();
     const double e0 = sim->kineticEnergy() + sim->potentialEnergy();
@@ -330,8 +319,6 @@ nveRun(Precision tier, long steps)
         for (std::size_t b = 0; b < rdf.g.size(); ++b)
             run.g[b] += rdf.g[b] / snapshots;
     }
-    setPrecisionTier(Precision::EngineDefault);
-    setSimdWidth(-1);
     return run;
 }
 
@@ -343,7 +330,6 @@ TEST(PrecisionAcceptance, NveDriftAndRdfBoundsPerTier)
     // (RDF) must stay on the double-tier curve. Trajectories diverge
     // chaotically between tiers, so the RDF bound is statistical, not
     // bitwise.
-    TierGuard guard;
     const long steps = 10000;
     const TierRun dbl = nveRun(Precision::Double, steps);
     const double driftBound = 5e-3;

@@ -312,7 +312,7 @@ TEST(Shake, IndicesFollowReneighborAndSort)
     // constantly; using a stale index breaks the constraints at once.
     Simulation sim = makeWaterBox(3, 3.2);
     sim.neighbor.skin = 0.02;
-    sim.setSortEvery(1);
+    sim.config.sortEvery = 1;
     Rng rng(41);
     createVelocities(sim, 0.6, rng);
     sim.addFix<FixNVE>();

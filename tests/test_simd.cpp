@@ -19,6 +19,7 @@
 #include <functional>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <random>
 #include <string>
 #include <type_traits>
@@ -31,6 +32,7 @@
 #include "md/neighbor.h"
 #include "md/simulation.h"
 #include "obs/counters.h"
+#include "util/engine_config.h"
 #include "util/error.h"
 #include "util/simd.h"
 #include "util/simd_math.h"
@@ -42,12 +44,6 @@ namespace {
 using D2 = Simd<double, 2>;
 using D4 = Simd<double, 4>;
 using I2 = SimdIndex<2>;
-
-/** Restore the environment-default width when a test exits. */
-struct WidthGuard
-{
-    ~WidthGuard() { setSimdWidth(-1); }
-};
 
 /** Deterministic displacement so lattice symmetry doesn't hide bugs. */
 void
@@ -62,46 +58,50 @@ jitter(Simulation &sim)
     }
 }
 
-using Builder = std::function<std::unique_ptr<Simulation>()>;
+/** A set-up system at a SIMD width (unset: the environment default). */
+using Builder =
+    std::function<std::unique_ptr<Simulation>(std::optional<int>)>;
 
+/** @p sim set up at SIMD @p width (unset: the environment default). */
 std::unique_ptr<Simulation>
-builtLJ()
+setUpAt(std::unique_ptr<Simulation> sim, std::optional<int> width)
 {
-    auto sim = buildLJ(4);
-    jitter(*sim);
+    if (width)
+        sim->config.simdWidth = *width;
     sim->thermoEvery = 0;
     sim->setup();
     return sim;
 }
 
 std::unique_ptr<Simulation>
-builtEAM()
+builtLJ(std::optional<int> width)
+{
+    auto sim = buildLJ(4);
+    jitter(*sim);
+    return setUpAt(std::move(sim), width);
+}
+
+std::unique_ptr<Simulation>
+builtEAM(std::optional<int> width)
 {
     auto sim = buildEAM(4);
     jitter(*sim);
-    sim->thermoEvery = 0;
-    sim->setup();
-    return sim;
+    return setUpAt(std::move(sim), width);
 }
 
 std::unique_ptr<Simulation>
-builtCharmm()
+builtCharmm(std::optional<int> width)
 {
-    auto sim = buildRhodoProxy(8);
-    sim->thermoEvery = 0;
-    sim->setup();
-    return sim;
+    return setUpAt(buildRhodoProxy(8), width);
 }
 
 std::unique_ptr<Simulation>
-builtLJFull()
+builtLJFull(std::optional<int> width)
 {
     auto sim = buildLJ(4);
     jitter(*sim);
-    sim->thermoEvery = 0;
     sim->neighbor.full = true;
-    sim->setup();
-    return sim;
+    return setUpAt(std::move(sim), width);
 }
 
 struct Comparison
@@ -117,10 +117,8 @@ struct Comparison
 Comparison
 compareAgainstWidthOneReference(const Builder &build, int w)
 {
-    setSimdWidth(0);
-    auto ref = build();
-    setSimdWidth(w);
-    auto sim = build();
+    auto ref = build(0);
+    auto sim = build(w);
     Comparison c;
     EXPECT_EQ(ref->atoms.nlocal(), sim->atoms.nlocal());
     for (std::size_t i = 0; i < sim->atoms.nlocal(); ++i) {
@@ -506,9 +504,7 @@ TEST(SimdBackend, EveryOpMatchesGenericTraitFloat16)
 
 TEST(PackedList, RowsPaddedWithSentinelToWidthMultiple)
 {
-    WidthGuard guard;
-    setSimdWidth(4);
-    auto sim = builtLJ();
+    auto sim = builtLJ(4);
     const NeighborList &list = sim->neighbor.list();
     ASSERT_EQ(list.padWidth, 4);
     ASSERT_TRUE(list.packedFor(4));
@@ -539,9 +535,7 @@ TEST(PackedList, RowsPaddedWithSentinelToWidthMultiple)
 
 TEST(PackedList, DisabledAtWidthZero)
 {
-    WidthGuard guard;
-    setSimdWidth(0);
-    auto sim = builtLJ();
+    auto sim = builtLJ(0);
     const NeighborList &list = sim->neighbor.list();
     EXPECT_EQ(list.padWidth, 0);
     EXPECT_FALSE(list.packedFor(1));
@@ -557,15 +551,15 @@ TEST(PackedList, FullListRequestSurvivesSetup)
     // Regression: Simulation::setup used to overwrite an explicit full
     // request with the pair style's (half) preference, silently turning
     // every full-list measurement into a half-list one.
-    WidthGuard guard;
-    setSimdWidth(0);
     auto half = buildLJ(4);
+    half->config.simdWidth = 0;
     jitter(*half);
     half->thermoEvery = 0;
     half->setup();
     ASSERT_FALSE(half->neighbor.list().full);
 
     auto full = buildLJ(4);
+    full->config.simdWidth = 0;
     jitter(*full);
     full->thermoEvery = 0;
     full->neighbor.full = true;
@@ -586,7 +580,6 @@ TEST(PackedList, FullListRequestSurvivesSetup)
 
 TEST(PackedList, SimdFullListMatchesScalarFullList)
 {
-    WidthGuard guard;
     for (int w : {1, 2, 4, 8, 16}) {
         const Comparison c = compareAgainstWidthOneReference(builtLJFull, w);
         EXPECT_LT(c.maxForceDiff, 1e-10) << "width " << w;
@@ -771,7 +764,6 @@ TEST(PairKernel, CompactRowKeepsInCutoffIdsInOrder)
 
 TEST(Kernels, LjCutMatchesWidthOneReferenceAtEveryWidth)
 {
-    WidthGuard guard;
     for (int w : {1, 2, 4, 8, 16}) {
         const Comparison c = compareAgainstWidthOneReference(builtLJ, w);
         EXPECT_LT(c.maxForceDiff, 1e-10) << "width " << w;
@@ -781,7 +773,6 @@ TEST(Kernels, LjCutMatchesWidthOneReferenceAtEveryWidth)
 
 TEST(Kernels, EamMatchesWidthOneReferenceAtEveryWidth)
 {
-    WidthGuard guard;
     for (int w : {1, 2, 4, 8, 16}) {
         const Comparison c = compareAgainstWidthOneReference(builtEAM, w);
         EXPECT_LT(c.maxForceDiff, 1e-10) << "width " << w;
@@ -791,7 +782,6 @@ TEST(Kernels, EamMatchesWidthOneReferenceAtEveryWidth)
 
 TEST(Kernels, CharmmMatchesWidthOneReferenceAtEveryWidth)
 {
-    WidthGuard guard;
     for (int w : {1, 2, 4, 8, 16}) {
         const Comparison c =
             compareAgainstWidthOneReference(builtCharmm, w);
@@ -805,7 +795,6 @@ TEST(Kernels, PlainRowsAreBitwiseThePackedWidthOne)
     // Width 0 runs the double W = 1 kernel over the plain rows; width 1
     // runs the same instantiation over the width-1 packing, which pads
     // nothing. Both must give the same bits on every build, FMA or not.
-    WidthGuard guard;
     const int before = ThreadPool::threads();
     const std::pair<const char *, Builder> styles[] = {
         {"lj/cut half", builtLJ},
@@ -818,10 +807,8 @@ TEST(Kernels, PlainRowsAreBitwiseThePackedWidthOne)
         for (const auto &[name, build] : styles) {
             SCOPED_TRACE(std::string(name) + ", " +
                          std::to_string(threads) + " threads");
-            setSimdWidth(0);
-            auto plain = build();
-            setSimdWidth(1);
-            auto packed = build();
+            auto plain = build(0);
+            auto packed = build(1);
             ASSERT_EQ(plain->neighbor.list().padWidth, 0);
             ASSERT_TRUE(plain->neighbor.list().packedNeighbors.empty());
             ASSERT_EQ(packed->neighbor.list().padWidth, 1);
@@ -846,11 +833,9 @@ TEST(Kernels, UnsupportedPackedWidthPanics)
 {
     // A packing width no kernel instantiates is an internal bug; the
     // dispatcher must not quietly run the width-0 kernel instead.
-    WidthGuard guard;
-    setSimdWidth(4);
     for (const Builder &build : {Builder(builtLJ), Builder(builtEAM),
                                  Builder(builtCharmm)}) {
-        auto sim = build();
+        auto sim = build(4);
         NeighborList list = sim->neighbor.list();
         list.padWidth = 3;
         EXPECT_THROW(sim->pair->compute(*sim, list), PanicError);
@@ -860,24 +845,23 @@ TEST(Kernels, UnsupportedPackedWidthPanics)
 TEST(Kernels, SimdForcesAreThreadCountInvariant)
 {
     // Forced width 4 runs the generic traits on builds without an ISA
-    // one, so EAM's and charmm's cutoff compaction runs there too; -1
-    // is the build's default width.
-    WidthGuard guard;
+    // one, so EAM's and charmm's cutoff compaction runs there too;
+    // unset is the build's default width.
     const int before = ThreadPool::threads();
     const std::pair<const char *, Builder> styles[] = {
         {"lj/cut", builtLJ},
         {"eam", builtEAM},
         {"charmm", builtCharmm},
     };
-    for (int width : {4, -1}) {
-        setSimdWidth(width);
+    for (const std::optional<int> width : {std::optional<int>(4),
+                                           std::optional<int>()}) {
         for (const auto &[name, build] : styles) {
             SCOPED_TRACE(std::string(name) + ", width " +
-                         std::to_string(width));
+                         (width ? std::to_string(*width) : "default"));
             ThreadPool::setThreads(1);
-            auto ref = build();
+            auto ref = build(width);
             ThreadPool::setThreads(3);
-            auto sim = build();
+            auto sim = build(width);
             ASSERT_EQ(ref->atoms.nlocal(), sim->atoms.nlocal());
             std::size_t differ = 0;
             for (std::size_t i = 0; i < sim->atoms.nlocal(); ++i) {
@@ -899,13 +883,12 @@ TEST(Kernels, SortEveryRebuildKeepsPackingConsistent)
     // Regression for the padded-packing x sort interaction: every
     // reorder invalidates the packed indices, so each sorted rebuild
     // must repack before the SIMD kernels touch the list again.
-    WidthGuard guard;
     auto run = [](int width) {
-        setSimdWidth(width);
         auto sim = buildLJ(4);
+        sim->config.simdWidth = width;
         jitter(*sim);
         sim->thermoEvery = 0;
-        sim->setSortEvery(1);
+        sim->config.sortEvery = 1;
         sim->setup();
         sim->run(12);
         return sim;
@@ -928,35 +911,49 @@ TEST(Kernels, SortEveryRebuildKeepsPackingConsistent)
 
 TEST(WidthApi, OverrideAndRestore)
 {
-    WidthGuard guard;
-    setSimdWidth(2);
-    EXPECT_EQ(simdWidth(), 2);
-    setSimdWidth(0);
-    EXPECT_EQ(simdWidth(), 0);
-    setSimdWidth(-1);
-    EXPECT_EQ(simdWidth(), simdDefaultWidth());
+    // A width set on one simulation's config drives both lane types of
+    // that simulation only; unset restores the native default rule.
+    const int processWidth = simdWidth();
+    EngineConfig config;
+    config.simdWidth = 2;
+    EXPECT_EQ(config.laneWidth(false), 2);
+    EXPECT_EQ(config.laneWidth(true), 2);
+    config.simdWidth = 0;
+    EXPECT_EQ(config.packWidth(), 0);
+    config.simdWidth.reset();
+    EXPECT_EQ(config.laneWidth(false), simdNativeWidth(false));
+    EXPECT_EQ(config.laneWidth(true), simdNativeWidth(true));
+    EXPECT_EQ(simdWidth(), processWidth);
 }
 
 TEST(WidthApi, RejectsUnsupportedWidth)
 {
-    WidthGuard guard;
-    setSimdWidth(4);
-    for (int w : {3, 5, 32, -2})
-        EXPECT_THROW(setSimdWidth(w), FatalError) << "width " << w;
-    // A rejected request leaves the previous override in place.
-    EXPECT_EQ(simdWidth(), 4);
+    EngineConfig config;
+    for (int w : {0, 1, 2, 4, 8, 16}) {
+        config.simdWidth = w;
+        EXPECT_NO_THROW(config.validate()) << "width " << w;
+    }
+    for (int w : {3, 5, 32, -2}) {
+        config.simdWidth = w;
+        EXPECT_THROW(config.validate(), FatalError) << "width " << w;
+    }
+    // setup() checks the config before it builds anything.
+    auto sim = buildLJ(4);
+    sim->config.simdWidth = 3;
+    EXPECT_THROW(sim->setup(), FatalError);
+    EXPECT_EQ(sim->neighbor.buildCount(), 0);
 }
 
 TEST(WidthApi, EnvironmentAcceptsWidthsAndSwitches)
 {
-    const int native = 8;
-    const std::pair<const char *, int> cases[] = {
+    const std::optional<int> native;
+    const std::pair<const char *, std::optional<int>> cases[] = {
         {"", native},   {"0", 0}, {"off", 0}, {"1", native},
         {"on", native}, {"native", native},   {"2", 2},
         {"4", 4},       {"8", 8}, {"16", 16}};
     for (const auto &[text, width] : cases) {
         EnvGuard env("MDBENCH_SIMD", text);
-        EXPECT_EQ(detail::simdResolveEnvWidth(native), width)
+        EXPECT_EQ(EngineEnv::read().config.simdWidth, width)
             << "MDBENCH_SIMD=" << text;
     }
 }
@@ -965,8 +962,80 @@ TEST(WidthApi, EnvironmentRejectsUnsupportedValues)
 {
     for (const char *text : {"3", "32", "avx", "4x", "-1"}) {
         EnvGuard env("MDBENCH_SIMD", text);
-        EXPECT_THROW(detail::simdResolveEnvWidth(8), FatalError)
+        EXPECT_THROW(EngineEnv::read(), FatalError)
             << "MDBENCH_SIMD=" << text;
+    }
+}
+
+// The other MDBENCH_* knobs: every documented value is accepted, and
+// anything else is fatal. Empty reads as unset.
+
+TEST(EngineEnvironment, ThreadsAcceptPositiveCounts)
+{
+    const std::pair<const char *, int> accepted[] = {
+        {"", 0}, {"1", 1}, {"4", 4}, {"64", 64}};
+    for (const auto &[text, threads] : accepted) {
+        EnvGuard env("MDBENCH_THREADS", text);
+        EXPECT_EQ(EngineEnv::read().threads, threads)
+            << "MDBENCH_THREADS=" << text;
+    }
+    for (const char *text : {"0", "-2", "abc", "4x", " 4", "+4", "1.5",
+                             "99999999999"}) {
+        EnvGuard env("MDBENCH_THREADS", text);
+        EXPECT_THROW(EngineEnv::read(), FatalError)
+            << "MDBENCH_THREADS=" << text;
+    }
+}
+
+TEST(EngineEnvironment, SortEveryAcceptsNonNegativeCounts)
+{
+    const std::pair<const char *, int> accepted[] = {
+        {"", 0}, {"0", 0}, {"1", 1}, {"7", 7}};
+    for (const auto &[text, every] : accepted) {
+        EnvGuard env("MDBENCH_SORT_EVERY", text);
+        EXPECT_EQ(EngineEnv::read().config.sortEvery, every)
+            << "MDBENCH_SORT_EVERY=" << text;
+    }
+    for (const char *text : {"-3", "-0x1", "abc", "5s", "2.0"}) {
+        EnvGuard env("MDBENCH_SORT_EVERY", text);
+        EXPECT_THROW(EngineEnv::read(), FatalError)
+            << "MDBENCH_SORT_EVERY=" << text;
+    }
+}
+
+TEST(EngineEnvironment, RankExecAcceptsTheThreeSpellings)
+{
+    const std::pair<const char *, RankExecution> accepted[] = {
+        {"", RankExecution::Concurrent},
+        {"concurrent", RankExecution::Concurrent},
+        {"seq", RankExecution::Sequential},
+        {"sequential", RankExecution::Sequential}};
+    for (const auto &[text, exec] : accepted) {
+        EnvGuard env("MDBENCH_RANK_EXEC", text);
+        EXPECT_EQ(EngineEnv::read().config.rankExec, exec)
+            << "MDBENCH_RANK_EXEC=" << text;
+    }
+    for (const char *text : {"bogus", "sequental", "SEQ", "0", "1"}) {
+        EnvGuard env("MDBENCH_RANK_EXEC", text);
+        EXPECT_THROW(EngineEnv::read(), FatalError)
+            << "MDBENCH_RANK_EXEC=" << text;
+    }
+}
+
+TEST(EngineEnvironment, CommOverlapAcceptsZeroAndOne)
+{
+    const std::pair<const char *, bool> accepted[] = {
+        {"", false}, {"0", false}, {"1", true}};
+    for (const auto &[text, overlap] : accepted) {
+        EnvGuard env("MDBENCH_COMM_OVERLAP", text);
+        EXPECT_EQ(EngineEnv::read().config.commOverlap, overlap)
+            << "MDBENCH_COMM_OVERLAP=" << text;
+    }
+    // "on" used to read as off (only the first character was tested).
+    for (const char *text : {"on", "off", "yes", "true", "2", "10"}) {
+        EnvGuard env("MDBENCH_COMM_OVERLAP", text);
+        EXPECT_THROW(EngineEnv::read(), FatalError)
+            << "MDBENCH_COMM_OVERLAP=" << text;
     }
 }
 

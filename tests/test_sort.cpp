@@ -10,15 +10,16 @@
 
 #include <cmath>
 #include <cstdint>
-#include <cstdlib>
 #include <map>
 #include <vector>
 
 #include "core/suite.h"
+#include "env_guard.h"
 #include "md/atoms.h"
 #include "md/neighbor.h"
 #include "md/simulation.h"
 #include "obs/counters.h"
+#include "util/engine_config.h"
 #include "util/error.h"
 #include "util/rng.h"
 
@@ -132,34 +133,46 @@ TEST(ApplyPermutation, ComposesWithRemoveAtom)
 
 TEST(SortPolicy, DefaultSortEveryReadsEnvironment)
 {
-    unsetenv("MDBENCH_SORT_EVERY");
-    EXPECT_EQ(Neighbor::defaultSortEvery(), 0);
-    setenv("MDBENCH_SORT_EVERY", "7", 1);
-    EXPECT_EQ(Neighbor::defaultSortEvery(), 7);
-    auto sim = buildLJ(4);
-    EXPECT_EQ(sim->sortEvery(), 7);
-    setenv("MDBENCH_SORT_EVERY", "0", 1);
-    EXPECT_EQ(Neighbor::defaultSortEvery(), 0);
-    setenv("MDBENCH_SORT_EVERY", "-3", 1);
-    EXPECT_EQ(Neighbor::defaultSortEvery(), 0);
-    unsetenv("MDBENCH_SORT_EVERY");
+    {
+        EnvGuard env("MDBENCH_SORT_EVERY", "");
+        EXPECT_EQ(EngineEnv::read().config.sortEvery, 0);
+    }
+    {
+        EnvGuard env("MDBENCH_SORT_EVERY", "7");
+        EXPECT_EQ(EngineEnv::read().config.sortEvery, 7);
+    }
+    {
+        EnvGuard env("MDBENCH_SORT_EVERY", "0");
+        EXPECT_EQ(EngineEnv::read().config.sortEvery, 0);
+    }
+    {
+        EnvGuard env("MDBENCH_SORT_EVERY", "-3");
+        EXPECT_THROW(EngineEnv::read(), FatalError);
+    }
+    // A new simulation starts from the process default.
+    EXPECT_EQ(buildLJ(4)->config.sortEvery,
+              EngineConfig::fromEnv().sortEvery);
 }
 
 TEST(SortPolicy, SetSortEveryRejectsNegative)
 {
+    // setup() checks the interval before it builds anything.
     auto sim = buildLJ(4);
-    EXPECT_THROW(sim->setSortEvery(-1), FatalError);
-    sim->setSortEvery(3);
-    EXPECT_EQ(sim->sortEvery(), 3);
+    sim->thermoEvery = 0;
+    sim->config.sortEvery = -1;
+    EXPECT_THROW(sim->setup(), FatalError);
+    EXPECT_EQ(sim->neighbor.buildCount(), 0);
+    sim->config.sortEvery = 3;
+    sim->setup();
+    EXPECT_GT(sim->neighbor.sortCount(), 0);
 }
 
 TEST(SortPolicy, DisabledRunNeverSortsAndCountsNothing)
 {
-    unsetenv("MDBENCH_SORT_EVERY");
     resetCounters();
     auto sim = buildLJ(4);
     sim->thermoEvery = 0;
-    ASSERT_EQ(sim->sortEvery(), 0);
+    sim->config.sortEvery = 0;
     sim->setup();
     sim->run(60);
     EXPECT_EQ(sim->neighbor.sortCount(), 0);
@@ -172,7 +185,7 @@ TEST(SortPolicy, EnabledRunSortsAndCounts)
     resetCounters();
     auto sim = buildLJ(4);
     sim->thermoEvery = 0;
-    sim->setSortEvery(2);
+    sim->config.sortEvery = 2;
     sim->setup();
     sim->run(60);
     EXPECT_GT(sim->neighbor.sortCount(), 0);
@@ -252,7 +265,7 @@ TEST(SortPhysics, SortedLJRunMatchesUnsortedObservables)
 
     auto sorted = buildLJ(5);
     sorted->thermoEvery = 0;
-    sorted->setSortEvery(2);
+    sorted->config.sortEvery = 2;
     sorted->setup();
     sorted->run(200);
     ASSERT_GT(sorted->neighbor.sortCount(), 0);

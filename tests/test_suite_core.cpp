@@ -12,9 +12,8 @@
 #include "core/experiment.h"
 #include "core/suite.h"
 #include "md/fix_shake.h"
+#include "util/engine_config.h"
 #include "util/error.h"
-#include "util/precision.h"
-#include "util/simd.h"
 #include "util/thread_pool.h"
 
 namespace mdbench {
@@ -201,20 +200,16 @@ TEST(ExperimentFacade, NativeRankedRejectsRhodo)
 
 TEST(ExperimentFacade, NativeRunsRestoreTheCallersKnobs)
 {
-    // A caller's thread count, SIMD width and precision tier (BenchRun's
-    // --no-simd / --precision, say) must survive an experiment that
-    // overrides all three, and one whose setup throws.
+    // A caller's thread count must survive an experiment that resizes
+    // the pool, and one whose setup throws. Width and tier live in the
+    // run's own Simulation, so the process default stays as it was.
     const int threadsBefore = ThreadPool::threads();
-    const int widthBefore = simdWidthOverride();
-    const Precision tierBefore = precisionTierOverride();
+    const EngineConfig defaults = EngineConfig::fromEnv();
     ThreadPool::setThreads(3);
-    setSimdWidth(0);
-    setPrecisionTier(Precision::Mixed);
-    const auto expectPreset = [](const char *after) {
+    const auto expectPreset = [&](const char *after) {
         SCOPED_TRACE(after);
         EXPECT_EQ(ThreadPool::threads(), 3);
-        EXPECT_EQ(simdWidthOverride(), 0);
-        EXPECT_EQ(precisionTierOverride(), Precision::Mixed);
+        EXPECT_EQ(EngineConfig::fromEnv(), defaults);
     };
 
     ExperimentSpec spec;
@@ -244,8 +239,6 @@ TEST(ExperimentFacade, NativeRunsRestoreTheCallersKnobs)
     expectPreset("throwing setup");
 
     ThreadPool::setThreads(threadsBefore);
-    setSimdWidth(widthBefore);
-    setPrecisionTier(tierBefore);
 }
 
 } // namespace

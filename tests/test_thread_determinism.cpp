@@ -9,7 +9,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <functional>
 #include <memory>
 #include <tuple>
@@ -17,9 +16,10 @@
 #include <vector>
 
 #include "core/suite.h"
+#include "env_guard.h"
 #include "md/neighbor.h"
 #include "md/simulation.h"
-#include "util/simd.h"
+#include "util/engine_config.h"
 #include "util/thread_pool.h"
 
 namespace mdbench {
@@ -153,9 +153,20 @@ TEST(ThreadDeterminism, EwaldIsBitwiseReproducible)
 
 TEST(ThreadDeterminism, LJMeltWithEnvSortingIsBitwiseReproducible)
 {
-    setenv("MDBENCH_SORT_EVERY", "5", 1);
-    expectBitwiseReproducible([] { return buildLJ(5); }, 80);
-    unsetenv("MDBENCH_SORT_EVERY");
+    // The config MDBENCH_SORT_EVERY=5 gives; the environment is read
+    // (not cached) inside the guard only.
+    const EngineConfig config = [] {
+        EnvGuard env("MDBENCH_SORT_EVERY", "5");
+        return EngineEnv::read().config;
+    }();
+    ASSERT_EQ(config.sortEvery, 5);
+    expectBitwiseReproducible(
+        [&config] {
+            auto sim = buildLJ(5);
+            sim->config = config;
+            return sim;
+        },
+        80);
 }
 
 TEST(ThreadDeterminism, LJMeltWithFrequentSortingIsBitwiseReproducible)
@@ -163,7 +174,7 @@ TEST(ThreadDeterminism, LJMeltWithFrequentSortingIsBitwiseReproducible)
     expectBitwiseReproducible(
         [] {
             auto sim = buildLJ(5);
-            sim->setSortEvery(1);
+            sim->config.sortEvery = 1;
             return sim;
         },
         50);
@@ -176,7 +187,7 @@ TEST(ThreadDeterminism, GranularWithSortingIsBitwiseReproducible)
     expectBitwiseReproducible(
         [] {
             auto sim = buildChute(4, 4, 3);
-            sim->setSortEvery(1);
+            sim->config.sortEvery = 1;
             return sim;
         },
         25);
@@ -188,7 +199,7 @@ TEST(ThreadDeterminism, RhodoProxyWithSortingIsBitwiseReproducible)
     expectBitwiseReproducible(
         [] {
             auto sim = buildRhodoProxy(8);
-            sim->setSortEvery(1);
+            sim->config.sortEvery = 1;
             return sim;
         },
         10);
@@ -227,12 +238,11 @@ TEST(ThreadDeterminism, BondedNeighborBuildListsAreThreadInvariant)
     const int before = ThreadPool::threads();
     for (const int width : {0, 8}) {
         auto listsAt = [width](int nthreads) {
-            setSimdWidth(width);
             ThreadPool::setThreads(nthreads);
             auto sim = buildChain(8);
+            sim->config.simdWidth = width;
             sim->thermoEvery = 0;
             sim->setup();
-            setSimdWidth(-1);
             const NeighborList &list = sim->neighbor.list();
             return std::make_pair(list.offsets, list.neighbors);
         };
