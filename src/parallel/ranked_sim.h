@@ -11,18 +11,19 @@
  * the bitwise oracle. Data movement between subdomains is real (atoms
  * migrate, halos are exchanged, forces fold back), while
  * communication *time* is charged to per-rank virtual clocks through
- * the MpiMachineModel. Physics is therefore bit-honest
- * (validated against serial runs — and the concurrent driver against
- * the sequential one, bitwise) and timing is modeled.
+ * the MpiMachineModel. Physics is therefore bit-honest (validated
+ * against serial runs — and the concurrent driver against the
+ * sequential one, bitwise) and timing is modeled.
  *
  * With `EngineConfig::commOverlap` (`MDBENCH_COMM_OVERLAP=1`) the halo
  * exchange is nonblocking (modeled Isend/Irecv at the end of each
  * step, Waitall charging only the *exposed* wire time) and overlaps
  * the interior force pass: each rank computes the pairs that read no
  * ghost data while the halo is in flight, then completes the boundary
- * pairs after it lands (DESIGN.md §17). Decomposed ranks always run the split interior/boundary
- * arithmetic, so overlap on/off and sequential/concurrent execution
- * all produce bitwise-identical trajectories.
+ * pairs after it lands (DESIGN.md §17). Decomposed ranks always run
+ * the split interior/boundary arithmetic, so overlap on/off and
+ * sequential/concurrent execution all produce bitwise-identical
+ * trajectories.
  *
  * Limitations (documented): k-space solvers, EAM (which needs per-atom
  * density communication), and SHAKE clusters are not supported in
