@@ -4,7 +4,8 @@
  * sweeps system × size × SIMD filter width (0 = the W = 1 fill, the
  * reference every wider fill matches row for row, then the default
  * width) × thread count and reports best-of-N build time, ns/atom,
- * and the bytes/atom of the packing the pair kernels traverse.
+ * and the bytes/atom of the list (row starts, row counts and the
+ * padded rows the pair kernels traverse).
  * The systems are the LJ melt (no exclusions) and the Rhodo proxy,
  * whose solute rows drop their bonded partners through the special
  * lists. The `vs_scalar_serial` column is the speedup against the
@@ -46,16 +47,13 @@ formatDouble(double value, int precision)
     return os.str();
 }
 
-/** Bytes of the packing the pair kernels actually traverse. */
+/** Bytes of the list: row starts, row counts and the padded rows. */
 std::size_t
-packedListBytes(const NeighborList &list)
+listBytes(const NeighborList &list)
 {
-    if (list.padWidth >= 1) {
-        return sizeof(std::uint32_t) *
-               (list.packedOffsets.size() + list.packedNeighbors.size());
-    }
-    return sizeof(std::uint32_t) *
-           (list.offsets.size() + list.neighbors.size());
+    return sizeof(std::uint32_t) * (list.offsets.size() +
+                                    list.counts.size() +
+                                    list.neighbors.size());
 }
 
 struct Cell
@@ -105,7 +103,7 @@ runCell(const System &system, int size, bool simd, int threads, int reps)
     cell.buildMs = best * 1e3;
     cell.pairs = sim->neighbor.list().pairCount();
     cell.bytesPerAtom =
-        static_cast<double>(packedListBytes(sim->neighbor.list())) /
+        static_cast<double>(listBytes(sim->neighbor.list())) /
         static_cast<double>(cell.natoms);
     return cell;
 }

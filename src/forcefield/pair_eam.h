@@ -89,7 +89,7 @@ class PairEAM : public PairStyle
      * radial passes gather-evaluate the cubic-spline tables W lanes at
      * a time. fp_ is oversized by the pad slot so sentinel gathers stay
      * in bounds. Width 0 runs the double-tier W = 1 instantiation over
-     * the plain rows.
+     * the same rows, unpadded.
      *
      * P is the precision policy (util/precision.h): the radial passes
      * — the O(N * neighbors) work — run in P::real lanes over the

@@ -33,10 +33,10 @@
 namespace mdbench {
 
 /**
- * Run the kernel @p list was packed for: `kernel.template
+ * Run the kernel @p list was padded for: `kernel.template
  * operator()<P, W>()`, one templated body per style. padWidth 0 (SIMD
- * layer off) runs <PrecisionDouble, 1> over the plain rows at every
- * tier. Packed widths run W = padWidth with P the policy of the list's
+ * layer off) runs <PrecisionDouble, 1> over the unpadded rows at every
+ * tier. Padded widths run W = padWidth with P the policy of the list's
  * recorded packTier — not the live global, so a knob flip between
  * build and compute cannot mismatch the padded geometry — under a
  * `pair`/`simd` trace scope. The generic backend compiles every width

@@ -101,7 +101,7 @@ class PairLJCharmmCoulLong : public PairStyle
      * including the Ewald erfc and exp(-grij^2): `erfcExpm2`
      * (util/simd_math.h) evaluates both over the whole group, once per
      * group with any lane inside the Coulomb cutoff. Width 0 runs the
-     * double-tier W = 1 instantiation over the plain rows. P is the
+     * double-tier W = 1 instantiation over unpadded rows. P is the
      * precision policy (util/precision.h); per-pair arithmetic runs in
      * P::real, and float tiers take the float exp polynomial.
      * kSingleType hoists the single LJ coefficient set out of both

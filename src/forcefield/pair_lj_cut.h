@@ -65,7 +65,7 @@ class PairLJCut : public PairStyle
      * The kernel: W-wide gather / masked-cutoff select /
      * multiply-accumulate groups over list.rows() (DESIGN.md §12-13)
      * with a per-lane masked scatter for the j-side Newton updates.
-     * Width 0 runs the double-tier W = 1 instantiation over the plain
+     * Width 0 runs the double-tier W = 1 instantiation over unpadded
      * rows. P is the precision policy (util/precision.h); the shared
      * accumulation and flush steps live in forcefield/pair_kernel.h.
      *

@@ -6,6 +6,8 @@
 #include <bit>
 #include <cmath>
 #include <cstring>
+#include <iterator>
+#include <numeric>
 #include <type_traits>
 #include <utility>
 
@@ -124,45 +126,16 @@ makeBinGrid(const mdbench::Box &box, double cut, const mdbench::Vec3 *x,
 }
 
 /**
- * Counting-sort binning: bin counts -> prefix sum -> scatter into a
- * contiguous per-bin atom array. Within a bin atoms end up in ascending
- * index order (the scatter walks atoms in order), and the contiguous
- * layout streams better than chasing head/next chains. Shared by the
- * list build (over owned + ghost atoms) and the spatial sort (over
- * owned atoms only), so both bin by the same grid rule.
- */
-void
-countingSortBins(const BinGrid &grid, const mdbench::Vec3 *x, std::size_t n,
-                 std::vector<std::uint32_t> &binOf,
-                 std::vector<std::uint32_t> &binStart,
-                 std::vector<std::uint32_t> &binCursor,
-                 std::vector<std::uint32_t> &binAtoms)
-{
-    binOf.resize(n);
-    binStart.assign(grid.nbins + 1, 0);
-    for (std::size_t i = 0; i < n; ++i) {
-        const auto b = grid.cellOf(x[i]);
-        const std::uint32_t flat =
-            static_cast<std::uint32_t>(grid.flatten(b[0], b[1], b[2]));
-        binOf[i] = flat;
-        ++binStart[flat + 1];
-    }
-    for (std::size_t b = 0; b < grid.nbins; ++b)
-        binStart[b + 1] += binStart[b];
-    binAtoms.resize(n);
-    binCursor.assign(binStart.begin(), binStart.end() - 1);
-    for (std::size_t i = 0; i < n; ++i)
-        binAtoms[binCursor[binOf[i]]++] = static_cast<std::uint32_t>(i);
-}
-
-/**
- * Threaded counting sort over the shared pool, bitwise identical to
- * the serial version: per-slice histograms, a serial (bin, slice)
- * prefix that assigns each slice a scatter cursor per bin, then a
- * parallel scatter. Slices are a fixed partition of the atom range
- * (at most kSortSlices) and walk atoms ascending, so within a bin the
- * final order is ascending atom index exactly as the serial scatter
- * produces.
+ * Counting-sort binning over the shared pool: per-slice bin histograms,
+ * a serial (bin, slice) prefix that assigns each slice a scatter cursor
+ * per bin, then a parallel scatter into a contiguous per-bin atom
+ * array. Slices are a fixed partition of the atom range (at most
+ * kSortSlices) and walk atoms ascending, so within a bin atoms end up
+ * in ascending index order and the output is bitwise the same at any
+ * slicing. A single-threaded pool, or fewer than 4 grains of atoms,
+ * takes one slice, which is the plain serial sort. Shared by the list
+ * build (over owned + ghost atoms) and the spatial sort (over owned
+ * atoms only), so both bin by the same grid rule.
  */
 void
 countingSortBinsParallel(const BinGrid &grid, const mdbench::Vec3 *x,
@@ -172,8 +145,12 @@ countingSortBinsParallel(const BinGrid &grid, const mdbench::Vec3 *x,
                          std::vector<std::uint32_t> &binSliceCount,
                          std::vector<std::uint32_t> &binAtoms)
 {
+    const bool serial = pool.size() == 1 || n < 4 * kNeighborGrain;
     const SliceRange slices(
-        0, n, std::max(kNeighborGrain, (n + kSortSlices - 1) / kSortSlices));
+        0, n,
+        serial ? n
+               : std::max(kNeighborGrain,
+                          (n + kSortSlices - 1) / kSortSlices));
     const std::size_t nslices = static_cast<std::size_t>(slices.count());
     const std::size_t nbins = grid.nbins;
     binOf.resize(n);
@@ -242,6 +219,14 @@ struct BuildCtx
                 specialTags + specialOffsets[i + 1]};
     }
 };
+
+/** @p count rounded up to a whole number of @p padWidth slots. */
+inline std::size_t
+paddedLength(std::size_t count, int padWidth)
+{
+    const auto w = static_cast<std::size_t>(std::max(padWidth, 1));
+    return (count + w - 1) / w * w;
+}
 
 /** Per-build candidate and exclusion totals. */
 struct BuildTally
@@ -445,10 +430,12 @@ fillRowSimd(const BuildCtx &c, std::size_t i, const StencilRuns &runs,
  * is the concatenation of the rows in index order, bitwise independent
  * of the slicing and the thread count, and it never needs a second copy
  * of itself. A threaded build with no previous list counts its rows
- * first, so its regions fit and peak memory stays at one list.
+ * first, so its regions fit and peak memory stays at one list. Each row
+ * is written padded: its ids, then list.sentinel up to a multiple of
+ * list.padWidth (DESIGN.md §12).
  *
- * @p fillRow(i, runs, dst, excluded) writes row i — at most runs.total
- * entries — at dst and returns its length.
+ * @p fillRow(i, runs, dst, excluded) writes row i's ids — at most
+ * runs.total entries — at dst and returns their count.
  */
 template <class FillRow>
 void
@@ -457,6 +444,8 @@ fillRows(NeighborList &list, const BuildCtx &ctx, ThreadPool &pool,
 {
     constexpr std::size_t kMax = SliceRange::kMaxSlices;
     const std::size_t nlocal = ctx.nlocal;
+    const int w = list.padWidth;
+    const std::uint32_t sentinel = list.sentinel;
     const SliceRange slices(0, nlocal,
                             pool.size() == 1 ? nlocal : kNeighborGrain);
     const auto n = static_cast<std::size_t>(slices.count());
@@ -481,8 +470,8 @@ fillRows(NeighborList &list, const BuildCtx &ctx, ThreadPool &pool,
                (e - b - (ce - cb)) * prevCount / prevRows;
     };
     if (prevCount == 0 && n > 1) {
-        // Counts plus room for the slice's largest row bound
-        // (runs.total), so no row spills on its bound alone.
+        // Padded counts plus room for the slice's largest row bound, so
+        // no row spills on its bound alone.
         pool.run(slices, [&](std::size_t begin, std::size_t end, int si) {
             const auto s = static_cast<std::size_t>(si);
             std::vector<std::uint32_t> row;
@@ -490,9 +479,10 @@ fillRows(NeighborList &list, const BuildCtx &ctx, ThreadPool &pool,
             for (std::size_t i = begin; i < end; ++i) {
                 const StencilRuns runs = stencilRuns(ctx, ctx.x[i]);
                 row.resize(std::max<std::size_t>(row.size(), runs.total));
-                used[s] += fillRow(i, runs, row.data(), excluded);
+                used[s] += paddedLength(
+                    fillRow(i, runs, row.data(), excluded), w);
             }
-            used[s] += row.size();
+            used[s] += paddedLength(row.size(), w);
         });
     }
     for (std::size_t s = 0; s < n; ++s) {
@@ -504,9 +494,11 @@ fillRows(NeighborList &list, const BuildCtx &ctx, ThreadPool &pool,
             region[s] + held + (prevCount == 0 ? 0 : held / 16 + 64);
     }
     list.offsets.assign(nlocal + 1, 0);
+    list.counts.resize(nlocal);
     list.neighbors.resize(region[n]);
     std::uint32_t *nbrs = list.neighbors.data();
     std::uint32_t *offsets = list.offsets.data();
+    std::uint32_t *counts = list.counts.data();
     pool.run(slices, [&](std::size_t begin, std::size_t end, int si) {
         const auto s = static_cast<std::size_t>(si);
         std::uint32_t *own = nbrs + region[s];
@@ -517,33 +509,38 @@ fillRows(NeighborList &list, const BuildCtx &ctx, ThreadPool &pool,
         for (std::size_t i = begin; i < end; ++i) {
             const StencilRuns runs = stencilRuns(ctx, ctx.x[i]);
             t.candidates += runs.total;
-            if (cursor + runs.total > room && n == 1) {
+            const std::size_t rowRoom = paddedLength(runs.total, w);
+            if (cursor + rowRoom > room && n == 1) {
                 // The only slice grows the list itself, to what the
                 // rows filled so far project for all rows plus 1/16 (at
                 // least by an eighth), and reserves exactly that: a
                 // doubling step would leave the peak footprint up to
                 // twice the list.
-                const std::size_t need = cursor + runs.total;
+                const std::size_t need = cursor + rowRoom;
                 const std::size_t projected =
                     i == 0 ? 0
-                           : cursor * (nlocal + nlocal / 16) / i +
-                                 runs.total;
+                           : cursor * (nlocal + nlocal / 16) / i + rowRoom;
                 const std::size_t grown =
                     std::max({need, room + room / 8, projected});
                 list.neighbors.reserve(grown);
                 list.neighbors.resize(grown);
                 own = list.neighbors.data();
                 room = list.neighbors.size();
-            } else if (cursor + runs.total > room) {
+            } else if (cursor + rowRoom > room) {
                 // This row and every later one go to the spill buffer.
                 room = std::min(room, cursor);
-                const std::size_t need = cursor - room + runs.total;
+                const std::size_t need = cursor - room + rowRoom;
                 if (over.size() < need)
                     over.resize(std::max(2 * over.size(), need));
             }
             std::uint32_t *dst =
                 cursor < room ? own + cursor : over.data() + (cursor - room);
-            cursor += fillRow(i, runs, dst, t.excluded);
+            const std::uint32_t count = fillRow(i, runs, dst, t.excluded);
+            const std::size_t rowEnd = paddedLength(count, w);
+            for (std::size_t k = count; k < rowEnd; ++k)
+                dst[k] = sentinel;
+            counts[i] = count;
+            cursor += rowEnd;
             offsets[i + 1] = static_cast<std::uint32_t>(cursor);
         }
         used[s] = cursor;
@@ -576,6 +573,9 @@ fillRows(NeighborList &list, const BuildCtx &ctx, ThreadPool &pool,
             place(s);
     }
     list.neighbors.resize(base[n]);
+    list.pairs = std::accumulate(list.counts.begin(), list.counts.end(),
+                                 std::size_t{0});
+    list.paddedSlots = base[n] - list.pairs;
 }
 
 /** Width × flavor dispatch for the vectorized build. */
@@ -610,6 +610,61 @@ dispatchBuildRows(int filterW, bool full, NeighborList &list,
         width(std::false_type{});
 }
 
+/**
+ * Pad @p list's rows to @p width (0 = no padding) at sim.config's tier,
+ * installing the AtomStore pad slot the sentinel ids gather from: it
+ * sits far beyond the box on every axis, so even after atoms drift
+ * between rebuilds no real position comes within the build cutoff of
+ * it, and the kernels' r² mask zeroes every sentinel lane. Width 0, or
+ * no owned atoms, records the double tier.
+ */
+void
+setPadding(mdbench::Simulation &sim, mdbench::NeighborList &list, int width)
+{
+    list.padWidth = sim.atoms.nlocal() == 0 ? 0 : std::max(width, 0);
+    list.packTier = list.padWidth >= 1 ? sim.config.precision
+                                       : mdbench::Precision::Double;
+    list.sentinel = 0;
+    if (list.padWidth >= 1) {
+        const mdbench::Vec3 padPos = sim.box.hi() + sim.box.lengths() +
+                                     mdbench::Vec3{1.0e6, 1.0e6, 1.0e6};
+        list.sentinel =
+            static_cast<std::uint32_t>(sim.atoms.ensurePadAtom(padPos));
+    }
+}
+
+/**
+ * Lay out @p list's row starts, pair total and padded slots from its
+ * counts; sizing and filling the rows is left to the caller.
+ */
+void
+layoutRows(mdbench::NeighborList &list)
+{
+    const std::size_t nrows = list.counts.size();
+    list.offsets.resize(nrows + 1);
+    list.offsets[0] = 0;
+    list.pairs = 0;
+    for (std::size_t i = 0; i < nrows; ++i) {
+        list.offsets[i + 1] = list.offsets[i] + static_cast<std::uint32_t>(
+                                  paddedLength(list.counts[i], list.padWidth));
+        list.pairs += list.counts[i];
+    }
+    list.paddedSlots = list.offsets[nrows] - list.pairs;
+}
+
+/**
+ * Write row @p i of a laid-out @p list: its counts[i] ids from @p ids
+ * (which may overlap the row), then the sentinel up to the next row.
+ */
+void
+copyRow(mdbench::NeighborList &list, std::size_t i, const std::uint32_t *ids)
+{
+    std::uint32_t *row = list.neighbors.data() + list.offsets[i];
+    std::memmove(row, ids, list.counts[i] * sizeof(std::uint32_t));
+    std::fill(row + list.counts[i],
+              list.neighbors.data() + list.offsets[i + 1], list.sentinel);
+}
+
 } // namespace
 
 void
@@ -631,7 +686,7 @@ NeighborList::neighborsPerAtom() const
     // Half lists store each physical pair once, so each pair contributes
     // a neighbor to both of its atoms.
     const double perPair = full ? 1.0 : 2.0;
-    return perPair * static_cast<double>(neighbors.size()) /
+    return perPair * static_cast<double>(pairCount()) /
            static_cast<double>(n);
 }
 
@@ -665,7 +720,7 @@ Neighbor::build(Simulation &sim)
 void
 Neighbor::buildImpl(Simulation &sim)
 {
-    const AtomStore &atoms = sim.atoms;
+    AtomStore &atoms = sim.atoms;
     const std::size_t nlocal = atoms.nlocal();
     const std::size_t nall = atoms.nall();
 
@@ -675,16 +730,17 @@ Neighbor::buildImpl(Simulation &sim)
 
     ThreadPool &pool = ThreadPool::global();
 
+    // The fill pads list_'s rows as it writes them; in split mode it is
+    // filled unpadded and buildSplitLists pads the sublists. Installing
+    // the pad slot may reallocate the positions, so x is taken after.
+    splitBuilt_ = false;
+    setPadding(sim, list_, splitGhostPairs ? 0 : sim.config.packWidth());
+
     // Bin the owned and ghost atoms at half the build cutoff.
     const Vec3 *x = atoms.x.data();
     const BinGrid grid = makeBinGrid(sim.box, cut, x, nall);
-    if (pool.size() > 1 && nall >= 4 * kNeighborGrain) {
-        countingSortBinsParallel(grid, x, nall, pool, binOf_, binStart_,
-                                 binSliceCount_, binAtoms_);
-    } else {
-        countingSortBins(grid, x, nall, binOf_, binStart_, binCursor_,
-                         binAtoms_);
-    }
+    countingSortBinsParallel(grid, x, nall, pool, binOf_, binStart_,
+                             binSliceCount_, binAtoms_);
     // Readable (masked-off) slots past the last bin for whole-chunk
     // loads; zero ids point at a real record but never pass the
     // lane-validity mask.
@@ -760,12 +816,14 @@ Neighbor::buildImpl(Simulation &sim)
         dispatchBuildRows(filterW, full, list_, ctx, pool, tally);
     }
     counterAdd(Counter::NeighBuilds);
-    counterAdd(Counter::NeighPairs, list_.neighbors.size());
+    counterAdd(Counter::NeighPairs, list_.pairCount());
     counterAdd(Counter::NeighBuildCandidates, tally.candidates);
-    counterAdd(Counter::NeighBuildAccepted, list_.neighbors.size());
+    counterAdd(Counter::NeighBuildAccepted, list_.pairCount());
     counterAdd(Counter::NeighExcludedPairs, tally.excluded);
-
-    packLists(sim);
+    if (splitGhostPairs)
+        buildSplitLists(sim);
+    else
+        counterAdd(Counter::NeighPaddedSlots, list_.paddedSlots);
 
     lastBuildPos_.assign(atoms.x.begin(), atoms.x.begin() + nlocal);
     ++buildCount_;
@@ -776,48 +834,39 @@ Neighbor::buildImpl(Simulation &sim)
 }
 
 void
-Neighbor::packLists(Simulation &sim)
+Neighbor::buildSplitLists(Simulation &sim)
 {
-    if (splitGhostPairs) {
-        // Ranks that split interior/boundary work pack each sublist
-        // separately. The main list keeps no packing — the force
-        // drivers only ever traverse the sublists.
-        list_.packedOffsets.clear();
-        list_.packedNeighbors.clear();
-        list_.padWidth = 0;
-        list_.paddedSlots = 0;
-        buildSplitLists(sim);
-        packPadded(sim, interiorList_);
-        packPadded(sim, boundaryList_);
-    } else {
-        splitBuilt_ = false;
-        packPadded(sim, list_);
-    }
-}
-
-void
-Neighbor::buildSplitLists(const Simulation &sim)
-{
-    const std::uint32_t nlocal =
-        static_cast<std::uint32_t>(sim.atoms.nlocal());
+    const std::size_t nlocal = sim.atoms.nlocal();
+    const auto owned = static_cast<std::uint32_t>(nlocal);
+    const auto inner = [owned](std::uint32_t j) { return j < owned; };
+    const std::uint32_t *nbrs = list_.neighbors.data();
     for (NeighborList *sub : {&interiorList_, &boundaryList_}) {
         sub->full = list_.full;
         sub->buildCutoff = list_.buildCutoff;
-        sub->offsets.assign(nlocal + 1, 0);
-        sub->neighbors.clear();
+        setPadding(sim, *sub, sim.config.packWidth());
+        sub->counts.resize(nlocal);
     }
-    interiorList_.neighbors.reserve(list_.neighbors.size());
-    for (std::uint32_t i = 0; i < nlocal; ++i) {
-        const auto range = list_.range(i);
-        for (std::uint32_t k = range.first; k < range.second; ++k) {
-            const std::uint32_t j = list_.neighbors[k];
-            (j < nlocal ? interiorList_ : boundaryList_)
-                .neighbors.push_back(j);
-        }
-        interiorList_.offsets[i + 1] =
-            static_cast<std::uint32_t>(interiorList_.neighbors.size());
-        boundaryList_.offsets[i + 1] =
-            static_cast<std::uint32_t>(boundaryList_.neighbors.size());
+    for (std::size_t i = 0; i < nlocal; ++i) {
+        const auto [b, e] = list_.range(i);
+        interiorList_.counts[i] = static_cast<std::uint32_t>(
+            std::count_if(nbrs + b, nbrs + e, inner));
+        boundaryList_.counts[i] = e - b - interiorList_.counts[i];
+    }
+    for (NeighborList *sub : {&interiorList_, &boundaryList_}) {
+        layoutRows(*sub);
+        sub->neighbors.resize(sub->offsets[nlocal]);
+        counterAdd(Counter::NeighPaddedSlots, sub->paddedSlots);
+    }
+    // Each sublist row keeps the main row's order.
+    std::vector<std::uint32_t> row;
+    for (std::size_t i = 0; i < nlocal; ++i) {
+        const auto [b, e] = list_.range(i);
+        row.clear();
+        std::copy_if(nbrs + b, nbrs + e, std::back_inserter(row), inner);
+        std::remove_copy_if(nbrs + b, nbrs + e, std::back_inserter(row),
+                            inner);
+        copyRow(interiorList_, i, row.data());
+        copyRow(boundaryList_, i, row.data() + interiorList_.counts[i]);
     }
     splitBuilt_ = true;
 }
@@ -827,77 +876,34 @@ Neighbor::ensureFreshPacking(Simulation &sim)
 {
     if (buildCount_ == 0 || splitGhostPairs)
         return;
-    // Width 0 packs nothing and records the double tier.
+    // Width 0 pads nothing and records the double tier.
     const int width = sim.config.packWidth();
     const Precision tier =
         width >= 1 ? sim.config.precision : Precision::Double;
     if (width == list_.padWidth && tier == list_.packTier)
         return;
-    // The config changed since the build: re-derive the packing from
-    // the plain list.
-    packLists(sim);
-}
-
-void
-Neighbor::packPadded(Simulation &sim, NeighborList &list)
-{
-    const std::size_t nlocal = sim.atoms.nlocal();
-    // Float tiers pack at the float-lane width (twice the double-lane
-    // width at a given ISA level, the precision × SIMD synergy); the
-    // tier is recorded on the list so kernels dispatch on the geometry
-    // that was actually built.
-    const Precision tier = sim.config.precision;
-    const int width = sim.config.packWidth();
-    list.padWidth = width;
-    list.packTier = tier;
-    if (width < 1 || nlocal == 0) {
-        list.packedOffsets.clear();
-        list.packedNeighbors.clear();
-        list.paddedSlots = 0;
-        list.sentinel = 0;
-        list.padWidth = 0;
-        list.packTier = Precision::Double;
-        return;
+    // The config changed since the build: lay the rows out again at the
+    // new width and move each one, those that move up first from the top
+    // down, then the rest from the bottom up, so that no row overwrites
+    // one not yet moved.
+    const std::vector<std::uint32_t> from = list_.offsets;
+    const std::size_t nlocal = list_.counts.size();
+    setPadding(sim, list_, width);
+    layoutRows(list_);
+    list_.neighbors.resize(std::max(from[nlocal], list_.offsets[nlocal]));
+    const auto move = [&](std::size_t i) {
+        copyRow(list_, i, list_.neighbors.data() + from[i]);
+    };
+    for (std::size_t i = nlocal; i-- > 0;) {
+        if (list_.offsets[i] > from[i])
+            move(i);
     }
-    TraceScope trace("neigh", "pack_padded");
-
-    // The pad slot sits far beyond the box on every axis, so even after
-    // atoms drift between rebuilds no real position comes within the
-    // build cutoff of it: the kernels' r² mask is false for every
-    // sentinel lane and padding contributes exact zeros.
-    const Vec3 span = sim.box.lengths();
-    const Vec3 padPos = sim.box.hi() + span + Vec3{1.0e6, 1.0e6, 1.0e6};
-    list.sentinel =
-        static_cast<std::uint32_t>(sim.atoms.ensurePadAtom(padPos));
-
-    const std::uint32_t w = static_cast<std::uint32_t>(width);
-    list.packedOffsets.resize(nlocal + 1);
-    list.packedOffsets[0] = 0;
     for (std::size_t i = 0; i < nlocal; ++i) {
-        const std::uint32_t count = list.offsets[i + 1] - list.offsets[i];
-        const std::uint32_t padded = (count + w - 1) / w * w;
-        list.packedOffsets[i + 1] = list.packedOffsets[i] + padded;
+        if (list_.offsets[i] <= from[i])
+            move(i);
     }
-    list.packedNeighbors.resize(list.packedOffsets[nlocal]);
-    const std::uint32_t *src = list.neighbors.data();
-    std::uint32_t *dst = list.packedNeighbors.data();
-    const std::uint32_t sentinel = list.sentinel;
-    ThreadPool::global().parallelFor(
-        0, nlocal, kNeighborGrain,
-        [&](std::size_t begin, std::size_t end, int) {
-            for (std::size_t i = begin; i < end; ++i) {
-                const std::uint32_t rowBegin = list.offsets[i];
-                const std::uint32_t count = list.offsets[i + 1] - rowBegin;
-                std::uint32_t cursor = list.packedOffsets[i];
-                const std::uint32_t rowEnd = list.packedOffsets[i + 1];
-                for (std::uint32_t k = 0; k < count; ++k)
-                    dst[cursor++] = src[rowBegin + k];
-                while (cursor < rowEnd)
-                    dst[cursor++] = sentinel;
-            }
-        });
-    list.paddedSlots = list.packedNeighbors.size() - list.neighbors.size();
-    counterAdd(Counter::NeighPaddedSlots, list.paddedSlots);
+    list_.neighbors.resize(list_.offsets[nlocal]);
+    counterAdd(Counter::NeighPaddedSlots, list_.paddedSlots);
 }
 
 void
@@ -914,8 +920,9 @@ Neighbor::computeSortOrder(const Simulation &sim,
     // layout).
     const BinGrid grid =
         makeBinGrid(sim.box, cut, atoms.x.data(), atoms.nlocal());
-    countingSortBins(grid, atoms.x.data(), atoms.nlocal(), binOf_,
-                     binStart_, binCursor_, binAtoms_);
+    countingSortBinsParallel(grid, atoms.x.data(), atoms.nlocal(),
+                             ThreadPool::global(), binOf_, binStart_,
+                             binSliceCount_, binAtoms_);
     order.assign(binAtoms_.begin(), binAtoms_.end());
 }
 

@@ -28,43 +28,42 @@ class Simulation;
  * sides via Newton's third law); full lists contain each pair twice,
  * once per side (used by gran/hooke/history, which the paper notes does
  * not exploit Newton's third law).
+ *
+ * One layout serves every consumer (DESIGN.md §12), LAMMPS' row start
+ * plus `numneigh` over one array: row i starts at offsets[i], holds its
+ * counts[i] real neighbor ids and then copies of `sentinel` up to
+ * offsets[i + 1], a multiple of padWidth further on. The sentinel is
+ * the index of the AtomStore pad slot, an inert atom placed far outside
+ * every cutoff, so the SIMD kernels' distance masks zero the padding
+ * lanes. Widths 0 (SIMD layer off) and 1 pad nothing.
  */
 struct NeighborList
 {
-    std::vector<std::uint32_t> offsets;   ///< size nlocal + 1
-    std::vector<std::uint32_t> neighbors; ///< CSR payload (owned or ghost ids)
+    std::vector<std::uint32_t> offsets;   ///< row starts, size nlocal + 1
+    std::vector<std::uint32_t> counts;    ///< real ids in each row
+    std::vector<std::uint32_t> neighbors; ///< rows (owned or ghost ids)
     bool full = false;                    ///< full vs half list
     double buildCutoff = 0.0;             ///< cutoff + skin used at build
-
-    // SIMD padded packing (DESIGN.md §12): a second CSR view of the
-    // same pairs whose rows are padded to a multiple of padWidth with
-    // copies of `sentinel` — the index of the AtomStore pad slot, an
-    // inert atom placed far outside every cutoff so the kernels'
-    // distance masks zero the padding lanes. Built only when the SIMD
-    // layer is active (padWidth >= 1); the plain list above always
-    // remains valid, and with the layer off (padWidth 0) the W = 1
-    // double kernel runs over it directly (see rows()).
-    std::vector<std::uint32_t> packedOffsets;   ///< size nlocal + 1
-    std::vector<std::uint32_t> packedNeighbors; ///< rows padded to padWidth
-    int padWidth = 0;              ///< packing vector width (0 = disabled)
+    int padWidth = 0;              ///< rows padded to this (0 = layer off)
     std::uint32_t sentinel = 0;    ///< pad-slot index filling padded slots
+    std::size_t pairs = 0;         ///< real ids across all rows (Σ counts)
     std::size_t paddedSlots = 0;   ///< sentinel entries across all rows
 
     /**
-     * Precision tier the packing was built for (util/precision.h;
-     * Double when padWidth is 0). Float tiers pack at the float-lane
-     * width (twice the double-lane width at a given ISA level); kernels
+     * Precision tier the rows were padded for (util/precision.h; Double
+     * when padWidth is 0). Float tiers pad at the float-lane width
+     * (twice the double-lane width at a given ISA level); kernels
      * dispatch on this recorded tier rather than the simulation's
      * config, so a config change between build and compute cannot
      * mismatch the padded geometry.
      */
     Precision packTier = Precision::Double;
 
-    /** Neighbors of atom @p i as a begin/end index pair. */
+    /** Real neighbors of atom @p i as a begin/end index pair. */
     std::pair<std::uint32_t, std::uint32_t>
     range(std::size_t i) const
     {
-        return {offsets[i], offsets[i + 1]};
+        return {offsets[i], offsets[i] + counts[i]};
     }
 
     /** Raw CSR rows: row i is neighbors[offsets[i] .. offsets[i + 1]). */
@@ -75,24 +74,17 @@ struct NeighborList
     };
 
     /**
-     * The rows the pair kernels traverse: the padded packing when one
-     * was built (padWidth >= 1), else the plain list. A W = 1 row needs
-     * no padding, so the plain rows are exactly the width-1 packing and
-     * width 0 runs the W = 1 kernel over them without a copy.
+     * The rows the pair kernels traverse, padding included: whole
+     * W-wide groups at padWidth W, the real ids alone at widths 0 and 1
+     * (width 0 runs the W = 1 kernel over them).
      */
-    Rows
-    rows() const
-    {
-        if (padWidth >= 1)
-            return {packedOffsets.data(), packedNeighbors.data()};
-        return {offsets.data(), neighbors.data()};
-    }
+    Rows rows() const { return {offsets.data(), neighbors.data()}; }
 
-    /** True when the padded packing was built at width @p w. */
+    /** True when the rows were padded at width @p w. */
     bool packedFor(int w) const { return padWidth == w && padWidth >= 1; }
 
     /** Total stored pairs (excludes padding). */
-    std::size_t pairCount() const { return neighbors.size(); }
+    std::size_t pairCount() const { return pairs; }
 
     /** Average neighbors per owned atom. */
     double neighborsPerAtom() const;
@@ -106,8 +98,8 @@ struct NeighborList
  * uniform: charged per kernel *invocation* — once per list traversal,
  * twice for EAM's two radial passes — never per list build, which
  * keeps manifest lane-utilization ratios comparable across sortEvery
- * and rebuild-interval settings. Charges nothing for the plain rows
- * (padWidth 0): with the SIMD layer off there are no lanes to count.
+ * and rebuild-interval settings. Charges nothing at padWidth 0: with
+ * the SIMD layer off there are no lanes to count.
  */
 void countSimdLaneUse(const NeighborList &list, int traversals = 1);
 
@@ -132,10 +124,10 @@ class Neighbor
      * halo data — and *interior* otherwise. Decomposed ranks set this
      * so the force drivers can compute interior pairs while the halo
      * exchange is in flight and finish the boundary pairs after it
-     * lands. Each sublist gets its own padded SIMD packing; the
-     * two-pass arithmetic stays a fixed regrouping of the one-pass
-     * per-row sums at any schedule because the sublists preserve the
-     * build's per-row neighbor order.
+     * lands. The main list is then filled unpadded and each sublist is
+     * written padded from it; the two-pass arithmetic stays a fixed
+     * regrouping of the one-pass per-row sums at any schedule because
+     * the sublists preserve the build's per-row neighbor order.
      */
     bool splitGhostPairs = false;
 
@@ -204,11 +196,12 @@ class Neighbor
     double averageRebuildInterval() const;
 
     /**
-     * Re-derive the padded packing from the existing plain list when
-     * sim.config's pack width or precision tier differs from what the
-     * list records (padWidth, packTier) — called by the force loop
-     * before every pair compute, so a config change between builds can
-     * never leave a kernel traversing stale-width geometry.
+     * Re-pad the list in place from its counts when sim.config's pack
+     * width or precision tier differs from what the list records
+     * (padWidth, packTier) — called by the force loop before every
+     * pair compute, so a config change between builds can never leave
+     * a kernel traversing stale-width geometry. It never rebuilds:
+     * build counters and the trigger state stay as they are.
      */
     void ensureFreshPacking(Simulation &sim);
 
@@ -222,17 +215,10 @@ class Neighbor
     [[gnu::noinline]] void buildImpl(Simulation &sim);
 
     /**
-     * Build the padded packing of @p list at sim.config's pack width (a
-     * no-op that clears the packed arrays when the SIMD layer is off)
-     * and install the AtomStore pad slot the sentinel ids gather from.
+     * Write the padded interiorList_/boundaryList_ from the unpadded
+     * list_, partitioned by j side.
      */
-    void packPadded(Simulation &sim, NeighborList &list);
-
-    /** Pack list_ (or the split sublists). */
-    void packLists(Simulation &sim);
-
-    /** Partition list_ into interiorList_/boundaryList_ by j side. */
-    void buildSplitLists(const Simulation &sim);
+    void buildSplitLists(Simulation &sim);
 
     NeighborList list_;
     NeighborList interiorList_; ///< owned-j pairs (splitGhostPairs)
@@ -244,7 +230,6 @@ class Neighbor
     // arrays are allocation-free in steady state.
     std::vector<std::uint32_t> binOf_;     ///< flat bin of each atom
     std::vector<std::uint32_t> binStart_;  ///< CSR bin offsets (nbins + 1)
-    std::vector<std::uint32_t> binCursor_; ///< scatter cursors (scratch)
     std::vector<std::uint32_t> binAtoms_;  ///< atoms grouped by bin
 
     /** Per-(slice, bin) histograms for the parallel counting sort. */

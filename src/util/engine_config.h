@@ -38,7 +38,7 @@ struct EngineConfig
     /**
      * Packed SIMD width. Unset runs the native compiled width, gated by
      * a runtime CPU check, with twice the lanes for float tiers. 0 turns
-     * the SIMD layer off (the double W = 1 kernels over the plain rows,
+     * the SIMD layer off (the double W = 1 kernels over unpadded rows,
      * whatever the tier). 1, 2, 4, 8 or 16 forces that lane count for
      * both lane types, through the generic backend when no ISA backend
      * matches.

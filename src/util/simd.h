@@ -36,10 +36,10 @@
  * widths, and `sum()` is the ascending-lane sequential sum for that
  * reason. Width 0 runs the W = 1 instantiation.
  *
- * Width configuration: a simulation's packed neighbor-list width is
+ * Width configuration: a simulation's neighbor rows are padded to
  * `EngineConfig::packWidth()` (util/engine_config.h) — 0 disables the
- * SIMD layer (the double W = 1 kernels over the plain rows, no padded
- * packing). The default comes from the `MDBENCH_SIMD` environment
+ * SIMD layer (the double W = 1 kernels over unpadded rows). The
+ * default comes from the `MDBENCH_SIMD` environment
  * variable (`0`/`off` = disabled, `1`/`on`/unset = simdNativeWidth(),
  * which doubles the lane count for float lanes, and an explicit
  * `2`/`4`/`8`/`16` forces that width for both element types, through
@@ -55,6 +55,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <functional>
 
 #if !defined(MDBENCH_SIMD_FORCE_SCALAR)
 #if defined(__AVX512F__)
@@ -135,7 +136,7 @@ simdWidthSupported(int w)
  * specialization when one matches (which depends on whether the tier
  * computes in float or double lanes), otherwise the generic (unrolled
  * scalar) template; 0 ("scalar") is the SIMD-off W = 1 double kernel
- * over the plain rows.
+ * over unpadded rows.
  */
 inline const char *
 simdBackendName(int w, [[maybe_unused]] bool floatLanes = false)

@@ -527,8 +527,8 @@ class SplittingOnly : public KspaceStyle
 };
 
 /**
- * Width 0 (the W = 1 kernel over the plain rows) and the compiled width
- * (W = 1 over the packed rows on portable builds).
+ * Width 0 (the W = 1 kernel, SIMD layer off) and the compiled width
+ * (W = 1 over the width-1 rows on portable builds).
  */
 constexpr int kCharmmWidths[] = {0, kSimdCompiledWidth};
 

@@ -22,6 +22,7 @@
 #include "forcefield/pair_lj_cut.h"
 #include "md/fix_nve.h"
 #include "obs/counters.h"
+#include "plain_rows.h"
 #include "util/error.h"
 #include "util/precision.h"
 #include "util/rng.h"
@@ -227,8 +228,8 @@ TEST(Neighbor, GhostCountScalesWithSurface)
                 ratio, 0.35 * ratio);
 }
 
-/** offsets+neighbors of a fresh build at the given knobs. */
-std::pair<std::vector<std::uint32_t>, std::vector<std::uint32_t>>
+/** The unpadded rows of a fresh build at the given knobs. */
+PlainRows
 buildListAt(int width, bool full, std::uint64_t seed)
 {
     Simulation sim;
@@ -240,7 +241,7 @@ buildListAt(int width, bool full, std::uint64_t seed)
     sim.comm->exchange(sim);
     sim.comm->borders(sim);
     sim.neighbor.build(sim);
-    return {sim.neighbor.list().offsets, sim.neighbor.list().neighbors};
+    return plainRows(sim.neighbor.list());
 }
 
 TEST(Neighbor, VectorizedBuildMatchesWidthOneReferenceAtAllWidths)
@@ -264,12 +265,12 @@ TEST(Neighbor, VectorizedBuildMatchesWidthOneReferenceAtAllWidths)
 }
 
 /**
- * offsets+neighbors of three successive builds of one system at the
+ * The unpadded rows of three successive builds of one system at the
  * given knobs: at cutoff 1.5, at 2.0 (the list more than doubles, so
  * the threaded fill outgrows the regions sized from the first build),
  * and at 1.5 again.
  */
-std::vector<std::pair<std::vector<std::uint32_t>, std::vector<std::uint32_t>>>
+std::vector<PlainRows>
 rebuildSequenceAt(int width, int threads, bool full)
 {
     const int before = ThreadPool::threads();
@@ -279,16 +280,13 @@ rebuildSequenceAt(int width, int threads, bool full)
     randomSystem(sim, 2000, 12.0, 21);
     sim.neighbor.skin = 0.3;
     sim.neighbor.full = full;
-    std::vector<
-        std::pair<std::vector<std::uint32_t>, std::vector<std::uint32_t>>>
-        lists;
+    std::vector<PlainRows> lists;
     for (const double cutoff : {1.5, 2.0, 1.5}) {
         sim.neighbor.cutoff = cutoff;
         sim.comm->exchange(sim);
         sim.comm->borders(sim);
         sim.neighbor.build(sim);
-        lists.emplace_back(sim.neighbor.list().offsets,
-                           sim.neighbor.list().neighbors);
+        lists.push_back(plainRows(sim.neighbor.list()));
     }
     ThreadPool::setThreads(before);
     return lists;
@@ -325,8 +323,7 @@ TEST(Neighbor, ExclusionSystemListUnaffectedByWidth)
         sim->config.simdWidth = width;
         sim->thermoEvery = 0;
         sim->setup();
-        return std::make_pair(sim->neighbor.list().offsets,
-                              sim->neighbor.list().neighbors);
+        return plainRows(sim->neighbor.list());
     };
     const auto reference = listsAt(0);
     for (const int width : {1, 2, 4, 8}) {
@@ -392,10 +389,8 @@ TEST(Neighbor, ExclusionListMatchesBruteForce)
             EXPECT_EQ(halfListPairs(*build.sim), expected);
             EXPECT_EQ(build.excludedCounter, excludedInRange);
             // Bitwise the oracle's rows, not just the same pair set.
-            EXPECT_EQ(build.sim->neighbor.list().offsets,
-                      ref.neighbor.list().offsets);
-            EXPECT_EQ(build.sim->neighbor.list().neighbors,
-                      ref.neighbor.list().neighbors);
+            EXPECT_EQ(plainRows(build.sim->neighbor.list()),
+                      plainRows(ref.neighbor.list()));
         }
     }
 }
@@ -502,8 +497,7 @@ expectHalfListOwnsEachPairOnce(const std::function<void(Simulation &)> &make)
                          << "width=" << width << " threads=" << threads);
             const auto sim = halfBuildAt(make, width, threads);
             EXPECT_EQ(halfListPairs(*sim), brute);
-            EXPECT_EQ(sim->neighbor.list().offsets, ref.offsets);
-            EXPECT_EQ(sim->neighbor.list().neighbors, ref.neighbors);
+            EXPECT_EQ(plainRows(sim->neighbor.list()), plainRows(ref));
         }
     }
 }
@@ -595,9 +589,9 @@ TEST(Neighbor, HalfStencilOwnershipEdgeCases)
                 });
             const NeighborList &list = sim->neighbor.list();
             auto row = [&](std::size_t i) {
-                std::vector<std::uint32_t> r(
-                    list.neighbors.begin() + list.offsets[i],
-                    list.neighbors.begin() + list.offsets[i + 1]);
+                const auto [begin, end] = list.range(i);
+                std::vector<std::uint32_t> r(list.neighbors.begin() + begin,
+                                             list.neighbors.begin() + end);
                 std::sort(r.begin(), r.end());
                 return r;
             };
@@ -606,6 +600,18 @@ TEST(Neighbor, HalfStencilOwnershipEdgeCases)
             EXPECT_EQ(row(2), (std::vector<std::uint32_t>{}));
         }
     }
+}
+
+/** Row starts, counts, padded rows and totals of @p a equal @p b's. */
+void
+expectSameRows(const NeighborList &a, const NeighborList &b)
+{
+    EXPECT_EQ(a.offsets, b.offsets);
+    EXPECT_EQ(a.counts, b.counts);
+    EXPECT_EQ(a.neighbors, b.neighbors);
+    EXPECT_EQ(a.sentinel, b.sentinel);
+    EXPECT_EQ(a.pairCount(), b.pairCount());
+    EXPECT_EQ(a.paddedSlots, b.paddedSlots);
 }
 
 TEST(Neighbor, PackingRefreshesOnWidthChange)
@@ -623,17 +629,14 @@ TEST(Neighbor, PackingRefreshesOnWidthChange)
     sim->computeForces();
     EXPECT_TRUE(sim->neighbor.list().packedFor(8));
 
-    // The refreshed packing and the forces computed through it must
+    // The re-padded rows and the forces computed through them must
     // match a run that was at width 8 from the start.
     auto reference = buildLJ(4);
     reference->config.simdWidth = 8;
     reference->thermoEvery = 0;
     reference->setup();
     ASSERT_TRUE(reference->neighbor.list().packedFor(8));
-    EXPECT_EQ(sim->neighbor.list().packedOffsets,
-              reference->neighbor.list().packedOffsets);
-    EXPECT_EQ(sim->neighbor.list().packedNeighbors,
-              reference->neighbor.list().packedNeighbors);
+    expectSameRows(sim->neighbor.list(), reference->neighbor.list());
     for (std::size_t i = 0; i < sim->atoms.nlocal(); ++i) {
         EXPECT_EQ(sim->atoms.f[i].x, reference->atoms.f[i].x) << i;
         EXPECT_EQ(sim->atoms.f[i].y, reference->atoms.f[i].y) << i;
@@ -657,7 +660,7 @@ TEST(Neighbor, PackingRefreshesOnPrecisionChange)
     sim->computeForces();
     EXPECT_EQ(sim->neighbor.list().packTier, Precision::Mixed);
 
-    // The refreshed packing and the forces computed through it must
+    // The re-padded rows and the forces computed through them must
     // match a run that was mixed from the start.
     auto reference = buildLJ(4);
     reference->config.simdWidth = 4;
@@ -667,10 +670,7 @@ TEST(Neighbor, PackingRefreshesOnPrecisionChange)
     ASSERT_EQ(reference->neighbor.list().packTier, Precision::Mixed);
     EXPECT_EQ(sim->neighbor.list().padWidth,
               reference->neighbor.list().padWidth);
-    EXPECT_EQ(sim->neighbor.list().packedOffsets,
-              reference->neighbor.list().packedOffsets);
-    EXPECT_EQ(sim->neighbor.list().packedNeighbors,
-              reference->neighbor.list().packedNeighbors);
+    expectSameRows(sim->neighbor.list(), reference->neighbor.list());
     for (std::size_t i = 0; i < sim->atoms.nlocal(); ++i) {
         EXPECT_EQ(sim->atoms.f[i].x, reference->atoms.f[i].x) << i;
         EXPECT_EQ(sim->atoms.f[i].y, reference->atoms.f[i].y) << i;

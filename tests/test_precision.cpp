@@ -240,8 +240,10 @@ TEST(PrecisionForces, CharmmMatchesDoubleWithinFloatTolerance)
 TEST(PrecisionForces, DoubleTierIsUnchangedByTheKnob)
 {
     // Explicitly selecting the double tier must reproduce the
-    // engine-default double path bit for bit at the same width.
-    auto def = builtAt([] { return buildLJ(4); }, std::nullopt, 4);
+    // engine-default double path bit for bit at the same width. The
+    // default is EngineConfig's own, not the environment's, so the test
+    // holds under any MDBENCH_PRECISION.
+    auto def = builtAt([] { return buildLJ(4); }, EngineConfig{}.precision, 4);
     auto dbl = builtLJ(Precision::Double, 4);
     ASSERT_EQ(def->atoms.nlocal(), dbl->atoms.nlocal());
     for (std::size_t i = 0; i < dbl->atoms.nlocal(); ++i) {

@@ -502,35 +502,109 @@ TEST(SimdBackend, EveryOpMatchesGenericTraitFloat16)
 
 // ---------------------------------------------------- padded packing
 
+/**
+ * The LJ melt set up at @p width with a half or full, split or whole
+ * list on four threads, then rebuilt at a larger skin: the rows outgrow
+ * the regions the first build sized, so rows of the second build go
+ * through the fill's spill buffers.
+ */
+std::unique_ptr<Simulation>
+builtLJListAt(int width, bool full, bool split)
+{
+    const int before = ThreadPool::threads();
+    ThreadPool::setThreads(4);
+    auto sim = buildLJ(5);
+    jitter(*sim);
+    sim->neighbor.full = full;
+    sim->neighbor.splitGhostPairs = split;
+    sim = setUpAt(std::move(sim), width);
+    sim->neighbor.skin = 0.8;
+    sim->reneighbor();
+    ThreadPool::setThreads(before);
+    return sim;
+}
+
+/** Which of a simulation's lists a layout case reads. */
+enum class ListKind { Main, Interior, Boundary };
+
+const NeighborList &
+listOf(const Simulation &sim, ListKind kind)
+{
+    switch (kind) {
+      case ListKind::Interior: return sim.neighbor.interiorList();
+      case ListKind::Boundary: return sim.neighbor.boundaryList();
+      default: return sim.neighbor.list();
+    }
+}
+
 TEST(PackedList, RowsPaddedWithSentinelToWidthMultiple)
 {
-    auto sim = builtLJ(4);
-    const NeighborList &list = sim->neighbor.list();
-    ASSERT_EQ(list.padWidth, 4);
-    ASSERT_TRUE(list.packedFor(4));
-    EXPECT_EQ(sim->atoms.npad(), 1u);
-    EXPECT_EQ(list.sentinel, static_cast<std::uint32_t>(sim->atoms.nall()));
-
-    // The kernels traverse the padded rows.
-    const NeighborList::Rows rows = list.rows();
-    ASSERT_EQ(rows.offsets, list.packedOffsets.data());
-    ASSERT_EQ(rows.neighbors, list.packedNeighbors.data());
-    std::size_t padSeen = 0;
-    for (std::size_t i = 0; i < sim->atoms.nlocal(); ++i) {
-        const std::uint32_t pb = rows.offsets[i], pe = rows.offsets[i + 1];
-        const auto [b, e] = list.range(i);
-        ASSERT_EQ((pe - pb) % 4, 0u);
-        ASSERT_GE(pe - pb, e - b);
-        // Real entries first, in plain-CSR order; sentinel afterwards.
-        for (std::uint32_t k = b; k < e; ++k)
-            ASSERT_EQ(list.packedNeighbors[pb + (k - b)],
-                      list.neighbors[k]);
-        for (std::uint32_t k = pb + (e - b); k < pe; ++k) {
-            ASSERT_EQ(list.packedNeighbors[k], list.sentinel);
-            ++padSeen;
+    // Every list the kernels traverse — the main list, and the interior
+    // and boundary sublists of a split build — starts each row at a
+    // multiple of the pad width, holds the width-1 row's ids there, and
+    // only the sentinel from the row's count up to the next row start.
+    const char *kindNames[] = {"main", "interior", "boundary"};
+    for (const bool full : {false, true}) {
+        for (const ListKind kind :
+             {ListKind::Main, ListKind::Interior, ListKind::Boundary}) {
+            const bool split = kind != ListKind::Main;
+            const auto ref = builtLJListAt(1, full, split);
+            const NeighborList &plain = listOf(*ref, kind);
+            for (const int width : {0, 1, 2, 4, 8, 16}) {
+                SCOPED_TRACE(testing::Message()
+                             << (full ? "full " : "half ")
+                             << kindNames[static_cast<int>(kind)]
+                             << " width=" << width);
+                const auto sim = builtLJListAt(width, full, split);
+                const NeighborList &list = listOf(*sim, kind);
+                const std::size_t nlocal = sim->atoms.nlocal();
+                ASSERT_EQ(list.padWidth, width);
+                ASSERT_EQ(list.offsets.size(), nlocal + 1);
+                ASSERT_EQ(list.counts.size(), nlocal);
+                ASSERT_EQ(list.offsets[nlocal], list.neighbors.size());
+                if (width >= 1) {
+                    EXPECT_EQ(sim->atoms.npad(), 1u);
+                    EXPECT_EQ(list.sentinel,
+                              static_cast<std::uint32_t>(sim->atoms.nall()));
+                }
+                // The kernels traverse the one array, padding included.
+                ASSERT_EQ(list.rows().offsets, list.offsets.data());
+                ASSERT_EQ(list.rows().neighbors, list.neighbors.data());
+                const std::uint32_t w =
+                    static_cast<std::uint32_t>(std::max(width, 1));
+                const std::uint32_t *ids = list.neighbors.data();
+                const std::uint32_t *refIds = plain.neighbors.data();
+                std::size_t pairs = 0;
+                std::size_t padSeen = 0;
+                for (std::size_t i = 0; i < nlocal; ++i) {
+                    ASSERT_EQ(list.offsets[i] % w, 0u) << i;
+                    const auto [b, e] = list.range(i);
+                    const auto [rb, re] = plain.range(i);
+                    ASSERT_TRUE(std::equal(ids + b, ids + e, refIds + rb,
+                                           refIds + re))
+                        << i;
+                    const std::uint32_t next = list.offsets[i + 1];
+                    ASSERT_LE(e, next) << i;
+                    ASSERT_LT(next - e, w) << i;
+                    for (std::uint32_t k = e; k < next; ++k) {
+                        ASSERT_EQ(ids[k], list.sentinel) << i;
+                        ++padSeen;
+                    }
+                    pairs += list.counts[i];
+                }
+                EXPECT_EQ(list.pairCount(), pairs);
+                EXPECT_EQ(list.paddedSlots, padSeen);
+                if (split) {
+                    // The sublists partition the unpadded main list.
+                    const Simulation &s = *sim;
+                    EXPECT_EQ(s.neighbor.list().padWidth, 0);
+                    EXPECT_EQ(s.neighbor.interiorList().pairCount() +
+                                  s.neighbor.boundaryList().pairCount(),
+                              s.neighbor.list().pairCount());
+                }
+            }
         }
     }
-    EXPECT_EQ(padSeen, list.paddedSlots);
 }
 
 TEST(PackedList, DisabledAtWidthZero)
@@ -540,8 +614,8 @@ TEST(PackedList, DisabledAtWidthZero)
     EXPECT_EQ(list.padWidth, 0);
     EXPECT_FALSE(list.packedFor(1));
     EXPECT_EQ(list.paddedSlots, 0u);
-    // The kernels traverse the plain rows: no packed copy exists.
-    EXPECT_TRUE(list.packedNeighbors.empty());
+    // The rows hold their real ids and nothing else.
+    EXPECT_EQ(list.neighbors.size(), list.pairCount());
     EXPECT_EQ(list.rows().offsets, list.offsets.data());
     EXPECT_EQ(list.rows().neighbors, list.neighbors.data());
 }
@@ -792,8 +866,8 @@ TEST(Kernels, CharmmMatchesWidthOneReferenceAtEveryWidth)
 
 TEST(Kernels, PlainRowsAreBitwiseThePackedWidthOne)
 {
-    // Width 0 runs the double W = 1 kernel over the plain rows; width 1
-    // runs the same instantiation over the width-1 packing, which pads
+    // Width 0 runs the double W = 1 kernel over unpadded rows; width 1
+    // runs the same instantiation over the width-1 rows, which pad
     // nothing. Both must give the same bits on every build, FMA or not.
     const int before = ThreadPool::threads();
     const std::pair<const char *, Builder> styles[] = {
@@ -810,7 +884,7 @@ TEST(Kernels, PlainRowsAreBitwiseThePackedWidthOne)
             auto plain = build(0);
             auto packed = build(1);
             ASSERT_EQ(plain->neighbor.list().padWidth, 0);
-            ASSERT_TRUE(plain->neighbor.list().packedNeighbors.empty());
+            ASSERT_EQ(plain->neighbor.list().paddedSlots, 0u);
             ASSERT_EQ(packed->neighbor.list().padWidth, 1);
             ASSERT_EQ(packed->neighbor.list().paddedSlots, 0u);
             ASSERT_EQ(plain->atoms.nlocal(), packed->atoms.nlocal());
@@ -898,10 +972,10 @@ TEST(Kernels, SortEveryRebuildKeepsPackingConsistent)
     const NeighborList &list = simd->neighbor.list();
     ASSERT_TRUE(list.packedFor(4));
     for (std::size_t i = 0; i < simd->atoms.nlocal(); ++i) {
-        const std::uint32_t pb = list.packedOffsets[i];
-        const std::uint32_t pe = list.packedOffsets[i + 1];
+        const std::uint32_t pb = list.offsets[i];
+        const std::uint32_t pe = list.offsets[i + 1];
         for (std::uint32_t k = pb; k < pe; ++k)
-            ASSERT_LE(list.packedNeighbors[k], list.sentinel);
+            ASSERT_LE(list.neighbors[k], list.sentinel);
     }
     EXPECT_NEAR(simd->potentialEnergy(), scalar->potentialEnergy(),
                 1e-8 * std::abs(scalar->potentialEnergy()));

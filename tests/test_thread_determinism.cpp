@@ -206,9 +206,9 @@ TEST(ThreadDeterminism, RhodoProxyWithSortingIsBitwiseReproducible)
 }
 
 // The vectorized neighbor build threads both the counting sort and the
-// candidate filter; the lists it emits (plain CSR and the packing) must
-// be bitwise identical at any thread count, including oversubscribed
-// ones where slice boundaries land in odd places.
+// candidate filter; the lists it emits (row starts, counts and the
+// padded rows) must be bitwise identical at any thread count, including
+// oversubscribed ones where slice boundaries land in odd places.
 
 TEST(ThreadDeterminism, VectorizedNeighborBuildListsAreThreadInvariant)
 {
@@ -219,8 +219,7 @@ TEST(ThreadDeterminism, VectorizedNeighborBuildListsAreThreadInvariant)
         sim->thermoEvery = 0;
         sim->setup();
         const NeighborList &list = sim->neighbor.list();
-        return std::make_tuple(list.offsets, list.neighbors,
-                               list.packedOffsets, list.packedNeighbors);
+        return std::make_tuple(list.offsets, list.counts, list.neighbors);
     };
     const auto reference = listsAt(1);
     for (int nthreads : {2, 4, 8, 16}) {
@@ -244,7 +243,8 @@ TEST(ThreadDeterminism, BondedNeighborBuildListsAreThreadInvariant)
             sim->thermoEvery = 0;
             sim->setup();
             const NeighborList &list = sim->neighbor.list();
-            return std::make_pair(list.offsets, list.neighbors);
+            return std::make_tuple(list.offsets, list.counts,
+                                   list.neighbors);
         };
         const auto reference = listsAt(1);
         for (int nthreads : {2, 4, 8, 16}) {
