@@ -6,10 +6,11 @@
  * width) × thread count and reports best-of-N build time, ns/atom,
  * and the bytes/atom of the list (row starts, row counts and the
  * padded rows the pair kernels traverse).
- * The systems are the LJ melt (no exclusions) and the Rhodo proxy,
- * whose solute rows drop their bonded partners through the special
- * lists. The `vs_scalar_serial` column is the speedup against the
- * width-0 single-thread build of the same system — the number the
+ * The systems are the LJ melt (no exclusions; the full list lj/cut
+ * asks for) and the Rhodo proxy (a half list), whose solute rows drop
+ * their bonded partners through the special lists. The
+ * `vs_scalar_serial` column is the speedup against the width-0
+ * single-thread build of the same system — the number the
  * vectorized + threaded build is accountable to.
  *
  * Usage: bench_native_neigh_build [--quick] [shared flags]

@@ -61,7 +61,6 @@ formatScientific(double value, int precision)
 struct Config
 {
     std::string kernel;
-    bool fullList;
     std::function<std::unique_ptr<Simulation>()> build;
 };
 
@@ -69,6 +68,7 @@ struct Cell
 {
     std::size_t natoms = 0;
     std::size_t pairs = 0;
+    bool full = false; ///< the list flavor setup built
     double mpairsPerSecond = 0.0;
 };
 
@@ -86,12 +86,12 @@ runCell(const Config &config, Precision tier, int width,
     sim->config.precision = tier;
     sim->config.simdWidth = width;
     sim->thermoEvery = 0;
-    sim->neighbor.full = config.fullList;
     sim->setup();
 
     Cell cell;
     cell.natoms = sim->atoms.nlocal();
     cell.pairs = sim->neighbor.list().pairCount();
+    cell.full = sim->neighbor.list().full;
     auto measure = [&](long iters) {
         WallTimer wall;
         for (long it = 0; it < iters; ++it) {
@@ -177,14 +177,10 @@ main(int argc, char **argv)
     const int accuracyCells = quick ? 4 : 6;
     const long accuracySteps = quick ? 200 : 10000;
 
-    // lj/cut runs both list flavors: the half list pays a scalar
-    // Newton scatter per pair that float lanes cannot widen, so the
-    // scatter-free full list is where the precision tiers separate.
     const std::vector<Config> configs = {
-        {"lj/cut", false, [&] { return buildLJ(ljCells); }},
-        {"lj/cut", true, [&] { return buildLJ(ljCells); }},
-        {"eam", false, [&] { return buildEAM(eamCells); }},
-        {"lj/charmm/coul/long", false,
+        {"lj/cut", [&] { return buildLJ(ljCells); }},
+        {"eam", [&] { return buildEAM(eamCells); }},
+        {"lj/charmm/coul/long",
          [&] { return buildRhodoProxy(rhodoMolecules); }},
     };
     const std::vector<Precision> tiers = {
@@ -235,10 +231,9 @@ main(int argc, char **argv)
                                           : kSimdCompiledWidth;
             std::string drift = "-";
             std::string rdfErr = "-";
-            // The accuracy run uses the engine-default (half) list;
-            // attach its columns to the matching throughput rows.
-            if (config.kernel == "lj/cut" && !config.fullList &&
-                row.width == native) {
+            // The accuracy run is lj/cut's: attach its columns to the
+            // lj/cut throughput rows at each tier's native width.
+            if (config.kernel == "lj/cut" && row.width == native) {
                 for (const auto &[tier, acc] : accuracy) {
                     if (tier != row.tier)
                         continue;
@@ -248,7 +243,7 @@ main(int argc, char **argv)
                 }
             }
             table.addRow(
-                {config.kernel, config.fullList ? "full" : "half",
+                {config.kernel, row.cell.full ? "full" : "half",
                  precisionName(row.tier), std::to_string(row.width),
                  simdBackendName(row.width, floatLanes),
                  std::to_string(row.cell.natoms),

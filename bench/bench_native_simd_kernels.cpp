@@ -6,9 +6,8 @@
  * 1/2/4/8 = the padded packings, ISA backend where one matches) over
  * the lj/cut, EAM, and lj/charmm/coul/long force fields and reports
  * Mpairs/s plus `vs_scalar`, the speedup against the width-0 row on
- * the same system. lj/cut runs both list flavors, so the half-vs-full
- * vectorization question (Newton scatter + fewer stored pairs vs
- * scatter-free gather loop) is a table column rather than a rebuild.
+ * the same system. The `list` column is the flavor each style's setup
+ * built: full for lj/cut, half for EAM and lj/charmm/coul/long.
  *
  * Usage: bench_native_simd_kernels [--quick] [shared flags]
  * `--quick` shrinks systems and the timing target to smoke-test size.
@@ -46,7 +45,6 @@ formatDouble(double value, int precision)
 struct Config
 {
     std::string kernel;
-    bool fullList;
     std::function<std::unique_ptr<Simulation>()> build;
 };
 
@@ -54,6 +52,7 @@ struct Cell
 {
     std::size_t natoms = 0;
     std::size_t pairs = 0;
+    bool full = false; ///< the list flavor setup built
     double mpairsPerSecond = 0.0;
 };
 
@@ -68,12 +67,12 @@ runCell(const Config &config, int width, double targetSeconds)
     auto sim = config.build();
     sim->config.simdWidth = width;
     sim->thermoEvery = 0;
-    sim->neighbor.full = config.fullList;
     sim->setup();
 
     Cell cell;
     cell.natoms = sim->atoms.nlocal();
     cell.pairs = sim->neighbor.list().pairCount();
+    cell.full = sim->neighbor.list().full;
     long iters = 1;
     for (;;) {
         WallTimer wall;
@@ -109,10 +108,9 @@ main(int argc, char **argv)
     const int rhodoMolecules = quick ? 8 : 8;
 
     const std::vector<Config> configs = {
-        {"lj/cut", false, [&] { return buildLJ(ljCells); }},
-        {"lj/cut", true, [&] { return buildLJ(ljCells); }},
-        {"eam", false, [&] { return buildEAM(eamCells); }},
-        {"lj/charmm/coul/long", false,
+        {"lj/cut", [&] { return buildLJ(ljCells); }},
+        {"eam", [&] { return buildEAM(eamCells); }},
+        {"lj/charmm/coul/long",
          [&] { return buildRhodoProxy(rhodoMolecules); }},
     };
 
@@ -125,7 +123,7 @@ main(int argc, char **argv)
             if (width == 0)
                 widthZeroRate = cell.mpairsPerSecond;
             table.addRow(
-                {config.kernel, config.fullList ? "full" : "half",
+                {config.kernel, cell.full ? "full" : "half",
                  std::to_string(cell.natoms), std::to_string(cell.pairs),
                  std::to_string(width), simdBackendName(width),
                  formatDouble(cell.mpairsPerSecond, 2),

@@ -111,24 +111,19 @@ PairLJCut::mix(MixRule rule)
 void
 PairLJCut::compute(Simulation &sim, const NeighborList &list)
 {
-    // The list flavor is a template parameter so the full-list SIMD loop
-    // carries no Newton-scatter code at all — compiled in, it inflates
-    // register pressure enough to spill the hoisted constants out of
-    // the hot loop.
-    const auto run = [&]<bool kSingleType, bool kHalf>() {
+    ensure(list.full, "lj/cut requires a full neighbor list");
+    const auto run = [&]<bool kSingleType>() {
         dispatchPairKernel(list, [&]<typename P, int W>() {
-            computeSimdImpl<P, W, kSingleType, kHalf>(sim, list);
+            computeSimdImpl<P, W, kSingleType>(sim, list);
         });
     };
     if (ntypes_ == 1)
-        list.full ? run.operator()<true, false>()
-                  : run.operator()<true, true>();
+        run.operator()<true>();
     else
-        list.full ? run.operator()<false, false>()
-                  : run.operator()<false, true>();
+        run.operator()<false>();
 }
 
-template <typename P, int W, bool kSingleType, bool kHalf>
+template <typename P, int W, bool kSingleType>
 void
 PairLJCut::computeSimdImpl(Simulation &sim, const NeighborList &list)
 {
@@ -153,8 +148,6 @@ PairLJCut::computeSimdImpl(Simulation &sim, const NeighborList &list)
     AtomStore &atoms = sim.atoms;
     const double cutSq = cutoff_ * cutoff_;
     const std::size_t nlocal = atoms.nlocal();
-    // Full lists visit each pair twice; halve shared accumulators.
-    const double pairScale = kHalf ? 1.0 : 0.5;
 
     ThreadPool &pool = ThreadPool::global();
     const SliceRange slices(0, nlocal, forceKernelGrain(nlocal));
@@ -185,11 +178,8 @@ PairLJCut::computeSimdImpl(Simulation &sim, const NeighborList &list)
     const real *xpackPtr =
         xpack_.get<real>().stage(atoms.x.data(), nullptr, nallPad);
 
-    auto kernel = [&](std::size_t sliceBegin, std::size_t sliceEnd, int s,
-                      int buffer) {
-        ReduceScratch<Vec3>::Accumulator fw;
-        if constexpr (kHalf)
-            fw = fscratch_.acc(buffer);
+    pool.run(slices, [&](std::size_t sliceBegin, std::size_t sliceEnd,
+                         int s) {
         // Everything the inner loop touches lives in lambda-locals
         // (the hot-loop rule of forcefield/pair_kernel.h).
         const real *const xpk = xpackPtr;
@@ -220,20 +210,11 @@ PairLJCut::computeSimdImpl(Simulation &sim, const NeighborList &list)
                 // fma association matches Vec3::normSq bitwise on the
                 // generic backend (addition order is commutative).
                 const D r2 = D::fma(dz, dz, D::fma(dy, dy, dx * dx));
+                // No all-rejected early-out: rejected and sentinel lanes
+                // contribute exact zeros through the masked factors
+                // below, and the branch is almost never taken on a
+                // dense list.
                 const M mask = r2 < cutSqV;
-                // Half lists need the active-lane bits for the Newton
-                // scatter anyway, so the all-rejected early-out is
-                // free there. Full lists drop the movemask + branch:
-                // rejected and sentinel lanes contribute exact zeros
-                // through the masked factors below, so falling through
-                // is bitwise identical and the branch is almost never
-                // taken on a dense list.
-                [[maybe_unused]] int active = 0;
-                if constexpr (kHalf) {
-                    active = mask.bits();
-                    if (active == 0)
-                        continue;
-                }
                 D lj1, lj2, lj3, lj4, esh;
                 if constexpr (kSingleType) {
                     lj1 = lj1S; lj2 = lj2S; lj3 = lj3S; lj4 = lj4S;
@@ -255,23 +236,13 @@ PairLJCut::computeSimdImpl(Simulation &sim, const NeighborList &list)
                 // everywhere downstream.
                 const D forcelj = D::maskZero(
                     mask, r6inv * D::fms(lj1, r6inv, lj2) * r2inv);
-                if constexpr (kHalf) {
-                    const D fpx = dx * forcelj;
-                    const D fpy = dy * forcelj;
-                    const D fpz = dz * forcelj;
-                    fiX += fpx;
-                    fiY += fpy;
-                    fiZ += fpz;
-                    newtonScatter(fw, pk, k, active, fpx, fpy, fpz);
-                } else {
-                    // Same value as fiX += dx*forcelj (addition order is
-                    // commutative bitwise), fused on the ISA backends.
-                    fiX = D::fma(dx, forcelj, fiX);
-                    fiY = D::fma(dy, forcelj, fiY);
-                    fiZ = D::fma(dz, forcelj, fiZ);
-                }
-                // Accumulated unscaled; the full-list 1/2 double-count
-                // factor is applied once at the slice flush. Scaling by
+                // Same value as fiX += dx*forcelj (addition order is
+                // commutative bitwise), fused on the ISA backends.
+                fiX = D::fma(dx, forcelj, fiX);
+                fiY = D::fma(dy, forcelj, fiY);
+                fiZ = D::fma(dz, forcelj, fiZ);
+                // Accumulated unscaled; the 1/2 for visiting each pair
+                // twice is applied once at the slice flush. Scaling by
                 // a power of two commutes exactly with every rounding
                 // step, so this is bitwise identical to scaling each
                 // pair term (and saves two multiplies per group).
@@ -279,19 +250,12 @@ PairLJCut::computeSimdImpl(Simulation &sim, const NeighborList &list)
                     mask, D::fms(r6inv, D::fms(lj3, r6inv, lj4), esh));
                 sums[1] = D::fma(forcelj, r2, sums[1]);
             }
-            flushRowForce(kHalf ? fw.at(i) : f[i], fiX, fiY, fiZ);
+            flushRowForce(f[i], fiX, fiY, fiZ);
             sums.endRow();
         }
-        energySlice[s] = pairScale * sums.total(0);
-        virialSlice[s] = pairScale * sums.total(1);
-    };
-    if constexpr (kHalf) {
-        fscratch_.runAndReduce(pool, slices, atoms.nall(), f, kernel);
-    } else {
-        pool.run(slices, [&](std::size_t begin, std::size_t end, int s) {
-            kernel(begin, end, s, -1);
-        });
-    }
+        energySlice[s] = 0.5 * sums.total(0);
+        virialSlice[s] = 0.5 * sums.total(1);
+    });
     energy_ = energySlice.fold(slices, energy_);
     virial_ = virialSlice.fold(slices, virial_);
 }

@@ -10,10 +10,8 @@
 #include <vector>
 
 #include "md/styles.h"
-#include "md/vec3.h"
 #include "md/xpack.h"
 #include "util/precision.h"
-#include "util/thread_pool.h"
 
 namespace mdbench {
 
@@ -42,6 +40,7 @@ class PairLJCut : public PairStyle
 
     std::string name() const override { return "lj/cut"; }
     double cutoff() const override { return cutoff_; }
+    bool needsFullList() const override { return true; }
     void compute(Simulation &sim, const NeighborList &list) override;
 
   private:
@@ -62,10 +61,11 @@ class PairLJCut : public PairStyle
     void precompute(Coeff &c) const;
 
     /**
-     * The kernel: W-wide gather / masked-cutoff select /
-     * multiply-accumulate groups over list.rows() (DESIGN.md §12-13)
-     * with a per-lane masked scatter for the j-side Newton updates.
-     * Width 0 runs the double-tier W = 1 instantiation over unpadded
+     * The kernel: W-wide record load / masked-cutoff select /
+     * multiply-accumulate groups over the full list's list.rows()
+     * (DESIGN.md §12-13). Each pair is visited from both sides and only
+     * f[i] is written, so there is no j-side scatter and no per-slice
+     * force buffer; energy and virial take the factor 1/2. Width 0 runs the double-tier W = 1 instantiation over unpadded
      * rows. P is the precision policy (util/precision.h); the shared
      * accumulation and flush steps live in forcefield/pair_kernel.h.
      *
@@ -74,13 +74,8 @@ class PairLJCut : public PairStyle
      * types, and LJ/Chain/EAM/Chute have one. The arithmetic is
      * identical on both paths, so results are bitwise independent of
      * which one runs.
-     *
-     * kHalf bakes the list flavor in at compile time: the full-list
-     * instantiation carries no Newton-scatter code (which would
-     * otherwise inflate register pressure in the hot loop) and the
-     * half-list one no wasted double-count scaling.
      */
-    template <typename P, int W, bool kSingleType, bool kHalf>
+    template <typename P, int W, bool kSingleType>
     void computeSimdImpl(Simulation &sim, const NeighborList &list);
 
     /** Rebuild the float coefficient mirror if coefficients changed. */
@@ -98,9 +93,6 @@ class PairLJCut : public PairStyle
      */
     std::vector<float> coeffsF_;
     bool coeffsFDirty_ = true;
-
-    /** Per-slice j-side force buffers (half lists, Newton on). */
-    ReduceScratch<Vec3> fscratch_;
 
     /**
      * Position staging as padded [x, y, z, 0] records (md/xpack.h),

@@ -6,7 +6,6 @@
 #include <bit>
 #include <cmath>
 #include <cstring>
-#include <iterator>
 #include <numeric>
 #include <type_traits>
 #include <utility>
@@ -838,7 +837,6 @@ Neighbor::buildSplitLists(Simulation &sim)
 {
     const std::size_t nlocal = sim.atoms.nlocal();
     const auto owned = static_cast<std::uint32_t>(nlocal);
-    const auto inner = [owned](std::uint32_t j) { return j < owned; };
     const std::uint32_t *nbrs = list_.neighbors.data();
     for (NeighborList *sub : {&interiorList_, &boundaryList_}) {
         sub->full = list_.full;
@@ -846,28 +844,47 @@ Neighbor::buildSplitLists(Simulation &sim)
         setPadding(sim, *sub, sim.config.packWidth());
         sub->counts.resize(nlocal);
     }
-    for (std::size_t i = 0; i < nlocal; ++i) {
-        const auto [b, e] = list_.range(i);
-        interiorList_.counts[i] = static_cast<std::uint32_t>(
-            std::count_if(nbrs + b, nbrs + e, inner));
-        boundaryList_.counts[i] = e - b - interiorList_.counts[i];
-    }
+    ThreadPool &pool = ThreadPool::global();
+    const auto count = [&](std::size_t begin, std::size_t end, int) {
+        for (std::size_t i = begin; i < end; ++i) {
+            const auto [b, e] = list_.range(i);
+            const auto inner = static_cast<std::uint32_t>(std::count_if(
+                nbrs + b, nbrs + e,
+                [owned](std::uint32_t j) { return j < owned; }));
+            interiorList_.counts[i] = inner;
+            boundaryList_.counts[i] = e - b - inner;
+        }
+    };
+    pool.parallelFor(0, nlocal, kNeighborGrain, count);
     for (NeighborList *sub : {&interiorList_, &boundaryList_}) {
         layoutRows(*sub);
         sub->neighbors.resize(sub->offsets[nlocal]);
         counterAdd(Counter::NeighPaddedSlots, sub->paddedSlots);
     }
-    // Each sublist row keeps the main row's order.
-    std::vector<std::uint32_t> row;
-    for (std::size_t i = 0; i < nlocal; ++i) {
-        const auto [b, e] = list_.range(i);
-        row.clear();
-        std::copy_if(nbrs + b, nbrs + e, std::back_inserter(row), inner);
-        std::remove_copy_if(nbrs + b, nbrs + e, std::back_inserter(row),
-                            inner);
-        copyRow(interiorList_, i, row.data());
-        copyRow(boundaryList_, i, row.data() + interiorList_.counts[i]);
-    }
+    // One pass over each main row deals its ids to the two sublist rows
+    // in the row's order, then pads both rows.
+    std::uint32_t *const inIds = interiorList_.neighbors.data();
+    std::uint32_t *const bdIds = boundaryList_.neighbors.data();
+    const std::uint32_t *const inRows = interiorList_.offsets.data();
+    const std::uint32_t *const bdRows = boundaryList_.offsets.data();
+    const std::uint32_t pad = interiorList_.sentinel;
+    const auto deal = [&](std::size_t begin, std::size_t end, int) {
+        for (std::size_t i = begin; i < end; ++i) {
+            const auto [b, e] = list_.range(i);
+            std::uint32_t *in = inIds + inRows[i];
+            std::uint32_t *bd = bdIds + bdRows[i];
+            for (std::uint32_t k = b; k < e; ++k) {
+                const std::uint32_t j = nbrs[k];
+                if (j < owned)
+                    *in++ = j;
+                else
+                    *bd++ = j;
+            }
+            std::fill(in, inIds + inRows[i + 1], pad);
+            std::fill(bd, bdIds + bdRows[i + 1], pad);
+        }
+    };
+    pool.parallelFor(0, nlocal, kNeighborGrain, deal);
     splitBuilt_ = true;
 }
 

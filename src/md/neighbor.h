@@ -27,7 +27,8 @@ class Simulation;
  * Half lists contain each physical pair once (forces applied to both
  * sides via Newton's third law); full lists contain each pair twice,
  * once per side (used by gran/hooke/history, which the paper notes does
- * not exploit Newton's third law).
+ * not exploit Newton's third law, and by lj/cut, whose kernel then
+ * writes only the i side and needs no force scatter).
  *
  * One layout serves every consumer (DESIGN.md §12), LAMMPS' row start
  * plus `numneigh` over one array: row i starts at offsets[i], holds its

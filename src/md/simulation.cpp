@@ -158,9 +158,9 @@ Simulation::setup()
     config.validate();
     if (pair) {
         neighbor.cutoff = std::max(neighbor.cutoff, pair->cutoff());
-        // Upgrade to a full list when the style demands one, but keep an
-        // explicit full request (every kernel consumes full lists; the
-        // half/full bench knob depends on the request surviving setup).
+        // Upgrade to a full list when the style needs one (lj/cut,
+        // gran/hooke/history). An explicit full request is kept, so a
+        // half-list style (EAM, charmm) handed one fails its own check.
         neighbor.full = neighbor.full || pair->needsFullList();
         pair->setup(*this);
     }

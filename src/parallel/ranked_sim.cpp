@@ -564,12 +564,10 @@ RankedSimulation::setup()
                 sim->neighbor.full || sim->pair->needsFullList();
             sim->pair->setup(*sim);
         }
-        // Half-list ranks always run the split interior/boundary
-        // arithmetic so the overlap knob changes scheduling only, never
-        // results. Full lists (granular history) stay unsplit: their
-        // boundary pass simply covers everything after the halo lands.
-        sim->neighbor.splitGhostPairs =
-            sim->pair != nullptr && !sim->neighbor.full;
+        // Every rank with a pair style runs the split interior/boundary
+        // arithmetic, so the overlap knob changes scheduling only, never
+        // results.
+        sim->neighbor.splitGhostPairs = sim->pair != nullptr;
         // Per-step halos carry velocities only for styles that read
         // them; everything else gets the x-only fast path.
         comms_[r]->haloVelocities_ =

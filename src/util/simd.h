@@ -20,11 +20,12 @@
  *  - AVX-512 specializes (double, 8) (`__m512d` + `__m256i` indices)
  *    and (float, 16) (`__m512` + `__m512i`), under `-mavx512f`.
  *
- * Only the loadXyzw transposes and gathers, compressStore and the
- * sumXyz/sumPair horizontal sums stay hand-written per ISA. The float
- * traits serve the mixed/single precision tiers (util/precision.h): at
- * a given ISA level float lanes come in twice the count of double
- * lanes, the precision × SIMD synergy of the paper's Section 8.
+ * Only the loadXyzw record-load transposes, the gathers, compressStore
+ * and the sumXyz/sumPair horizontal sums stay hand-written per ISA. The
+ * float traits serve the mixed/single precision tiers
+ * (util/precision.h): at a given ISA level float lanes come in twice
+ * the count of double lanes, the precision × SIMD synergy of the
+ * paper's Section 8.
  *
  * Determinism contract: every operation is a per-lane IEEE-754
  * operation with no approximate reciprocals, and every trait returns
@@ -766,10 +767,10 @@ loadXyzw(const T *pack, const std::uint32_t *idx, Simd<T, W> &x,
 
 /**
  * Three-component variant for kernels with no per-atom payload: the
- * payload lanes are dead, so the compiler drops their shuffles. The
- * AVX-512 overloads skip the payload gather explicitly. (Measured on
- * Skylake-SP: the 8-load float transpose beats three vpgatherdps — the
- * microcoded gather loses despite touching all eight lanes at once.)
+ * payload lanes are dead, so the compiler drops their shuffles on every
+ * trait. (Measured: on Skylake-SP the 8-load float transpose beats
+ * three vpgatherdps, and on a Sapphire Rapids-class AVX-512 host both
+ * AVX-512 transposes beat the three or four gathers they replaced.)
  */
 template <typename T, int W>
 inline void
@@ -1475,31 +1476,34 @@ struct SimdRegs<float, 16>
 } // namespace detail
 
 /**
- * AVX-512 loadXyzw: four gathers off a single pre-scaled index vector
- * (record base = idx*4 doubles; component picked by the base pointer).
+ * AVX-512 loadXyzw: eight contiguous 32-byte record loads, paired into
+ * 512-bit registers (record l low, record l + 4 high), then an 8x4
+ * in-register transpose: unpack within 128-bit lanes, permute across.
+ * Only data moves, so every lane holds what a gather would return.
  */
 inline void
 loadXyzw(const double *pack, const std::uint32_t *idx, Simd<double, 8> &x,
          Simd<double, 8> &y, Simd<double, 8> &z, Simd<double, 8> &w)
 {
-    const __m256i rec = _mm256_slli_epi32(
-        _mm256_loadu_si256(reinterpret_cast<const __m256i *>(idx)), 2);
-    x.v = _mm512_i32gather_pd(rec, pack + 0, 8);
-    y.v = _mm512_i32gather_pd(rec, pack + 1, 8);
-    z.v = _mm512_i32gather_pd(rec, pack + 2, 8);
-    w.v = _mm512_i32gather_pd(rec, pack + 3, 8);
-}
-
-/** As above, skipping the unused payload gather. */
-inline void
-loadXyz(const double *pack, const std::uint32_t *idx, Simd<double, 8> &x,
-        Simd<double, 8> &y, Simd<double, 8> &z)
-{
-    const __m256i rec = _mm256_slli_epi32(
-        _mm256_loadu_si256(reinterpret_cast<const __m256i *>(idx)), 2);
-    x.v = _mm512_i32gather_pd(rec, pack + 0, 8);
-    y.v = _mm512_i32gather_pd(rec, pack + 1, 8);
-    z.v = _mm512_i32gather_pd(rec, pack + 2, 8);
+    const auto pair = [pack, idx](int l) {
+        return _mm512_insertf64x4(
+            _mm512_castpd256_pd512(_mm256_loadu_pd(pack + 4u * idx[l])),
+            _mm256_loadu_pd(pack + 4u * idx[l + 4]), 1);
+    };
+    const __m512d a0 = pair(0); // rec0 | rec4
+    const __m512d a1 = pair(1);
+    const __m512d a2 = pair(2);
+    const __m512d a3 = pair(3);
+    const __m512d t0 = _mm512_unpacklo_pd(a0, a1); // x0 x1 z0 z1 | x4 x5 z4 z5
+    const __m512d t1 = _mm512_unpackhi_pd(a0, a1); // y0 y1 w0 w1 | y4 y5 w4 w5
+    const __m512d t2 = _mm512_unpacklo_pd(a2, a3); // x2 x3 z2 z3 | x6 x7 z6 z7
+    const __m512d t3 = _mm512_unpackhi_pd(a2, a3); // y2 y3 w2 w3 | y6 y7 w6 w7
+    const __m512i lo = _mm512_setr_epi64(0, 1, 8, 9, 4, 5, 12, 13);
+    const __m512i hi = _mm512_setr_epi64(2, 3, 10, 11, 6, 7, 14, 15);
+    x.v = _mm512_permutex2var_pd(t0, lo, t2);
+    y.v = _mm512_permutex2var_pd(t1, lo, t3);
+    z.v = _mm512_permutex2var_pd(t0, hi, t2);
+    w.v = _mm512_permutex2var_pd(t1, hi, t3);
 }
 
 /** AVX-512 compressStore over 16 ids: the native compress. */
@@ -1513,32 +1517,36 @@ compressStore(std::uint32_t *dst, const SimdIndex<16> &ids, int maskBits)
 }
 
 /**
- * AVX-512 float loadXyzw: four gathers off a single pre-scaled index
- * vector (record base = idx*4 floats; component picked by the base
- * pointer).
+ * AVX-512 float loadXyzw: sixteen contiguous 16-byte record loads, four
+ * to a register (records l, l + 4, l + 8, l + 12), then a 16x4
+ * transpose within 128-bit lanes — the AVX2 float transpose, four
+ * lanes wide.
  */
 inline void
 loadXyzw(const float *pack, const std::uint32_t *idx, Simd<float, 16> &x,
          Simd<float, 16> &y, Simd<float, 16> &z, Simd<float, 16> &w)
 {
-    const __m512i rec =
-        _mm512_slli_epi32(_mm512_loadu_si512(idx), 2);
-    x.v = _mm512_i32gather_ps(rec, pack + 0, 4);
-    y.v = _mm512_i32gather_ps(rec, pack + 1, 4);
-    z.v = _mm512_i32gather_ps(rec, pack + 2, 4);
-    w.v = _mm512_i32gather_ps(rec, pack + 3, 4);
-}
-
-/** As above, skipping the unused payload gather. */
-inline void
-loadXyz(const float *pack, const std::uint32_t *idx, Simd<float, 16> &x,
-        Simd<float, 16> &y, Simd<float, 16> &z)
-{
-    const __m512i rec =
-        _mm512_slli_epi32(_mm512_loadu_si512(idx), 2);
-    x.v = _mm512_i32gather_ps(rec, pack + 0, 4);
-    y.v = _mm512_i32gather_ps(rec, pack + 1, 4);
-    z.v = _mm512_i32gather_ps(rec, pack + 2, 4);
+    const auto rec = [pack, idx](int l) {
+        return _mm_loadu_ps(pack + 4u * idx[l]);
+    };
+    const auto quad = [&rec](int l) {
+        __m512 a = _mm512_castps128_ps512(rec(l));
+        a = _mm512_insertf32x4(a, rec(l + 4), 1);
+        a = _mm512_insertf32x4(a, rec(l + 8), 2);
+        return _mm512_insertf32x4(a, rec(l + 12), 3);
+    };
+    const __m512 a0 = quad(0); // rec0 | rec4 | rec8 | rec12
+    const __m512 a1 = quad(1);
+    const __m512 a2 = quad(2);
+    const __m512 a3 = quad(3);
+    const __m512 t0 = _mm512_unpacklo_ps(a0, a1); // x0 x1 y0 y1 | ...
+    const __m512 t1 = _mm512_unpackhi_ps(a0, a1); // z0 z1 w0 w1 | ...
+    const __m512 t2 = _mm512_unpacklo_ps(a2, a3); // x2 x3 y2 y3 | ...
+    const __m512 t3 = _mm512_unpackhi_ps(a2, a3); // z2 z3 w2 w3 | ...
+    x.v = _mm512_shuffle_ps(t0, t2, _MM_SHUFFLE(1, 0, 1, 0));
+    y.v = _mm512_shuffle_ps(t0, t2, _MM_SHUFFLE(3, 2, 3, 2));
+    z.v = _mm512_shuffle_ps(t1, t3, _MM_SHUFFLE(1, 0, 1, 0));
+    w.v = _mm512_shuffle_ps(t1, t3, _MM_SHUFFLE(3, 2, 3, 2));
 }
 
 #endif // MDBENCH_SIMD_AVX512

@@ -29,11 +29,13 @@
 #include "core/suite.h"
 #include "env_guard.h"
 #include "forcefield/pair_kernel.h"
+#include "forcefield/pair_lj_cut.h"
 #include "md/neighbor.h"
 #include "md/simulation.h"
 #include "obs/counters.h"
 #include "util/engine_config.h"
 #include "util/error.h"
+#include "util/precision.h"
 #include "util/simd.h"
 #include "util/simd_math.h"
 #include "util/thread_pool.h"
@@ -62,12 +64,17 @@ jitter(Simulation &sim)
 using Builder =
     std::function<std::unique_ptr<Simulation>(std::optional<int>)>;
 
-/** @p sim set up at SIMD @p width (unset: the environment default). */
+/**
+ * @p sim set up at SIMD @p width (unset: the environment default) on
+ * the double tier, whatever the environment's tier: the width-0
+ * reference is double, so every width is compared on the same tier.
+ */
 std::unique_ptr<Simulation>
 setUpAt(std::unique_ptr<Simulation> sim, std::optional<int> width)
 {
     if (width)
         sim->config.simdWidth = *width;
+    sim->config.precision = Precision::Double;
     sim->thermoEvery = 0;
     sim->setup();
     return sim;
@@ -93,15 +100,6 @@ std::unique_ptr<Simulation>
 builtCharmm(std::optional<int> width)
 {
     return setUpAt(buildRhodoProxy(8), width);
-}
-
-std::unique_ptr<Simulation>
-builtLJFull(std::optional<int> width)
-{
-    auto sim = buildLJ(4);
-    jitter(*sim);
-    sim->neighbor.full = true;
-    return setUpAt(std::move(sim), width);
 }
 
 struct Comparison
@@ -228,22 +226,64 @@ TEST(SimdOps, GatherAndIndexArithmetic)
     EXPECT_EQ(D2::fromIndex(idx).lane(0), 3.0);
 }
 
-TEST(SimdOps, LoadXyzwTransposesFourDoubleRecords)
+/** @p a and @p b hold the same bits. */
+template <typename T>
+bool
+sameBits(T a, T b)
 {
-    // records r: [100r, 100r+1, 100r+2, 100r+3]
-    double pack[4 * 5];
-    for (int r = 0; r < 5; ++r)
-        for (int c = 0; c < 4; ++c)
-            pack[4 * r + c] = 100.0 * r + c;
-    const std::uint32_t idx[4] = {4, 0, 2, 1};
-    D4 x, y, z, w;
-    loadXyzw(pack, idx, x, y, z, w);
-    for (int l = 0; l < 4; ++l) {
-        EXPECT_EQ(x.lane(l), 100.0 * idx[l] + 0);
-        EXPECT_EQ(y.lane(l), 100.0 * idx[l] + 1);
-        EXPECT_EQ(z.lane(l), 100.0 * idx[l] + 2);
-        EXPECT_EQ(w.lane(l), 100.0 * idx[l] + 3);
+    return std::memcmp(&a, &b, sizeof(T)) == 0;
+}
+
+/**
+ * loadXyzw at (T, W): lane l of x/y/z/w holds record idx[l]'s four
+ * components bit for bit, and loadXyz returns the same first three.
+ * The ids repeat, include the pad record the sentinel points at, and
+ * that record is the last one of an exactly sized heap buffer, so a
+ * load past it shows under ASan.
+ */
+template <typename T, int W>
+void
+expectLoadXyzwTransposesRecords()
+{
+    SCOPED_TRACE(testing::Message() << sizeof(T) * 8 << "-bit W=" << W);
+    constexpr std::uint32_t kRecords = W + 3;
+    constexpr std::uint32_t kPad = kRecords - 1;
+    std::vector<T> pack(4 * kRecords);
+    for (std::uint32_t r = 0; r < kRecords; ++r)
+        for (std::uint32_t c = 0; c < 4; ++c)
+            pack[4 * r + c] = T(100) * T(r) + T(c) + T(0.5);
+    std::array<std::uint32_t, W> idx;
+    for (int l = 0; l < W; ++l)
+        idx[l] = (3u * static_cast<std::uint32_t>(l) + 1u) % kPad;
+    idx[W / 2] = idx[0];
+    idx[W - 1] = kPad;
+
+    Simd<T, W> x, y, z, w;
+    loadXyzw(pack.data(), idx.data(), x, y, z, w);
+    Simd<T, W> x3, y3, z3;
+    loadXyz(pack.data(), idx.data(), x3, y3, z3);
+    for (int l = 0; l < W; ++l) {
+        const T *rec = pack.data() + 4 * idx[l];
+        EXPECT_TRUE(sameBits(x.lane(l), rec[0])) << "lane " << l;
+        EXPECT_TRUE(sameBits(y.lane(l), rec[1])) << "lane " << l;
+        EXPECT_TRUE(sameBits(z.lane(l), rec[2])) << "lane " << l;
+        EXPECT_TRUE(sameBits(w.lane(l), rec[3])) << "lane " << l;
+        EXPECT_TRUE(sameBits(x3.lane(l), x.lane(l))) << "lane " << l;
+        EXPECT_TRUE(sameBits(y3.lane(l), y.lane(l))) << "lane " << l;
+        EXPECT_TRUE(sameBits(z3.lane(l), z.lane(l))) << "lane " << l;
     }
+}
+
+TEST(SimdOps, LoadXyzwTransposesRecordsOnEveryTrait)
+{
+    // Double 4/8 and float 8/16 take the ISA traits where the build has
+    // them; double 16 and float 4 always take the generic one.
+    expectLoadXyzwTransposesRecords<double, 4>();
+    expectLoadXyzwTransposesRecords<double, 8>();
+    expectLoadXyzwTransposesRecords<float, 8>();
+    expectLoadXyzwTransposesRecords<float, 16>();
+    expectLoadXyzwTransposesRecords<double, 16>();
+    expectLoadXyzwTransposesRecords<float, 4>();
 }
 
 TEST(SimdOps, SumIsAscendingLaneOrder)
@@ -503,19 +543,18 @@ TEST(SimdBackend, EveryOpMatchesGenericTraitFloat16)
 // ---------------------------------------------------- padded packing
 
 /**
- * The LJ melt set up at @p width with a half or full, split or whole
- * list on four threads, then rebuilt at a larger skin: the rows outgrow
- * the regions the first build sized, so rows of the second build go
- * through the fill's spill buffers.
+ * A system set up at @p width with a half (EAM) or full (LJ melt),
+ * split or whole list on four threads, then rebuilt at a larger skin:
+ * the rows outgrow the regions the first build sized, so rows of the
+ * second build go through the fill's spill buffers.
  */
 std::unique_ptr<Simulation>
-builtLJListAt(int width, bool full, bool split)
+builtListAt(int width, bool full, bool split)
 {
     const int before = ThreadPool::threads();
     ThreadPool::setThreads(4);
-    auto sim = buildLJ(5);
+    auto sim = full ? buildLJ(5) : buildEAM(5);
     jitter(*sim);
-    sim->neighbor.full = full;
     sim->neighbor.splitGhostPairs = split;
     sim = setUpAt(std::move(sim), width);
     sim->neighbor.skin = 0.8;
@@ -548,14 +587,14 @@ TEST(PackedList, RowsPaddedWithSentinelToWidthMultiple)
         for (const ListKind kind :
              {ListKind::Main, ListKind::Interior, ListKind::Boundary}) {
             const bool split = kind != ListKind::Main;
-            const auto ref = builtLJListAt(1, full, split);
+            const auto ref = builtListAt(1, full, split);
             const NeighborList &plain = listOf(*ref, kind);
             for (const int width : {0, 1, 2, 4, 8, 16}) {
                 SCOPED_TRACE(testing::Message()
                              << (full ? "full " : "half ")
                              << kindNames[static_cast<int>(kind)]
                              << " width=" << width);
-                const auto sim = builtLJListAt(width, full, split);
+                const auto sim = builtListAt(width, full, split);
                 const NeighborList &list = listOf(*sim, kind);
                 const std::size_t nlocal = sim->atoms.nlocal();
                 ASSERT_EQ(list.padWidth, width);
@@ -620,42 +659,90 @@ TEST(PackedList, DisabledAtWidthZero)
     EXPECT_EQ(list.rows().neighbors, list.neighbors.data());
 }
 
-TEST(PackedList, FullListRequestSurvivesSetup)
+/**
+ * The LJ melt's forces and potential energy summed over every pair
+ * once, by minimum image (its box is wider than twice the cutoff).
+ */
+std::pair<std::vector<Vec3>, double>
+bruteForceLJ(const Simulation &sim)
 {
-    // Regression: Simulation::setup used to overwrite an explicit full
-    // request with the pair style's (half) preference, silently turning
-    // every full-list measurement into a half-list one.
-    auto half = buildLJ(4);
-    half->config.simdWidth = 0;
-    jitter(*half);
-    half->thermoEvery = 0;
-    half->setup();
-    ASSERT_FALSE(half->neighbor.list().full);
-
-    auto full = buildLJ(4);
-    full->config.simdWidth = 0;
-    jitter(*full);
-    full->thermoEvery = 0;
-    full->neighbor.full = true;
-    full->setup();
-    ASSERT_TRUE(full->neighbor.list().full);
-    EXPECT_EQ(full->neighbor.list().pairCount(),
-              2 * half->neighbor.list().pairCount());
-
-    // Same physics from both flavors (summation order differs).
-    EXPECT_NEAR(full->potentialEnergy(), half->potentialEnergy(),
-                1e-9 * std::abs(half->potentialEnergy()));
-    for (std::size_t i = 0; i < half->atoms.nlocal(); ++i) {
-        EXPECT_NEAR(full->atoms.f[i].x, half->atoms.f[i].x, 1e-9);
-        EXPECT_NEAR(full->atoms.f[i].y, half->atoms.f[i].y, 1e-9);
-        EXPECT_NEAR(full->atoms.f[i].z, half->atoms.f[i].z, 1e-9);
+    // buildLJ's style: epsilon = sigma = 1, cutoff 2.5, no shift.
+    const double cutSq = 2.5 * 2.5;
+    const std::size_t n = sim.atoms.nlocal();
+    std::vector<Vec3> f(n);
+    double energy = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+        for (std::size_t j = i + 1; j < n; ++j) {
+            const Vec3 d =
+                sim.box.minimumImage(sim.atoms.x[i] - sim.atoms.x[j]);
+            const double r2 = d.normSq();
+            if (r2 >= cutSq)
+                continue;
+            const double r6inv = 1.0 / (r2 * r2 * r2);
+            const double fpair = r6inv * (48.0 * r6inv - 24.0) / r2;
+            f[i] += d * fpair;
+            f[j] -= d * fpair;
+            energy += 4.0 * r6inv * (r6inv - 1.0);
+        }
     }
+    return {f, energy};
+}
+
+TEST(PackedList, LjCutRunsOnAFullListMatchingBruteForce)
+{
+    // lj/cut asks for a full list: setup builds one at every width and
+    // tier, even when the request was for a half list.
+    for (const int width : {0, 1, 2, 4, 8, 16}) {
+        for (const Precision tier :
+             {Precision::Double, Precision::Mixed, Precision::Single}) {
+            SCOPED_TRACE(testing::Message() << "width=" << width << " "
+                                            << precisionName(tier));
+            auto sim = buildLJ(4);
+            sim->config.simdWidth = width;
+            sim->config.precision = tier;
+            sim->neighbor.full = false;
+            sim->thermoEvery = 0;
+            sim->setup();
+            EXPECT_TRUE(sim->neighbor.list().full);
+        }
+    }
+
+    // The width-0 kernel against an O(N²) sum over each pair once.
+    auto sim = builtLJ(0);
+    const auto [f, energy] = bruteForceLJ(*sim);
+    EXPECT_NEAR(sim->potentialEnergy(), energy, 1e-9 * std::abs(energy));
+    for (std::size_t i = 0; i < sim->atoms.nlocal(); ++i) {
+        EXPECT_NEAR(sim->atoms.f[i].x, f[i].x, 1e-9) << i;
+        EXPECT_NEAR(sim->atoms.f[i].y, f[i].y, 1e-9) << i;
+        EXPECT_NEAR(sim->atoms.f[i].z, f[i].z, 1e-9) << i;
+    }
+}
+
+/**
+ * builtLJ with every other atom of a second type, so lj/cut runs its
+ * multi-type body: per-lane type and coefficient gathers.
+ */
+std::unique_ptr<Simulation>
+builtLJTwoTypes(std::optional<int> width)
+{
+    auto sim = buildLJ(4);
+    jitter(*sim);
+    sim->atoms.setNumTypes(2);
+    for (std::size_t i = 0; i < sim->atoms.nlocal(); i += 2)
+        sim->atoms.type[i] = 2;
+    auto pair = std::make_unique<PairLJCut>(2, 2.5);
+    pair->setCoeff(1, 1, 1.0, 1.0);
+    pair->setCoeff(2, 2, 0.8, 1.1);
+    pair->mix(MixRule::Arithmetic);
+    sim->pair = std::move(pair);
+    return setUpAt(std::move(sim), width);
 }
 
 TEST(PackedList, SimdFullListMatchesScalarFullList)
 {
     for (int w : {1, 2, 4, 8, 16}) {
-        const Comparison c = compareAgainstWidthOneReference(builtLJFull, w);
+        const Comparison c =
+            compareAgainstWidthOneReference(builtLJTwoTypes, w);
         EXPECT_LT(c.maxForceDiff, 1e-10) << "width " << w;
         EXPECT_LT(c.energyDiff, 1e-8) << "width " << w;
     }
@@ -871,8 +958,7 @@ TEST(Kernels, PlainRowsAreBitwiseThePackedWidthOne)
     // nothing. Both must give the same bits on every build, FMA or not.
     const int before = ThreadPool::threads();
     const std::pair<const char *, Builder> styles[] = {
-        {"lj/cut half", builtLJ},
-        {"lj/cut full", builtLJFull},
+        {"lj/cut", builtLJ},
         {"eam", builtEAM},
         {"charmm", builtCharmm},
     };
